@@ -62,8 +62,9 @@ class InertiaSpec:
 
 
 def _check_size(spec: InertiaSpec, m) -> np.ndarray:
+    # The last two axes are checked, so stacks (..., n, n) pass too.
     m = np.asarray(m, dtype=float)
-    if m.shape != (spec.n, spec.n):
+    if m.shape != (spec.n, spec.n) and m.shape[-2:] != (spec.n, spec.n):
         raise DimensionError(
             f"expected a {spec.n}x{spec.n} matrix, got shape {m.shape}"
         )
@@ -77,13 +78,20 @@ def inertia_apply(spec: InertiaSpec, omega) -> np.ndarray:
 
 
 def inertia_inverse(spec: InertiaSpec, pi) -> np.ndarray:
-    """Body velocity from body momentum: entrywise pi_ij / (lambda_i + lambda_j)."""
+    """Body velocity from body momentum: entrywise pi_ij / (lambda_i + lambda_j).
+
+    Accepts stacks ``(..., n, n)``.
+    """
     pi = _check_size(spec, pi)
     return pi / spec._pair_sums
 
 
-def reduced_hamiltonian(spec: InertiaSpec, pi) -> float:
-    """Kinetic energy (1/2) <pi, I^{-1} pi> of a body momentum."""
+def reduced_hamiltonian(spec: InertiaSpec, pi):
+    """Kinetic energy (1/2) <pi, I^{-1} pi> of a body momentum.
+
+    A float for one momentum, one value per leading index of a stack
+    ``(..., n, n)``.
+    """
     pi = _check_size(spec, pi)
     return 0.5 * inner(pi, inertia_inverse(spec, pi))
 

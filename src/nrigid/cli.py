@@ -161,7 +161,7 @@ def _flatten_state(kind, state) -> np.ndarray:
 
 def _defect_channel(traj: Trajectory) -> np.ndarray:
     if traj.kind == "euler":
-        return np.array([skew_defect(s) for s in traj.states])
+        return skew_defect(traj.states)
     return traj.audits["orthogonality_defect"]
 
 
@@ -390,19 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("kind", choices=["euler", "symrep", "euler-poisson"])
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify-reduction", help="co-integrate both pictures and gate on tolerances")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify_reduction)
 
     p_lift = sub.add_parser("lift", help="construct the phase point for (q0, pi0)")
     p_lift.add_argument("--config", required=True)
     p_lift.add_argument("--out", default=None)
-    p_lift.add_argument("--seed", type=int, default=None)
     p_lift.set_defaults(func=cmd_lift)
 
     p_bvp = sub.add_parser("solve-bvp", help="shoot for the attitude boundary value problem")

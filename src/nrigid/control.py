@@ -7,7 +7,10 @@ the search space is the initial body momentum: each candidate is lifted
 to a phase point, integrated forward, and scored by the terminal
 attitude mismatch.  A damped Gauss-Newton iteration with a
 forward-difference Jacobian runs over the n(n-1)/2 free momentum
-entries; a trust region keeps candidates inside the lift bound.
+entries; candidates are kept strictly inside the lift bound, spectral
+norm 2.  A target whose extremal needs a momentum at or beyond the bound
+is not reached: the iterates pin at the bound and the solve ends with
+reason "max_iter", its message giving the norm of the best momentum.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import InertiaSpec, inertia_apply
+from .body import InertiaSpec
 from .errors import ConvergenceError, DimensionError
 from .integrate import IntegratorConfig, Trajectory, integrate_symrep
 from .lift import solve_lift
-from .matcore import inner, require_rotation, spectral_norm
-from .symrep import optimal_control, q_block
+from .matcore import require_rotation, spectral_norm
+from .symrep import hamiltonian, q_block
 
 __all__ = ["BvpProblem", "BvpSolution", "shoot", "trajectory_cost"]
 
@@ -29,6 +32,8 @@ __all__ = ["BvpProblem", "BvpSolution", "shoot", "trajectory_cost"]
 # above the lift's own refusal margin so near-boundary extremals (relative
 # equilibria about the stiffest axis) remain reachable.
 _MOMENTUM_CAP = 2.0 - 1e-8
+# A best iterate this close to the bound is reported as pinned there.
+_PINNED_MARGIN = 1e-3
 _FD_STEP = 1e-6
 _ARMIJO = 1e-4
 _MIN_DAMPING = 1e-12
@@ -77,9 +82,11 @@ def _params_from_skew(a):
 def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
     """Composite Simpson quadrature of the control effort (1/2) <I u, u>.
 
-    Requires a uniformly stepped phase-point trajectory with at least
-    three samples.  An odd interval count is closed with the 3/8 rule on
-    the last three intervals, keeping 4th-order accuracy.
+    At the maximizing control u = I^{-1}(Z^T J Z) the effort equals the
+    phase-space energy, so the integrand is `hamiltonian` over the stacked
+    states.  Requires a uniformly stepped phase-point trajectory with at
+    least three samples.  An odd interval count is closed with the 3/8
+    rule on the last three intervals, keeping 4th-order accuracy.
     """
     if traj.kind != "symrep":
         raise ValueError(f"cost is defined for phase-point trajectories, got {traj.kind!r}")
@@ -89,12 +96,7 @@ def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
     h = float(dt[0])
     if np.max(np.abs(dt - h)) > 1e-9 * max(1.0, h):
         raise ValueError("cost quadrature needs a uniform step")
-    f = np.array(
-        [
-            0.5 * inner(inertia_apply(spec, u), u)
-            for u in (optimal_control(spec, z) for z in traj.states)
-        ]
-    )
+    f = hamiltonian(spec, traj.states)
     intervals = len(f) - 1
     total = 0.0
     if intervals % 2 == 1:
@@ -121,11 +123,16 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     """Damped Gauss-Newton shooting on the initial body momentum.
 
     Success means the terminal attitude mismatch (Frobenius) is at most
-    ``tol``.  ``seed`` drives the random restarts tried when the line
-    search stalls.  Raises ConvergenceError carrying the best iterate
-    when the iteration budget is exhausted (reason "max_iter") or when
-    the trust region collapses with no restart left (reason
-    "trust_region", an infeasible-target report).
+    ``tol``.  Candidates stay strictly inside the lift bound, spectral
+    norm 2.  ``seed`` drives the random restarts tried when the line
+    search stalls.  Raises ConvergenceError carrying the best iterate:
+
+    * reason "max_iter" when the iteration budget is exhausted.  This is
+      also how a target outside the lift bound ends: the iterates pin at
+      spectral norm 2, and the message then names the bound and gives
+      the norm of the best momentum.
+    * reason "trust_region" when the line search stalls with no restart
+      left.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -193,12 +200,17 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             )
 
     if np.sqrt(fval) > tol:
-        raise ConvergenceError(
+        message = (
             f"no convergence in {max_iter} Gauss-Newton iterations; "
-            f"best terminal error {best[1]:.3g} > tol {tol:g}",
-            best=_solution(problem, best),
-            reason="max_iter",
+            f"best terminal error {best[1]:.3g} > tol {tol:g}"
         )
+        best_norm = spectral_norm(_skew_from_params(best[0], n))
+        if best_norm >= 2.0 - _PINNED_MARGIN:
+            message += (
+                f"; the best momentum has spectral norm {best_norm:.8f}, pinned at "
+                "the lift bound 2 (the target may need a momentum beyond it)"
+            )
+        raise ConvergenceError(message, best=_solution(problem, best), reason="max_iter")
     sol = _solution(problem, (x, np.sqrt(fval), traj))
     sol.iterations = iterations
     return sol

@@ -15,9 +15,10 @@ Three schemes are provided:
   the simplest symplectic scheme on the flat phase space.  It conserves
   the quadratic first integrals of the flow to fixed-point tolerance.
 
-Every accepted step is recorded together with invariant audit channels.
-No step-size adaptivity: runs are reproducible and admit clean order
-checks.
+Every accepted step is written into one stacked array, and the invariant
+audit channels are computed from that stack after the run, over blocks of
+states.  No step-size adaptivity: runs are reproducible and admit clean
+order checks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ import numpy as np
 
 from .body import BodyState, InertiaSpec, inertia_inverse, reduced_hamiltonian
 from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
-from .matcore import commutator, expm, orthogonality_defect, polar_project, require_skew
+from .matcore import (
+    _frobenius,
+    commutator,
+    expm,
+    orthogonality_defect,
+    polar_project,
+    require_skew,
+)
 from .moment import casimir_spectrum, on_momentum, sp_momentum
 from .symrep import FULL_RANK_TOL, hamiltonian, optimal_control
 
@@ -41,6 +49,11 @@ __all__ = [
 ]
 
 _SCHEMES = ("rk4", "rkmk4", "midpoint")
+
+# States per block of the audit pass.  It bounds the temporaries of the
+# audits, the 2n x 2n symplectic momentum values above all, whatever the
+# length of the trajectory.
+_AUDIT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -77,11 +90,17 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Time-stamped states plus named invariant audit channels."""
+    """Time-stamped states plus named invariant audit channels.
+
+    ``states`` is one ``(N+1, ...)`` array for the ``euler`` and
+    ``symrep`` kinds, and a list of `BodyState` whose ``q`` and ``pi``
+    are views into one such array for ``euler-poisson``.  Each audit
+    channel holds one value (or row) per state.
+    """
 
     kind: str
     times: np.ndarray
-    states: list
+    states: np.ndarray | list
     audits: dict
 
     def __post_init__(self):
@@ -151,7 +170,8 @@ def _run(y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None
     y = np.array(y0, dtype=float)
     if check is not None:
         check(y, 0)
-    states = [y]
+    states = np.empty((steps + 1,) + y.shape)
+    states[0] = y
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(1, steps + 1):
             y = advance(y)
@@ -161,9 +181,26 @@ def _run(y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None
                 y = project(y)
             if check is not None:
                 check(y, i)
-            states.append(y)
+            states[i] = y
     times = np.arange(steps + 1) * h
     return times, states
+
+
+def _audit(states, channels) -> dict:
+    """Evaluate audit channels over a stacked trajectory, block by block.
+
+    ``channels`` maps each name to a function of a block of states that
+    returns one value (or row) per state.
+    """
+    audits = {}
+    for start in range(0, len(states), _AUDIT_BLOCK):
+        block = states[start:start + _AUDIT_BLOCK]
+        for name, channel in channels.items():
+            values = channel(block)
+            if name not in audits:
+                audits[name] = np.empty((len(states),) + values.shape[1:])
+            audits[name][start:start + len(block)] = values
+    return audits
 
 
 def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory:
@@ -186,10 +223,10 @@ def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory
         return g.T @ pi @ g
 
     times, states = _run(pi0, cfg, rhs, omega_of, act)
-    audits = {
-        "hamiltonian": np.array([reduced_hamiltonian(spec, s) for s in states]),
-        "casimir_spectrum": np.array([casimir_spectrum(s) for s in states]),
-    }
+    audits = _audit(states, {
+        "hamiltonian": lambda b: reduced_hamiltonian(spec, b),
+        "casimir_spectrum": casimir_spectrum,
+    })
     return Trajectory("euler", times, states, audits)
 
 
@@ -235,21 +272,15 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
 
     times, states = _run(z0, cfg, rhs, omega_of, act, check=check, project=project)
     j0 = sp_momentum(states[0])
-    audits = {
-        "hamiltonian": np.array([hamiltonian(spec, z) for z in states]),
-        "j_drift": np.array(
-            [float(np.linalg.norm(sp_momentum(z) - j0)) for z in states]
+    audits = _audit(states, {
+        "hamiltonian": lambda b: hamiltonian(spec, b),
+        "j_drift": lambda b: _frobenius(sp_momentum(b) - j0),
+        "orthogonality_defect": lambda b: np.maximum(
+            orthogonality_defect(b[:, :n]), orthogonality_defect(b[:, n:])
         ),
-        "orthogonality_defect": np.array(
-            [
-                max(orthogonality_defect(z[:n]), orthogonality_defect(z[n:]))
-                for z in states
-            ]
-        ),
-        "casimir_spectrum": np.array(
-            [casimir_spectrum(on_momentum(z)) for z in states]
-        ),
-    }
+        "on_momentum": on_momentum,
+    })
+    audits["casimir_spectrum"] = casimir_spectrum(audits["on_momentum"])
     return Trajectory("symrep", times, states, audits)
 
 
@@ -285,11 +316,9 @@ def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorCon
 
     times, stacked = _run(y0, cfg, rhs, omega_of, act, project=project)
     states = [BodyState(q=y[:n], pi=y[n:]) for y in stacked]
-    audits = {
-        "hamiltonian": np.array([reduced_hamiltonian(spec, s.pi) for s in states]),
-        "casimir_spectrum": np.array([casimir_spectrum(s.pi) for s in states]),
-        "orthogonality_defect": np.array(
-            [orthogonality_defect(s.q) for s in states]
-        ),
-    }
+    audits = _audit(stacked, {
+        "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
+        "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),
+        "orthogonality_defect": lambda b: orthogonality_defect(b[:, :n]),
+    })
     return Trajectory("euler-poisson", times, states, audits)

@@ -8,6 +8,7 @@ the defining constraints at the boundaries that need them.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,27 +43,50 @@ _EXPM_ORDER = 12
 _EXPM_THRESHOLD = 0.5
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stacked=False) -> np.ndarray:
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise DimensionError(f"expected a matrix, got an array of ndim {m.ndim}")
     return m
 
 
-def _as_square(a) -> np.ndarray:
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+def _as_square(a, stacked=False) -> np.ndarray:
+    m = _as_matrix(a, stacked)
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def inner(a, b) -> float:
-    """Trace inner product (1/2) tr(a^T b) of two same-shape matrices."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
+def _flat_dot(a, b):
+    """Sum of the entrywise products over the last two axes.
+
+    A float for two matrices, one value per leading index for stacks.
+    Every pair of matrices, alone or in a stack, reduces through the same
+    BLAS dot of its row-major entries (the one ``np.linalg.norm`` and
+    ``np.tensordot`` use), so a stack agrees bitwise with a loop over it.
+    """
+    if a.ndim == 2:
+        return float(a.ravel() @ b.ravel())
+    return (a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0]
+
+
+def _frobenius(m):
+    """Frobenius norm over the last two axes, in the manner of `_flat_dot`."""
+    d = _flat_dot(m, m)
+    return math.sqrt(d) if m.ndim == 2 else np.sqrt(d)
+
+
+def inner(a, b):
+    """Trace inner product (1/2) tr(a^T b) of two same-shape matrices.
+
+    Accepts stacks ``(..., m, n)`` and returns one value per leading
+    index; two matrices give a float.
+    """
+    a = _as_matrix(a, stacked=True)
+    b = _as_matrix(b, stacked=True)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.tensordot(a, b))
+    return 0.5 * _flat_dot(a, b)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -199,16 +223,16 @@ def sp_inverse(s) -> np.ndarray:
     return -(j @ s.T @ j)
 
 
-def skew_defect(m) -> float:
-    """Frobenius norm of m + m^T."""
-    m = _as_square(m)
-    return float(np.linalg.norm(m + m.T))
+def skew_defect(m):
+    """Frobenius norm of m + m^T; one value per leading index of a stack."""
+    m = _as_square(m, stacked=True)
+    return _frobenius(m + m.swapaxes(-1, -2))
 
 
-def orthogonality_defect(m) -> float:
-    """Frobenius norm of m^T m - I."""
-    m = _as_square(m)
-    return float(np.linalg.norm(m.T @ m - np.eye(m.shape[0])))
+def orthogonality_defect(m):
+    """Frobenius norm of m^T m - I; one value per leading index of a stack."""
+    m = _as_square(m, stacked=True)
+    return _frobenius(m.swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))
 
 
 def rotation_defect(m) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CertificationError, DimensionError, LevelSetError
-from .matcore import _jmat, commutator, inner
+from .matcore import _frobenius, _jmat, commutator, inner
 from .symrep import _split, symplectic_form
 
 __all__ = [
@@ -55,18 +55,22 @@ def sp_momentum(z) -> np.ndarray:
     """Momentum map of the symplectic action: J Z Z^T.
 
     Blockwise [[P Q^T, P P^T], [-Q Q^T, -Q P^T]]; conserved along the
-    symmetric-representation flow.
+    symmetric-representation flow.  A stack ``(..., 2n, n)`` gives
+    ``(..., 2n, 2n)``.
     """
-    q, _ = _split(z)
+    q, _ = _split(z, stacked=True)
     z = np.asarray(z, dtype=float)
-    return _jmat(q.shape[0]) @ (z @ z.T)
+    return _jmat(q.shape[-1]) @ (z @ z.swapaxes(-1, -2))
 
 
 def on_momentum(z) -> np.ndarray:
-    """Momentum map of the orthogonal action: Z^T J Z = Q^T P - P^T Q."""
-    q, _ = _split(z)
+    """Momentum map of the orthogonal action: Z^T J Z = Q^T P - P^T Q.
+
+    A stack ``(..., 2n, n)`` gives ``(..., n, n)``.
+    """
+    q, _ = _split(z, stacked=True)
     z = np.asarray(z, dtype=float)
-    return z.T @ (_jmat(q.shape[0]) @ z)
+    return z.swapaxes(-1, -2) @ (_jmat(q.shape[-1]) @ z)
 
 
 def sp_coadjoint(s, mu) -> np.ndarray:
@@ -119,6 +123,7 @@ def casimir_spectrum(pi) -> np.ndarray:
     """Singular values of a momentum value, descending.
 
     Constant on coadjoint orbits, hence conserved by any Lie-Poisson flow.
+    A stack ``(..., n, n)`` gives one spectrum per leading index.
     """
     return np.linalg.svd(np.asarray(pi, dtype=float), compute_uv=False)
 
@@ -152,20 +157,23 @@ def orbit_transporter(z1, z2, tol=1e-8) -> np.ndarray:
     return r
 
 
-def level_set_defect(z, mu0) -> float:
+def level_set_defect(z, mu0):
     """Distance of z from the level set of the momentum value mu0.
 
     Maximum of the three independent block residuals of J Z Z^T against
     mu0: the P P^T and Q Q^T blocks (identity for lifted level sets) and
-    the P Q^T block.
+    the P Q^T block.  A float for one phase point, one value per leading
+    index of a stack ``(..., 2n, n)``.
     """
-    q, p = _split(z)
-    mu0 = _as_2n(mu0, q.shape[0], "momentum value")
-    n = q.shape[0]
-    d_qq = float(np.linalg.norm(q @ q.T + mu0[n:, :n]))
-    d_pp = float(np.linalg.norm(p @ p.T - mu0[:n, n:]))
-    d_pq = float(np.linalg.norm(p @ q.T - mu0[:n, :n]))
-    return max(d_qq, d_pp, d_pq)
+    q, p = _split(z, stacked=True)
+    n = q.shape[-1]
+    mu0 = _as_2n(mu0, n, "momentum value")
+    d_qq = _frobenius(q @ q.swapaxes(-1, -2) + mu0[n:, :n])
+    d_pp = _frobenius(p @ p.swapaxes(-1, -2) - mu0[:n, n:])
+    d_pq = _frobenius(p @ q.swapaxes(-1, -2) - mu0[:n, :n])
+    if q.ndim == 2:
+        return max(d_qq, d_pp, d_pq)
+    return np.maximum(np.maximum(d_qq, d_pp), d_pq)
 
 
 def reduced_form_check(z, a, b):

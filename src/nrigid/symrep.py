@@ -32,12 +32,17 @@ from .matcore import symplectic_matrix  # noqa: F401  (re-export, same structure
 FULL_RANK_TOL = 1e-10
 
 
-def _split(z):
+def _split(z, stacked=False):
+    # With ``stacked``, z may carry leading axes (..., 2n, n) and the
+    # blocks keep them.
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] != 2 * z.shape[1]:
-        raise DimensionError(f"expected a 2n x n matrix, got shape {z.shape}")
-    n = z.shape[1]
-    return z[:n], z[n:]
+    if z.ndim == 2 and z.shape[0] == 2 * z.shape[1]:
+        n = z.shape[1]
+        return z[:n], z[n:]
+    if stacked and z.ndim > 2 and z.shape[-2] == 2 * z.shape[-1]:
+        n = z.shape[-1]
+        return z[..., :n, :], z[..., n:, :]
+    raise DimensionError(f"expected a 2n x n matrix, got shape {z.shape}")
 
 
 def phase_point(q, p) -> np.ndarray:
@@ -118,15 +123,17 @@ def control_hamiltonian(spec: InertiaSpec, z, u) -> float:
     return float(np.tensordot(q.T @ p, u)) - 0.5 * inner(inertia_apply(spec, u), u)
 
 
-def hamiltonian(spec: InertiaSpec, z) -> float:
+def hamiltonian(spec: InertiaSpec, z):
     """Phase-space energy (1/2) <Z^T J Z, I^{-1}(Z^T J Z)>.
 
-    Invariant under left multiplication by symplectic matrices.
+    Invariant under left multiplication by symplectic matrices.  A float
+    for one phase point, one value per leading index of a stack
+    ``(..., 2n, n)``.
     """
     z = np.asarray(z, dtype=float)
-    n = _split(z)[0].shape[0]
+    n = _split(z, stacked=True)[0].shape[-1]
     _check_spec(spec, n)
-    w = z.T @ (_jmat(n) @ z)
+    w = z.swapaxes(-1, -2) @ (_jmat(n) @ z)
     return 0.5 * inner(w, inertia_inverse(spec, w))
 
 

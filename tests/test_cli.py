@@ -92,6 +92,16 @@ class TestSimulate:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "euler", "--config", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "command", [["simulate", "symrep"], ["verify-reduction"], ["lift"]]
+    )
+    def test_seed_rejected_where_unused(self, tmp_path, command):
+        # these runs have no random input, so they take no --seed
+        cfg = write_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(cfg), "--out", str(tmp_path), "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestVerifyReduction:
     def test_standard_passes(self, tmp_path, capsys):

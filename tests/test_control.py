@@ -168,6 +168,23 @@ class TestShoot:
             assert sol.terminal_error <= 1e-6
             assert np.linalg.norm(sol.pi0 - pi_true) <= 1e-5
 
+    def test_target_beyond_lift_bound_reports_the_bound(self):
+        # the extremal to this target needs |pi0|_2 ~ 2.08; candidates are
+        # capped below 2, so the iterates pin there and the budget runs out
+        problem = BvpProblem(
+            spec=standard_spec(),
+            q0=np.eye(3),
+            q_target=expm(hat([0.3, -0.2, 0.4])),
+            t_final=1.0,
+            cfg=IntegratorConfig("rk4", 5e-3, 1.0),
+        )
+        with pytest.raises(ConvergenceError) as err:
+            shoot(problem, tol=1e-6, max_iter=5, seed=0)
+        assert err.value.reason == "max_iter"
+        message = str(err.value)
+        assert "lift bound 2" in message
+        assert "spectral norm 1.99" in message
+
     def test_iteration_budget_error_carries_best(self):
         problem = spherical_problem(step=1e-2)
         with pytest.raises(ConvergenceError) as err:

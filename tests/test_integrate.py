@@ -13,7 +13,7 @@ from nrigid.integrate import (
 )
 from nrigid.lift import solve_lift
 from nrigid.matcore import expm
-from nrigid.symrep import optimal_control, phase_point
+from nrigid.symrep import FULL_RANK_TOL, optimal_control, phase_point
 
 
 def stacked(state):
@@ -137,8 +137,10 @@ class TestSymrep:
         z0[5, 2] = 1.0
         z0[2, 2] = 0.0  # rank-deficient top block, column 2 duplicated
         z0[5, 2] = 0.0
-        with pytest.raises(RankLossError):
+        with pytest.raises(RankLossError) as err:
             integrate_symrep(standard_spec(), z0, IntegratorConfig("rk4", 1e-2, 1.0))
+        assert err.value.step_index == 0
+        assert err.value.min_singular_value < FULL_RANK_TOL
 
     def test_noether_drift(self):
         z0 = solve_lift(np.eye(3), standard_pi0())

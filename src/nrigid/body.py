@@ -61,10 +61,10 @@ class InertiaSpec:
         return self.lam.size
 
 
-def _check_size(spec: InertiaSpec, m) -> np.ndarray:
+def _check_n_by_n(spec: InertiaSpec, m) -> np.ndarray:
     # The last two axes are checked, so stacks (..., n, n) pass too.
     m = np.asarray(m, dtype=float)
-    if m.shape != (spec.n, spec.n) and m.shape[-2:] != (spec.n, spec.n):
+    if m.shape[-2:] != (spec.n, spec.n):
         raise DimensionError(
             f"expected a {spec.n}x{spec.n} matrix, got shape {m.shape}"
         )
@@ -73,7 +73,7 @@ def _check_size(spec: InertiaSpec, m) -> np.ndarray:
 
 def inertia_apply(spec: InertiaSpec, omega) -> np.ndarray:
     """Body momentum from body velocity: Lambda om + om Lambda, entrywise (lambda_i + lambda_j) om_ij."""
-    omega = _check_size(spec, omega)
+    omega = _check_n_by_n(spec, omega)
     return spec._pair_sums * omega
 
 
@@ -82,7 +82,7 @@ def inertia_inverse(spec: InertiaSpec, pi) -> np.ndarray:
 
     Accepts stacks ``(..., n, n)``.
     """
-    pi = _check_size(spec, pi)
+    pi = _check_n_by_n(spec, pi)
     return pi / spec._pair_sums
 
 
@@ -92,13 +92,11 @@ def reduced_hamiltonian(spec: InertiaSpec, pi):
     A float for one momentum, one value per leading index of a stack
     ``(..., n, n)``.
     """
-    pi = _check_size(spec, pi)
     return 0.5 * inner(pi, inertia_inverse(spec, pi))
 
 
 def euler_rhs(spec: InertiaSpec, pi) -> np.ndarray:
     """Right-hand side [pi, I^{-1} pi] of the Euler equation on so(n)."""
-    pi = _check_size(spec, pi)
     return commutator(pi, inertia_inverse(spec, pi))
 
 
@@ -131,10 +129,21 @@ class BodyState:
         return self.q.shape[0]
 
 
+def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
+    """Body velocity om = I^{-1} pi of an attitude and momentum stacked as [Q; pi]."""
+    return inertia_inverse(spec, y[spec.n:])
+
+
+def _attitude_momentum_rhs(spec: InertiaSpec, y) -> np.ndarray:
+    """The field (Q om, [pi, om]) on [Q; pi]; its momentum block is `euler_rhs`."""
+    n = spec.n
+    return np.vstack([y[:n] @ _attitude_momentum_velocity(spec, y), euler_rhs(spec, y[n:])])
+
+
 def euler_poisson_rhs(spec: InertiaSpec, state: BodyState):
     """Right-hand side (Q om, [pi, om]) with om = I^{-1} pi."""
-    omega = inertia_inverse(spec, state.pi)
-    return state.q @ omega, commutator(state.pi, omega)
+    ydot = _attitude_momentum_rhs(spec, np.vstack([state.q, state.pi]))
+    return ydot[:state.n], ydot[state.n:]
 
 
 def hat(v) -> np.ndarray:

@@ -37,6 +37,7 @@ from .matcore import (
     random_sp,
     random_sp_group,
     require_rotation,
+    require_skew,
     rotation_defect,
     skew_defect,
 )
@@ -65,32 +66,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_matrix(value, n, what):
+def _parse_matrix(value, n, what, require):
     rows = np.asarray(value, dtype=float)
     if rows.shape != (n, n):
         raise ValueError(f"{what} must be an {n}x{n} matrix of rows, got shape {rows.shape}")
-    return rows
-
-
-def _parse_attitude(value, n, what="q0"):
-    if value == "identity":
-        return np.eye(n)
-    m = _parse_matrix(value, n, what)
     try:
-        return require_rotation(m)
+        return require(rows)
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from exc
 
 
+def _parse_attitude(value, n, what="q0"):
+    return np.eye(n) if value == "identity" else _parse_matrix(value, n, what, require_rotation)
+
+
 def _parse_momentum(value, n):
     v = np.asarray(value, dtype=float)
-    if n == 3 and v.shape == (3,):
-        return hat(v)
-    m = _parse_matrix(value, n, "pi0")
     # Skew inputs are validated, never symmetrized silently.
-    if skew_defect(m) > 1e-12 * max(1.0, float(np.linalg.norm(m))):
-        raise ValueError(f"pi0 is not skew-symmetric (defect {skew_defect(m):.3g})")
-    return m
+    return _parse_matrix(hat(v) if n == 3 and v.shape == (3,) else v, n, "pi0", require_skew)
 
 
 def load_config(path) -> dict:

@@ -15,6 +15,10 @@ Three schemes are provided:
   the simplest symplectic scheme on the flat phase space.  It conserves
   the quadratic first integrals of the flow to fixed-point tolerance.
 
+The schemes step the package's own fields (`euler_rhs`, `symrep_rhs`, the
+attitude-momentum field of `euler_poisson_rhs`) and body velocities, so
+`verify_reduction` compares the flows the package publishes.
+
 Every accepted step is written into one stacked array, and the invariant
 audit channels are computed from that stack after the run, over blocks of
 states.  No step-size adaptivity: runs are reproducible and admit clean
@@ -24,10 +28,12 @@ order checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .body import BodyState, InertiaSpec, inertia_inverse, reduced_hamiltonian
+from .body import BodyState, InertiaSpec, euler_rhs, inertia_inverse, reduced_hamiltonian
+from .body import _attitude_momentum_rhs, _attitude_momentum_velocity
 from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
 from .matcore import (
     _frobenius,
@@ -38,7 +44,7 @@ from .matcore import (
     require_skew,
 )
 from .moment import casimir_spectrum, on_momentum, sp_momentum
-from .symrep import FULL_RANK_TOL, hamiltonian, optimal_control
+from .symrep import FULL_RANK_TOL, hamiltonian, optimal_control, symrep_rhs
 
 __all__ = [
     "IntegratorConfig",
@@ -156,18 +162,44 @@ def _midpoint_step(rhs, y, h, tol, max_iter):
     )
 
 
-def _run(y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None):
+def _conjugate(g, pi):
+    return g.T @ pi @ g
+
+
+def _translate(g, z):
+    return z @ g
+
+
+def _translate_and_conjugate(g, y):
+    # Attitude translated, momentum conjugated, on a stacked [Q; pi].
+    n = y.shape[1]
+    return np.vstack([_translate(g, y[:n]), _conjugate(g, y[n:])])
+
+
+def _check_rank(z, i):
+    smin = float(np.linalg.svd(z, compute_uv=False)[-1])
+    if smin < FULL_RANK_TOL:
+        raise RankLossError(f"phase point left the full-rank set at step {i} "
+                            f"(min singular value {smin:.3g})",
+                            step_index=i, min_singular_value=smin)
+
+
+def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None):
+    """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4."""
     steps = cfg.step_count()
     h = cfg.step
+    field, velocity = partial(rhs, spec), partial(omega_of, spec)
     if cfg.scheme == "rk4":
-        advance = lambda y: _rk4_step(rhs, y, h)
+        advance = lambda y: _rk4_step(field, y, h)
     elif cfg.scheme == "rkmk4":
-        advance = lambda y: _rkmk4_step(omega_of, act, y, h)
+        advance = lambda y: _rkmk4_step(velocity, act, y, h)
     else:
         advance = lambda y: _midpoint_step(
-            rhs, y, h, cfg.midpoint_tol, cfg.midpoint_max_iter
+            field, y, h, cfg.midpoint_tol, cfg.midpoint_max_iter
         )
     y = np.array(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("initial state has non-finite entries")
     if check is not None:
         check(y, 0)
     states = np.empty((steps + 1,) + y.shape)
@@ -212,17 +244,7 @@ def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory
     pi0 = require_skew(np.asarray(pi0, dtype=float))
     if pi0.shape != (spec.n, spec.n):
         raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
-
-    def rhs(pi):
-        return commutator(pi, inertia_inverse(spec, pi))
-
-    def omega_of(pi):
-        return inertia_inverse(spec, pi)
-
-    def act(g, pi):
-        return g.T @ pi @ g
-
-    times, states = _run(pi0, cfg, rhs, omega_of, act)
+    times, states = _run(spec, pi0, cfg, euler_rhs, inertia_inverse, _conjugate)
     audits = _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b),
         "casimir_spectrum": casimir_spectrum,
@@ -246,31 +268,13 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     if z0.shape != (2 * n, n):
         raise DimensionError(f"phase point has shape {z0.shape}, expected {(2 * n, n)}")
 
-    def rhs(z):
-        return z @ optimal_control(spec, z)
-
-    def omega_of(z):
-        return optimal_control(spec, z)
-
-    def act(g, z):
-        return z @ g
-
-    def check(z, i):
-        smin = float(np.linalg.svd(z, compute_uv=False)[-1])
-        if smin < FULL_RANK_TOL:
-            raise RankLossError(
-                f"phase point left the full-rank set at step {i} "
-                f"(min singular value {smin:.3g})",
-                step_index=i,
-                min_singular_value=smin,
-            )
-
     project = None
     if cfg.project_attitude:
         def project(z):
             return np.vstack([polar_project(z[:n]), polar_project(z[n:])])
 
-    times, states = _run(z0, cfg, rhs, omega_of, act, check=check, project=project)
+    times, states = _run(spec, z0, cfg, symrep_rhs, optimal_control, _translate,
+                         check=_check_rank, project=project)
     j0 = sp_momentum(states[0])
     audits = _audit(states, {
         "hamiltonian": lambda b: hamiltonian(spec, b),
@@ -287,34 +291,25 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
 def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate attitude and body momentum together.
 
-    The momentum subsystem is decoupled, so its discrete recursion matches
-    `integrate_euler` run with the same configuration.  Audits: reduced
-    energy, momentum spectrum, and the orthogonality defect of the
-    attitude.  With ``project_attitude`` the attitude is polar-projected
-    after every step.
+    The momentum subsystem is decoupled: under ``rk4`` and ``rkmk4`` its
+    recursion is that of `integrate_euler` bit for bit, under ``midpoint``
+    (whose stopping test also sees the attitude) to the fixed-point
+    tolerance.  Audits: reduced energy, momentum spectrum, and the
+    orthogonality defect of the attitude.  With ``project_attitude`` the
+    attitude is polar-projected after every step.
     """
     if s0.n != spec.n:
         raise DimensionError(f"state is {s0.n}-dimensional, inertia is {spec.n}-dimensional")
     n = spec.n
     y0 = np.vstack([s0.q, s0.pi])
 
-    def rhs(y):
-        q, pi = y[:n], y[n:]
-        omega = inertia_inverse(spec, pi)
-        return np.vstack([q @ omega, commutator(pi, omega)])
-
-    def omega_of(y):
-        return inertia_inverse(spec, y[n:])
-
-    def act(g, y):
-        return np.vstack([y[:n] @ g, g.T @ y[n:] @ g])
-
     project = None
     if cfg.project_attitude:
         def project(y):
             return np.vstack([polar_project(y[:n]), y[n:]])
 
-    times, stacked = _run(y0, cfg, rhs, omega_of, act, project=project)
+    times, stacked = _run(spec, y0, cfg, _attitude_momentum_rhs, _attitude_momentum_velocity,
+                          _translate_and_conjugate, project=project)
     states = [BodyState(q=y[:n], pi=y[n:]) for y in stacked]
     audits = _audit(stacked, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),

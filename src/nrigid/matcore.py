@@ -151,7 +151,8 @@ def skew_asinh(p, tol=1e-12, max_iter=50) -> np.ndarray:
     norm = spectral_norm(p)
     if norm >= 2.0 - 1e-9:
         raise OutOfRangeError(
-            f"spectral norm {norm:.12g} is not below the solvability bound 2"
+            f"spectral norm {norm:.12g} is not below the lift bound 2: "
+            "2 sinh(A) = p has no principal-branch solution"
         )
     if norm > 1.9:
         angles, vectors = np.linalg.eigh(1j * p)
@@ -259,9 +260,16 @@ def sp_group_defect(s) -> float:
     return float(np.linalg.norm(s.T @ j @ s - j))
 
 
+def _require_finite(m) -> np.ndarray:
+    # Every comparison with NaN is false, so a defect test alone passes NaN.
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries (NaN or infinity)")
+    return m
+
+
 def require_skew(m, rtol=1e-12) -> np.ndarray:
-    """Validate skew-symmetry relative to the matrix size; returns m."""
-    m = _as_square(m)
+    """Validate finiteness and skew-symmetry relative to the matrix size; returns m."""
+    m = _require_finite(_as_square(m))
     tol = rtol * max(1.0, float(np.linalg.norm(m)))
     d = skew_defect(m)
     if d > tol:
@@ -270,8 +278,8 @@ def require_skew(m, rtol=1e-12) -> np.ndarray:
 
 
 def require_rotation(m, tol=1e-10) -> np.ndarray:
-    """Validate orthogonality and det = +1 to the given tolerance; returns m."""
-    m = _as_square(m)
+    """Validate finiteness, orthogonality and det = +1 to the given tolerance; returns m."""
+    m = _require_finite(_as_square(m))
     d = rotation_defect(m)
     if d > tol:
         raise ValueError(f"matrix is not a rotation: defect {d:.3g} > {tol:.3g}")
@@ -287,7 +295,7 @@ def _generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_size(n: int) -> int:
+def _check_n_at_least_2(n: int) -> int:
     n = int(n)
     if n < 2:
         raise OutOfRangeError("random matrix generators need n >= 2")
@@ -296,7 +304,7 @@ def _check_size(n: int) -> int:
 
 def random_skew(n, seed) -> np.ndarray:
     """Seeded random skew matrix, entries uniform in [-1, 1] before antisymmetrization."""
-    n = _check_size(n)
+    n = _check_n_at_least_2(n)
     g = _generator(seed)
     x = g.uniform(-1.0, 1.0, (n, n))
     return 0.5 * (x - x.T)
@@ -304,7 +312,7 @@ def random_skew(n, seed) -> np.ndarray:
 
 def random_sp(n, seed) -> np.ndarray:
     """Seeded random element of sp(2n, R), blocks [[A, B], [C, -A^T]] with B, C symmetric."""
-    n = _check_size(n)
+    n = _check_n_at_least_2(n)
     g = _generator(seed)
     a = g.uniform(-1.0, 1.0, (n, n))
     b = g.uniform(-1.0, 1.0, (n, n))

@@ -17,7 +17,6 @@ __all__ = [
     "p_block",
     "min_singular_value",
     "is_full_rank",
-    "symplectic_matrix",
     "symplectic_form",
     "one_form",
     "optimal_control",
@@ -25,8 +24,6 @@ __all__ = [
     "hamiltonian",
     "symrep_rhs",
 ]
-
-from .matcore import symplectic_matrix  # noqa: F401  (re-export, same structure matrix)
 
 # Membership threshold for the open set of full-rank phase points.
 FULL_RANK_TOL = 1e-10
@@ -142,7 +139,6 @@ def symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
 
     Blockwise Qdot = Q om and Pdot = P om with om the maximizing control;
     this is the Hamiltonian vector field of `hamiltonian` for the flat
-    symplectic form.
+    symplectic form.  `optimal_control` validates z.
     """
-    z = np.asarray(z, dtype=float)
     return z @ optimal_control(spec, z)

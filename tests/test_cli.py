@@ -181,3 +181,35 @@ class TestCheckInvariants:
         out = capsys.readouterr().out
         assert "all invariants passed" in out
         assert out.count("200/200") == 8
+
+
+class TestNonFiniteConfig:
+    # json.load accepts NaN and Infinity; they are validation errors, named
+    @pytest.mark.parametrize("command", [["simulate", "euler"], ["simulate", "symrep"],
+                                         ["simulate", "euler-poisson"], ["lift"]])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_pi0_vector_exit_2(self, tmp_path, capfd, command, bad):
+        cfg = write_config(tmp_path / "cfg.json", pi0=[bad, 0.0, 0.0])
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capfd.readouterr().err
+        assert "pi0" in err and "non-finite" in err
+        assert "DLASCL" not in err
+
+    def test_pi0_matrix_exit_2(self, tmp_path, capsys):
+        pi0 = hat([0.5, 0.6, 0.7]).tolist()
+        pi0[0][1] = float("nan")
+        cfg = write_config(tmp_path / "cfg.json", pi0=pi0)
+        assert main(["simulate", "euler", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "pi0" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("command", [["simulate", "euler-poisson"], ["lift"]])
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_q0_exit_2(self, tmp_path, capfd, command, bad):
+        q0 = np.eye(3).tolist()
+        q0[1][1] = bad
+        cfg = write_config(tmp_path / "cfg.json", q0=q0)
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capfd.readouterr().err
+        assert "q0" in err and "non-finite" in err
+        assert "DLASCL" not in err

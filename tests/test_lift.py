@@ -121,3 +121,22 @@ class TestVerifyReduction:
         mu0 = mu0_of(z0)
         traj = integrate_symrep(spec, z0, IntegratorConfig("rk4", 1e-3, 10.0))
         assert max(level_set_defect(z, mu0) for z in traj.states) <= 1e-8
+
+
+class TestSolveLiftNonFinite:
+    def test_nan_momentum_rejected(self):
+        pi0 = standard_pi0()
+        pi0[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_lift(np.eye(3), pi0)
+
+    def test_nan_attitude_rejected(self):
+        q0 = np.eye(3)
+        q0[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_lift(q0, standard_pi0())
+
+    def test_bound_message_names_the_lift(self):
+        pi0 = scaled_skew(3, np.random.default_rng(2), 2.1)
+        with pytest.raises(OutOfRangeError, match="lift bound 2"):
+            solve_lift(np.eye(3), pi0)

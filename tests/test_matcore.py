@@ -17,6 +17,8 @@ from nrigid.matcore import (
     random_skew,
     random_sp,
     random_sp_group,
+    require_rotation,
+    require_skew,
     skew_asinh,
     skew_defect,
     sp_algebra_defect,
@@ -261,3 +263,35 @@ class TestRandomGenerators:
         a = random_skew(3, rng)
         b = random_skew(3, rng)
         assert np.linalg.norm(a - b) > 0.0
+
+
+class TestValidatorsRejectNonFinite:
+    # every comparison with NaN is false, so a defect test alone passes NaN
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_require_skew(self, bad):
+        m = hat([0.5, 0.6, 0.7])
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            require_skew(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_require_rotation(self, bad):
+        m = np.eye(3)
+        m[2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            require_rotation(m)
+
+    def test_all_nan(self):
+        m = np.full((3, 3), np.nan)
+        for check in (require_skew, require_rotation):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(m)
+
+    def test_skew_asinh_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            skew_asinh(np.full((3, 3), np.nan))
+
+    def test_skew_asinh_names_the_lift_bound(self):
+        p = scaled_skew(3, np.random.default_rng(44), 2.1)
+        with pytest.raises(OutOfRangeError, match="lift bound 2"):
+            skew_asinh(p)

@@ -14,7 +14,8 @@ class ConvergenceError(RuntimeError):
 
     Attributes:
         best: best iterate found so far, when the solver tracks one.
-        reason: short tag, one of "max_iter" or "trust_region".
+        reason: short tag, one of "max_iter" (iteration budget exhausted)
+            or "line_search" (the line search stalled with no restart left).
     """
 
     def __init__(self, message, best=None, reason="max_iter"):

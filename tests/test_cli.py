@@ -162,6 +162,22 @@ class TestSolveBvp:
         assert abs(cost - 0.09) <= 1e-5
         assert "terminal_error" in (tmp_path / "report.txt").read_text()
 
+    def test_target_beyond_lift_bound_exit_0(self, tmp_path, capsys):
+        # the extremal needs |pi0|_2 ~ 2.08, beyond the lift bound
+        q_target = expm(hat([0.3, -0.2, 0.4]))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            **{
+                "integrator": {"scheme": "rk4", "step": 0.005, "t_final": 1.0},
+                "bvp": {"q_target": q_target.tolist(), "tol": 1e-6, "max_iter": 30},
+            },
+        )
+        assert main(["solve-bvp", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        error = float(next(line.split("=")[1] for line in out.splitlines()
+                           if line.startswith("terminal_error")))
+        assert error <= 1e-6
+
     def test_nonconvergence_exit_5(self, tmp_path):
         q_target = expm(0.3 * hat([0.0, 0.0, 1.0]))
         cfg = write_config(

@@ -2,24 +2,37 @@ import numpy as np
 import pytest
 
 from helpers import standard_pi0, standard_spec
-from nrigid.body import InertiaSpec, hat
+from nrigid import control
+from nrigid.body import BodyState, InertiaSpec, hat
 from nrigid.control import BvpProblem, BvpSolution, shoot, trajectory_cost
 from nrigid.errors import ConvergenceError
-from nrigid.integrate import IntegratorConfig, integrate_euler, integrate_symrep
+from nrigid.integrate import IntegratorConfig, integrate_euler_poisson, integrate_symrep
 from nrigid.lift import solve_lift
-from nrigid.matcore import expm
+from nrigid.matcore import expm, spectral_norm
 from nrigid.moment import on_momentum
-from nrigid.symrep import hamiltonian, optimal_control
+from nrigid.symrep import hamiltonian, optimal_control, q_block
 
 E1 = hat([1.0, 0.0, 0.0])
+E2 = hat([0.0, 1.0, 0.0])
 E3 = hat([0.0, 0.0, 1.0])
 
 
-def spherical_problem(step=5e-3):
+def spherical_problem(step=5e-3, project_attitude=False):
     spec = InertiaSpec([1.0, 1.0, 1.0])
-    cfg = IntegratorConfig("rk4", step, 1.0)
+    cfg = IntegratorConfig("rk4", step, 1.0, project_attitude=project_attitude)
     return BvpProblem(
         spec=spec, q0=np.eye(3), q_target=expm(0.3 * E3), t_final=1.0, cfg=cfg
+    )
+
+
+def capped_problem(q_target, project_attitude=False):
+    """The standard body steered from rest to a target that needs |pi0|_2 > 2."""
+    return BvpProblem(
+        spec=standard_spec(),
+        q0=np.eye(3),
+        q_target=q_target,
+        t_final=1.0,
+        cfg=IntegratorConfig("rk4", 5e-3, 1.0, project_attitude=project_attitude),
     )
 
 
@@ -151,8 +164,7 @@ class TestShoot:
         assert np.linalg.norm(grad) <= 10.0 * tol
 
     def test_recovers_planted_momentum(self):
-        from nrigid.matcore import polar_project, random_rotation, random_skew, spectral_norm
-        from nrigid.symrep import q_block
+        from nrigid.matcore import polar_project, random_rotation, random_skew
 
         spec = standard_spec()
         cfg = IntegratorConfig("rk4", 5e-3, 1.0)
@@ -168,22 +180,54 @@ class TestShoot:
             assert sol.terminal_error <= 1e-6
             assert np.linalg.norm(sol.pi0 - pi_true) <= 1e-5
 
-    def test_target_beyond_lift_bound_reports_the_bound(self):
-        # the extremal to this target needs |pi0|_2 ~ 2.08; candidates are
-        # capped below 2, so the iterates pin there and the budget runs out
-        problem = BvpProblem(
-            spec=standard_spec(),
-            q0=np.eye(3),
-            q_target=expm(hat([0.3, -0.2, 0.4])),
-            t_final=1.0,
-            cfg=IntegratorConfig("rk4", 5e-3, 1.0),
+    def test_target_beyond_lift_bound_converges(self):
+        # the extremal to this target needs |pi0|_2 ~ 2.08, beyond the lift
+        # bound; the attitude flow from (I, pi0) reaches it all the same
+        problem = capped_problem(expm(hat([0.3, -0.2, 0.4])))
+        sol = shoot(problem, tol=1e-6, max_iter=30, seed=0)
+        assert sol.terminal_error <= 1e-6
+        assert spectral_norm(sol.pi0) > 2.0
+        body = integrate_euler_poisson(
+            problem.spec, BodyState(q=np.eye(3), pi=sol.pi0), problem.cfg
         )
+        assert np.linalg.norm(body.states[-1].q - problem.q_target) <= 1e-6
+
+    def test_principal_axis_beyond_lift_bound_is_analytic(self):
+        # steady rotation by 2.5 rad about e2 in unit time: the momentum is
+        # (lambda_1 + lambda_3) * 2.5 = 10 about e2 and the cost 10 * 2.5 / 2
+        problem = capped_problem(expm(2.5 * E2))
+        sol = shoot(problem, tol=1e-6, max_iter=30, seed=0)
+        np.testing.assert_allclose(sol.pi0, 10.0 * E2, atol=1e-5)
+        assert abs(sol.cost - 12.5) <= 1e-5
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    def test_returned_trajectory_is_the_rotation_lift_inside_the_bound(self, project_attitude):
+        problem = spherical_problem(project_attitude=project_attitude)
+        sol = shoot(problem, tol=1e-7, max_iter=30, seed=0)
+        np.testing.assert_allclose(sol.pi0, 0.6 * E3, atol=1e-5)
+        traj = sol.trajectory
+        assert np.max(traj.audits["orthogonality_defect"]) <= 1e-10
+        assert np.linalg.norm(q_block(traj.states[-1]) - problem.q_target) <= 1e-7
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    def test_returned_trajectory_beyond_the_bound_is_bound_free(self, project_attitude):
+        # the bound-free flow is never projected: projecting P needs a rotation
+        problem = capped_problem(expm(hat([0.3, -0.2, 0.4])), project_attitude)
+        sol = shoot(problem, tol=1e-6, max_iter=30, seed=0)
+        states = sol.trajectory.states
+        np.testing.assert_allclose(on_momentum(states[0]), sol.pi0, atol=1e-14)
+        assert np.linalg.norm(q_block(states[-1]) - problem.q_target) <= 1e-6
+
+    def test_line_search_stall_is_named(self, monkeypatch):
+        # no damping is admissible, so every line search stalls at once
+        monkeypatch.setattr(control, "_MIN_DAMPING", 2.0)
         with pytest.raises(ConvergenceError) as err:
-            shoot(problem, tol=1e-6, max_iter=5, seed=0)
-        assert err.value.reason == "max_iter"
+            shoot(spherical_problem(step=1e-2), tol=1e-7, max_iter=30, seed=0)
+        assert err.value.reason == "line_search"
         message = str(err.value)
-        assert "lift bound 2" in message
-        assert "spectral norm 1.99" in message
+        assert message.startswith("line search stalled after 3 restarts; best terminal error")
+        assert "trust" not in message and "bound" not in message
+        assert isinstance(err.value.best, BvpSolution)
 
     def test_iteration_budget_error_carries_best(self):
         problem = spherical_problem(step=1e-2)

@@ -62,6 +62,10 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+# Rows per block of the CSV writer.
+_CSV_BLOCK = 128
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -146,10 +150,11 @@ def _state_columns(kind, n):
     ]
 
 
-def _flatten_state(kind, state) -> np.ndarray:
-    if kind == "euler-poisson":
-        return np.concatenate([state.q.ravel(), state.pi.ravel()])
-    return np.asarray(state).ravel()
+def _state_rows(traj: Trajectory, rows: slice) -> np.ndarray:
+    states = traj.states[rows]
+    if traj.kind == "euler-poisson":
+        states = [np.vstack([s.q, s.pi]) for s in states]
+    return np.reshape(states, (len(states), -1))
 
 
 def _defect_channel(traj: Trajectory) -> np.ndarray:
@@ -159,6 +164,10 @@ def _defect_channel(traj: Trajectory) -> np.ndarray:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
+    """Write t, the row-major state, H, the Casimirs and the defect, 17 digits each.
+
+    Rows go out in blocks, so no full-length table is held in memory.
+    """
     n = traj.audits["casimir_spectrum"].shape[1]
     header = (
         ["t"]
@@ -170,27 +179,24 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     defects = _defect_channel(traj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i, t in enumerate(traj.times):
-            row = (
-                [t]
-                + list(_flatten_state(traj.kind, traj.states[i]))
-                + [traj.audits["hamiltonian"][i]]
-                + list(traj.audits["casimir_spectrum"][i])
-                + [defects[i]]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(traj), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            table = np.column_stack([
+                traj.times[rows],
+                _state_rows(traj, rows),
+                traj.audits["hamiltonian"][rows],
+                traj.audits["casimir_spectrum"][rows],
+                defects[rows],
+            ])
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 def load_trajectory_csv(path):
     """Reload a trajectory CSV; returns (header, rows) with float64 rows."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = [
-            np.array([float(tok) for tok in line.strip().split(",")])
-            for line in fh
-            if line.strip()
-        ]
-    return header, np.array(rows)
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return header, rows
 
 
 def write_report(path, entries: dict) -> None:

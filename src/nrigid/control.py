@@ -70,10 +70,6 @@ def _skew_from_params(x, n):
     return a - a.T
 
 
-def _params_from_skew(a):
-    return a[np.triu_indices(a.shape[0], 1)]
-
-
 def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
     """Composite Simpson quadrature of the control effort (1/2) <I u, u>.
 

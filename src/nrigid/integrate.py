@@ -41,6 +41,7 @@ from .matcore import (
     expm,
     orthogonality_defect,
     polar_project,
+    require_rotation,
     require_skew,
 )
 from .moment import casimir_spectrum, on_momentum, sp_momentum
@@ -184,6 +185,15 @@ def _check_rank(z, i):
                             step_index=i, min_singular_value=smin)
 
 
+def _require_rotation_block(block, what):
+    # Polar projection repairs drift away from a rotation; from any other
+    # block it changes the flow, or fails where the block is singular.
+    try:
+        require_rotation(block)
+    except ValueError as exc:
+        raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
+
+
 def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None):
     """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4."""
     steps = cfg.step_count()
@@ -260,8 +270,8 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     singular-value spectrum of the orthogonal momentum value.
 
     With ``project_attitude`` both blocks are polar-projected after every
-    step; this is only meaningful when the initial point has orthogonal
-    blocks, as points constructed by the momentum lift do.
+    step, and both blocks of ``z0`` must be rotations, as they are for
+    points constructed by `solve_lift`; any other start raises ValueError.
     """
     z0 = np.asarray(z0, dtype=float)
     n = spec.n
@@ -270,6 +280,9 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
 
     project = None
     if cfg.project_attitude:
+        _require_rotation_block(z0[:n], "Q block of z0")
+        _require_rotation_block(z0[n:], "P block of z0")
+
         def project(z):
             return np.vstack([polar_project(z[:n]), polar_project(z[n:])])
 
@@ -296,7 +309,8 @@ def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorCon
     (whose stopping test also sees the attitude) to the fixed-point
     tolerance.  Audits: reduced energy, momentum spectrum, and the
     orthogonality defect of the attitude.  With ``project_attitude`` the
-    attitude is polar-projected after every step.
+    attitude is polar-projected after every step, and ``s0.q`` must be a
+    rotation.
     """
     if s0.n != spec.n:
         raise DimensionError(f"state is {s0.n}-dimensional, inertia is {spec.n}-dimensional")
@@ -305,6 +319,8 @@ def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorCon
 
     project = None
     if cfg.project_attitude:
+        _require_rotation_block(s0.q, "attitude s0.q")
+
         def project(y):
             return np.vstack([polar_project(y[:n]), y[n:]])
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .body import InertiaSpec
-from .errors import CertificationError, OutOfRangeError
+from .errors import CertificationError, DimensionError
 from .integrate import IntegratorConfig, integrate_euler, integrate_symrep
 from .matcore import (
     _frobenius,
@@ -41,7 +41,7 @@ def solve_lift(q0, pi0) -> np.ndarray:
     q0 = require_rotation(np.asarray(q0, dtype=float))
     pi0 = np.asarray(pi0, dtype=float)
     if pi0.shape != q0.shape:
-        raise OutOfRangeError(
+        raise DimensionError(
             f"attitude and momentum shapes differ: {q0.shape} vs {pi0.shape}"
         )
     # skew_asinh validates pi0: finite, skew and below the lift bound.

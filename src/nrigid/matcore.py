@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, OutOfRangeError
+from .errors import DimensionError, OutOfRangeError
 
 __all__ = [
     "inner",
@@ -130,49 +130,26 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(_as_matrix(m), 2))
 
 
-def skew_asinh(p, tol=1e-12, max_iter=50) -> np.ndarray:
+def skew_asinh(p) -> np.ndarray:
     """Solve 2 sinh(A) = p for a skew-symmetric A on the principal branch.
 
-    The eigen-angles of a skew matrix p come in pairs +-i*theta, and the
-    equation is solvable on the principal branch (angles of A inside
-    (-pi/2, pi/2)) exactly when the spectral norm of p is below 2.  Newton
-    iteration from A = p/2 with correction cosh(A)^{-1} (sinh(A) - p/2);
-    every iterate is a matrix function of p, so the steps stay in the
-    commuting subalgebra generated by p and remain skew up to roundoff.
-
-    The Newton correction stops contracting on the non-commuting error
-    components once the eigen-angles approach pi/2 (spectral norm of p
-    near 1.95), so close to the bound the solution is taken from the
-    eigendecomposition of the Hermitian matrix i p instead, with arcsin
-    applied to the eigen-angles.
+    The Hermitian matrix i p has real eigenvalues theta_k, the eigen-angles
+    of p, and A is the matrix function of p with the eigen-angles
+    arcsin(theta_k / 2), built from the same eigendecomposition.  The
+    spectral norm of p is the largest |theta_k|; the equation is solvable
+    on the principal branch (angles of A inside (-pi/2, pi/2)) exactly when
+    it is below 2.  There is no iteration, at any norm below the bound.
     """
-    p = _as_square(p)
-    require_skew(p)
-    norm = spectral_norm(p)
+    p = require_skew(p)
+    angles, vectors = np.linalg.eigh(1j * p)
+    norm = float(np.max(np.abs(angles)))
     if norm >= 2.0 - 1e-9:
         raise OutOfRangeError(
             f"spectral norm {norm:.12g} is not below the lift bound 2: "
             "2 sinh(A) = p has no principal-branch solution"
         )
-    if norm > 1.9:
-        angles, vectors = np.linalg.eigh(1j * p)
-        half = np.clip(0.5 * angles, -1.0, 1.0)
-        a = (vectors * (-1j * np.arcsin(half))) @ vectors.conj().T
-        a = np.real(a)
-        return 0.5 * (a - a.T)
-    a = 0.5 * p
-    for _ in range(max_iter):
-        e = expm(a)
-        e_inv = expm(-a)
-        residual = e - e_inv - p
-        if np.linalg.norm(residual) <= tol:
-            return a
-        cosh = 0.5 * (e + e_inv)
-        a = a - np.linalg.solve(cosh, 0.5 * residual)
-        a = 0.5 * (a - a.T)
-    raise ConvergenceError(
-        f"2 sinh(A) = p did not reach residual {tol:g} in {max_iter} iterations"
-    )
+    a = np.real((vectors * (-1j * np.arcsin(0.5 * angles))) @ vectors.conj().T)
+    return 0.5 * (a - a.T)
 
 
 def polar_project(m) -> np.ndarray:

@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from nrigid.cli import load_trajectory_csv, main
-from nrigid.matcore import expm
-from nrigid.body import hat
+from nrigid.cli import load_trajectory_csv, main, write_trajectory_csv
+from nrigid.matcore import expm, skew_defect
+from nrigid.body import BodyState, InertiaSpec, hat
+from nrigid.integrate import (
+    IntegratorConfig,
+    integrate_euler,
+    integrate_euler_poisson,
+    integrate_symrep,
+)
+from nrigid.lift import solve_lift
 
 
 def write_config(path, **overrides):
@@ -229,3 +236,63 @@ class TestNonFiniteConfig:
         err = capfd.readouterr().err
         assert "q0" in err and "non-finite" in err
         assert "DLASCL" not in err
+
+
+class TestTrajectoryCsvFormat:
+    """The CSV layout, pinned against a per-value writer and parser."""
+
+    @staticmethod
+    def trajectory(kind):
+        spec, pi0 = InertiaSpec([1.0, 2.0, 3.0]), hat([0.5, 0.6, 0.7])
+        q0 = expm(hat([0.1, -0.2, 0.3]))
+        # 301 states: three blocks of the writer, the last one partial
+        cfg = IntegratorConfig("rk4", 0.01, 3.0)
+        if kind == "euler":
+            return integrate_euler(spec, pi0, cfg)
+        if kind == "symrep":
+            return integrate_symrep(spec, solve_lift(q0, pi0), cfg)
+        return integrate_euler_poisson(spec, BodyState(q=q0, pi=pi0), cfg)
+
+    @staticmethod
+    def reference_text(traj):
+        n = 3
+        cols = {
+            "euler": [f"pi_{i}_{j}" for i in range(n) for j in range(n)],
+            "symrep": [f"z_{i}_{j}" for i in range(2 * n) for j in range(n)],
+            "euler-poisson": [f"q_{i}_{j}" for i in range(n) for j in range(n)]
+            + [f"pi_{i}_{j}" for i in range(n) for j in range(n)],
+        }[traj.kind]
+        header = ["t"] + cols + ["H", "casimir_1", "casimir_2", "casimir_3", "defect"]
+        lines = [",".join(header)]
+        for i, t in enumerate(traj.times):
+            state = traj.states[i]
+            if traj.kind == "euler-poisson":
+                flat = list(state.q.ravel()) + list(state.pi.ravel())
+            else:
+                flat = list(state.ravel())
+            if traj.kind == "euler":
+                defect = skew_defect(state)
+            else:
+                defect = traj.audits["orthogonality_defect"][i]
+            row = ([t] + flat + [traj.audits["hamiltonian"][i]]
+                   + list(traj.audits["casimir_spectrum"][i]) + [defect])
+            lines.append(",".join(format(float(v), ".17g") for v in row))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", ["euler", "symrep", "euler-poisson"])
+    def test_bytes_match_per_value_format(self, tmp_path, kind):
+        traj = self.trajectory(kind)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        assert path.read_bytes() == self.reference_text(traj).encode("utf-8")
+
+    @pytest.mark.parametrize("kind", ["euler", "symrep", "euler-poisson"])
+    def test_load_matches_float_parse(self, tmp_path, kind):
+        path = tmp_path / "traj.csv"
+        path.write_text(self.reference_text(self.trajectory(kind)), encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        expected = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+        header, rows = load_trajectory_csv(path)
+        assert header == lines[0].split(",")
+        assert rows.dtype == np.float64 and rows.shape == expected.shape
+        np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))

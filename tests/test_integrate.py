@@ -12,7 +12,7 @@ from nrigid.integrate import (
     integrate_symrep,
 )
 from nrigid.lift import solve_lift
-from nrigid.matcore import expm
+from nrigid.matcore import expm, random_rotation
 from nrigid.symrep import FULL_RANK_TOL, optimal_control, phase_point, symrep_rhs
 
 
@@ -301,3 +301,45 @@ class TestNonFiniteInitialState:
         pi0[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             integrate_euler(standard_spec(), pi0, IntegratorConfig("rk4", 0.01, 0.1))
+
+
+class TestProjectionNeedsRotationBlocks:
+    @staticmethod
+    def spec(n):
+        return InertiaSpec(np.linspace(1.0, 2.0, n))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    def test_bound_free_point_rejected(self, n, scheme):
+        # [I; pi0/2] has momentum value pi0 but no rotation P block; for
+        # odd n the block is singular
+        pi0 = scaled_skew(n, np.random.default_rng(n), 1.0)
+        z0 = phase_point(np.eye(n), 0.5 * pi0)
+        cfg = IntegratorConfig(scheme, 0.01, 0.1, project_attitude=True)
+        with pytest.raises(ValueError, match="P block of z0: matrix is not a rotation"):
+            integrate_symrep(self.spec(n), z0, cfg)
+        # without projection the same point is a valid start
+        integrate_symrep(self.spec(n), z0, IntegratorConfig(scheme, 0.01, 0.1))
+
+    def test_q_block_named(self):
+        z0 = phase_point(2.0 * np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="Q block of z0"):
+            integrate_symrep(standard_spec(), z0,
+                             IntegratorConfig("rk4", 0.01, 0.1, project_attitude=True))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    def test_lift_points_still_integrate(self, n, scheme):
+        rng = np.random.default_rng(10 + n)
+        pi0 = scaled_skew(n, rng, 1.5)
+        z0 = solve_lift(random_rotation(n, rng), pi0)
+        cfg = IntegratorConfig(scheme, 0.01, 0.5, project_attitude=True)
+        traj = integrate_symrep(self.spec(n), z0, cfg)
+        assert np.max(traj.audits["orthogonality_defect"]) <= 1e-13
+        assert np.linalg.norm(traj.audits["on_momentum"][0] - pi0) <= 1e-10
+
+    def test_euler_poisson_attitude_named(self):
+        s0 = BodyState(q=2.0 * np.eye(3), pi=standard_pi0())
+        with pytest.raises(ValueError, match="attitude s0.q: matrix is not a rotation"):
+            integrate_euler_poisson(standard_spec(), s0,
+                                    IntegratorConfig("rk4", 0.01, 0.1, project_attitude=True))

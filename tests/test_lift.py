@@ -3,7 +3,7 @@ import pytest
 
 from helpers import rodrigues, scaled_skew, standard_pi0, standard_spec
 from nrigid.body import hat
-from nrigid.errors import CertificationError, OutOfRangeError
+from nrigid.errors import CertificationError, DimensionError, OutOfRangeError
 from nrigid.integrate import IntegratorConfig, integrate_symrep
 from nrigid.lift import mu0_of, solve_lift, verify_reduction
 from nrigid.matcore import random_rotation, rotation_defect
@@ -39,6 +39,10 @@ class TestSolveLift:
         pi0 = scaled_skew(3, np.random.default_rng(2), 2.1)
         with pytest.raises(OutOfRangeError, match="bound 2"):
             solve_lift(np.eye(3), pi0)
+
+    def test_shape_mismatch_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="shapes differ"):
+            solve_lift(np.eye(3), np.zeros((4, 4)))
 
     def test_non_rotation_attitude_rejected(self):
         with pytest.raises(ValueError):

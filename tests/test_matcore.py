@@ -187,6 +187,16 @@ class TestSkewAsinh:
         with pytest.raises(OutOfRangeError, match="bound 2"):
             skew_asinh(p)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+    def test_round_trip_to_roundoff(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(100):
+            p = scaled_skew(n, rng, rng.uniform(0.05, 1.9))
+            a = skew_asinh(p)
+            e = expm(a)
+            assert np.linalg.norm(e - e.T - p) <= 1e-13
+            assert spectral_norm(a) < np.pi / 2
+
 
 class TestPolarProject:
     def test_orthogonal_unchanged(self):

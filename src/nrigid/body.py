@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .matcore import commutator, inner
+from .matcore import _as_square, _commutator, inner
 
 __all__ = [
     "InertiaSpec",
@@ -77,13 +77,16 @@ def inertia_apply(spec: InertiaSpec, omega) -> np.ndarray:
     return spec._pair_sums * omega
 
 
+def _inertia_inverse(spec: InertiaSpec, pi) -> np.ndarray:
+    return pi / spec._pair_sums
+
+
 def inertia_inverse(spec: InertiaSpec, pi) -> np.ndarray:
     """Body velocity from body momentum: entrywise pi_ij / (lambda_i + lambda_j).
 
     Accepts stacks ``(..., n, n)``.
     """
-    pi = _check_n_by_n(spec, pi)
-    return pi / spec._pair_sums
+    return _inertia_inverse(spec, _check_n_by_n(spec, pi))
 
 
 def reduced_hamiltonian(spec: InertiaSpec, pi):
@@ -95,9 +98,13 @@ def reduced_hamiltonian(spec: InertiaSpec, pi):
     return 0.5 * inner(pi, inertia_inverse(spec, pi))
 
 
+def _euler_rhs(spec: InertiaSpec, pi) -> np.ndarray:
+    return _commutator(pi, _inertia_inverse(spec, pi))
+
+
 def euler_rhs(spec: InertiaSpec, pi) -> np.ndarray:
     """Right-hand side [pi, I^{-1} pi] of the Euler equation on so(n)."""
-    return commutator(pi, inertia_inverse(spec, pi))
+    return _euler_rhs(spec, _as_square(_check_n_by_n(spec, pi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +131,15 @@ class BodyState:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi", pi)
 
+    @classmethod
+    def _view(cls, q, pi) -> BodyState:
+        # A state over blocks the integrator has already checked, kept as
+        # views into its stacked array.
+        state = object.__new__(cls)
+        object.__setattr__(state, "q", q)
+        object.__setattr__(state, "pi", pi)
+        return state
+
     @property
     def n(self) -> int:
         return self.q.shape[0]
@@ -131,17 +147,19 @@ class BodyState:
 
 def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
     """Body velocity om = I^{-1} pi of an attitude and momentum stacked as [Q; pi]."""
-    return inertia_inverse(spec, y[spec.n:])
+    return _inertia_inverse(spec, y[spec.n:])
 
 
 def _attitude_momentum_rhs(spec: InertiaSpec, y) -> np.ndarray:
     """The field (Q om, [pi, om]) on [Q; pi]; its momentum block is `euler_rhs`."""
     n = spec.n
-    return np.vstack([y[:n] @ _attitude_momentum_velocity(spec, y), euler_rhs(spec, y[n:])])
+    om = _attitude_momentum_velocity(spec, y)
+    return np.vstack([y[:n] @ om, _commutator(y[n:], om)])
 
 
 def euler_poisson_rhs(spec: InertiaSpec, state: BodyState):
     """Right-hand side (Q om, [pi, om]) with om = I^{-1} pi."""
+    _check_n_by_n(spec, state.q)
     ydot = _attitude_momentum_rhs(spec, np.vstack([state.q, state.pi]))
     return ydot[:state.n], ydot[state.n:]
 

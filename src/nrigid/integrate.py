@@ -17,12 +17,16 @@ Three schemes are provided:
 
 The schemes step the package's own fields (`euler_rhs`, `symrep_rhs`, the
 attitude-momentum field of `euler_poisson_rhs`) and body velocities, so
-`verify_reduction` compares the flows the package publishes.
+`verify_reduction` compares the flows the package publishes.  Inputs are
+checked once, at the boundary, and the step loop calls the unchecked
+kernels behind those functions, `expm` and `commutator`.
 
-Every accepted step is written into one stacked array, and the invariant
-audit channels are computed from that stack after the run, over blocks of
-states.  No step-size adaptivity: runs are reproducible and admit clean
-order checks.
+Every accepted step is written into one stacked array.  The rank of the
+phase points is checked once per block of stored states, with one
+stacked SVD; `RankLossError` names the first step below full rank, also
+when a later step of the block failed first.  The invariant audits are
+computed from the stack after the run, over blocks of states.  No
+step-size adaptivity: runs are reproducible and admit clean order checks.
 """
 
 from __future__ import annotations
@@ -32,20 +36,20 @@ from functools import partial
 
 import numpy as np
 
-from .body import BodyState, InertiaSpec, euler_rhs, inertia_inverse, reduced_hamiltonian
-from .body import _attitude_momentum_rhs, _attitude_momentum_velocity
+from .body import BodyState, InertiaSpec, reduced_hamiltonian
+from .body import _attitude_momentum_rhs, _attitude_momentum_velocity, _euler_rhs, _inertia_inverse
 from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
 from .matcore import (
+    _commutator,
+    _expm,
     _frobenius,
-    commutator,
-    expm,
     orthogonality_defect,
     polar_project,
     require_rotation,
     require_skew,
 )
 from .moment import casimir_spectrum, on_momentum, sp_momentum
-from .symrep import FULL_RANK_TOL, hamiltonian, optimal_control, symrep_rhs
+from .symrep import FULL_RANK_TOL, _optimal_control, _symrep_rhs, hamiltonian
 
 __all__ = [
     "IntegratorConfig",
@@ -61,6 +65,9 @@ _SCHEMES = ("rk4", "rkmk4", "midpoint")
 # audits, the 2n x 2n symplectic momentum values above all, whatever the
 # length of the trajectory.
 _AUDIT_BLOCK = 128
+# Stored states per stacked SVD of the rank check; a rank loss is raised
+# at most this many steps after it happened.
+_RANK_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -134,20 +141,20 @@ def _rk4_step(rhs, y, h):
 def _dexpinv4(theta, v):
     # Inverse right-trivialized tangent of exp, truncated at the ad^2
     # term; sufficient for a 4th-order Munthe-Kaas scheme.
-    c1 = commutator(theta, v)
-    return v + 0.5 * c1 + commutator(theta, c1) / 12.0
+    c1 = _commutator(theta, v)
+    return v + 0.5 * c1 + _commutator(theta, c1) / 12.0
 
 
 def _rkmk4_step(omega_of, act, y, h):
     k1 = omega_of(y)
     th = (0.5 * h) * k1
-    k2 = _dexpinv4(th, omega_of(act(expm(th), y)))
+    k2 = _dexpinv4(th, omega_of(act(_expm(th), y)))
     th = (0.5 * h) * k2
-    k3 = _dexpinv4(th, omega_of(act(expm(th), y)))
+    k3 = _dexpinv4(th, omega_of(act(_expm(th), y)))
     th = h * k3
-    k4 = _dexpinv4(th, omega_of(act(expm(th), y)))
+    k4 = _dexpinv4(th, omega_of(act(_expm(th), y)))
     theta = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return act(expm(theta), y)
+    return act(_expm(theta), y)
 
 
 def _midpoint_step(rhs, y, h, tol, max_iter):
@@ -177,12 +184,15 @@ def _translate_and_conjugate(g, y):
     return np.vstack([_translate(g, y[:n]), _conjugate(g, y[n:])])
 
 
-def _check_rank(z, i):
-    smin = float(np.linalg.svd(z, compute_uv=False)[-1])
-    if smin < FULL_RANK_TOL:
+def _check_rank(block, start):
+    # RankLossError at the first state below full rank; block[0] is step start.
+    smin = np.linalg.svd(block, compute_uv=False)[:, -1]
+    lost = np.flatnonzero(smin < FULL_RANK_TOL)
+    if lost.size:
+        i, s = start + int(lost[0]), float(smin[lost[0]])
         raise RankLossError(f"phase point left the full-rank set at step {i} "
-                            f"(min singular value {smin:.3g})",
-                            step_index=i, min_singular_value=smin)
+                            f"(min singular value {s:.3g})",
+                            step_index=i, min_singular_value=s)
 
 
 def _require_rotation_block(block, what):
@@ -195,7 +205,11 @@ def _require_rotation_block(block, what):
 
 
 def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None):
-    """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4."""
+    """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4.
+
+    ``check(block, start)`` sees the stored states in blocks of `_RANK_BLOCK`
+    from step ``start``, and those stored before a step that raises.
+    """
     steps = cfg.step_count()
     h = cfg.step
     field, velocity = partial(rhs, spec), partial(omega_of, spec)
@@ -210,20 +224,26 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, projec
     y = np.array(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
-    if check is not None:
-        check(y, 0)
     states = np.empty((steps + 1,) + y.shape)
     states[0] = y
+    checked = 0  # states[:checked] have passed the check
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(1, steps + 1):
-            y = advance(y)
-            if not np.isfinite(y).all():
-                raise DivergenceError(f"non-finite state at step {i}", step_index=i)
-            if project is not None:
-                y = project(y)
-            if check is not None:
-                check(y, i)
+            try:
+                y = advance(y)
+                if not np.isfinite(y).all():
+                    raise DivergenceError(f"non-finite state at step {i}", step_index=i)
+                if project is not None:
+                    y = project(y)
+            except (ConvergenceError, DivergenceError, ValueError):
+                # a failed step must not hide an earlier rank loss
+                if check is not None:
+                    check(states[checked:i], checked)
+                raise
             states[i] = y
+            if check is not None and (i + 1 - checked == _RANK_BLOCK or i == steps):
+                check(states[checked:i + 1], checked)
+                checked = i + 1
     times = np.arange(steps + 1) * h
     return times, states
 
@@ -254,7 +274,7 @@ def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory
     pi0 = require_skew(np.asarray(pi0, dtype=float))
     if pi0.shape != (spec.n, spec.n):
         raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
-    times, states = _run(spec, pi0, cfg, euler_rhs, inertia_inverse, _conjugate)
+    times, states = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
     audits = _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b),
         "casimir_spectrum": casimir_spectrum,
@@ -286,7 +306,7 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
         def project(z):
             return np.vstack([polar_project(z[:n]), polar_project(z[n:])])
 
-    times, states = _run(spec, z0, cfg, symrep_rhs, optimal_control, _translate,
+    times, states = _run(spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
                          check=_check_rank, project=project)
     j0 = sp_momentum(states[0])
     audits = _audit(states, {
@@ -326,7 +346,7 @@ def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorCon
 
     times, stacked = _run(spec, y0, cfg, _attitude_momentum_rhs, _attitude_momentum_velocity,
                           _translate_and_conjugate, project=project)
-    states = [BodyState(q=y[:n], pi=y[n:]) for y in stacked]
+    states = [BodyState._view(y[:n], y[n:]) for y in stacked]
     audits = _audit(stacked, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
         "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),

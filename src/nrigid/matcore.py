@@ -89,13 +89,43 @@ def inner(a, b):
     return 0.5 * _flat_dot(a, b)
 
 
+def _commutator(a, b) -> np.ndarray:
+    return a @ b - b @ a
+
+
 def commutator(a, b) -> np.ndarray:
     """Matrix commutator ab - ba."""
     a = _as_square(a)
     b = _as_square(b)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
+    return _commutator(a, b)
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _expm(a) -> np.ndarray:
+    # The kernel of `expm`, without its checks.  A matrix whose 1-norm is
+    # not finite gives NaN, which the integrators report as divergence.
+    norm = np.abs(a).sum(axis=0).max()
+    if not np.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    squarings = 0 if norm <= _EXPM_THRESHOLD else int(
+        np.ceil(np.log2(norm / _EXPM_THRESHOLD))
+    )
+    b = a / (2.0 ** squarings)
+    result = term = _identity(a.shape[0])
+    for k in range(1, _EXPM_ORDER + 1):
+        term = term @ b / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def expm(a) -> np.ndarray:
@@ -109,20 +139,7 @@ def expm(a) -> np.ndarray:
     a = _as_square(a)
     if not np.isfinite(a).all():
         raise ValueError("matrix exponential of a non-finite matrix")
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    squarings = 0 if norm <= _EXPM_THRESHOLD else int(
-        np.ceil(np.log2(norm / _EXPM_THRESHOLD))
-    )
-    b = a / (2.0 ** squarings)
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, _EXPM_ORDER + 1):
-        term = term @ b / k
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    return _expm(a)
 
 
 def spectral_norm(m) -> float:

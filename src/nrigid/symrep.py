@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .body import InertiaSpec, inertia_apply, inertia_inverse
+from .body import InertiaSpec, _inertia_inverse, inertia_apply, inertia_inverse
 from .errors import DimensionError
 from .matcore import _jmat, inner
 
@@ -95,28 +95,33 @@ def one_form(z, zdot) -> float:
     return 0.5 * float(np.tensordot(p, qd) - np.tensordot(q, pd))
 
 
-def _check_spec(spec: InertiaSpec, n: int):
+def _phase_point_of(spec: InertiaSpec, z, stacked=False) -> np.ndarray:
+    # z as a float array, checked to be a phase point (or a stack of them)
+    # of the inertia's dimension.
+    z = np.asarray(z, dtype=float)
+    n = _split(z, stacked)[0].shape[-1]
     if spec.n != n:
-        raise DimensionError(
-            f"inertia is {spec.n}-dimensional but the phase point has n = {n}"
-        )
+        raise DimensionError(f"inertia is {spec.n}-dimensional but the phase point has n = {n}")
+    return z
+
+
+def _optimal_control(spec: InertiaSpec, z) -> np.ndarray:
+    n = spec.n
+    m = z[:n].T @ z[n:]
+    return _inertia_inverse(spec, m - m.T)
 
 
 def optimal_control(spec: InertiaSpec, z) -> np.ndarray:
     """The control maximizing the control Hamiltonian: I^{-1}(Q^T P - P^T Q)."""
-    q, p = _split(z)
-    _check_spec(spec, q.shape[0])
-    m = q.T @ p
-    return inertia_inverse(spec, m - m.T)
+    return _optimal_control(spec, _phase_point_of(spec, z))
 
 
 def control_hamiltonian(spec: InertiaSpec, z, u) -> float:
     """tr(P^T Q u) - (1/2) <I u, u>, a concave quadratic in the control u."""
-    q, p = _split(z)
+    q, p = _split(_phase_point_of(spec, z))
     u = np.asarray(u, dtype=float)
     if u.shape != q.shape:
         raise DimensionError(f"control has shape {u.shape}, expected {q.shape}")
-    _check_spec(spec, q.shape[0])
     return float(np.tensordot(q.T @ p, u)) - 0.5 * inner(inertia_apply(spec, u), u)
 
 
@@ -127,11 +132,13 @@ def hamiltonian(spec: InertiaSpec, z):
     for one phase point, one value per leading index of a stack
     ``(..., 2n, n)``.
     """
-    z = np.asarray(z, dtype=float)
-    n = _split(z, stacked=True)[0].shape[-1]
-    _check_spec(spec, n)
-    w = z.swapaxes(-1, -2) @ (_jmat(n) @ z)
+    z = _phase_point_of(spec, z, stacked=True)
+    w = z.swapaxes(-1, -2) @ (_jmat(spec.n) @ z)
     return 0.5 * inner(w, inertia_inverse(spec, w))
+
+
+def _symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
+    return z @ _optimal_control(spec, z)
 
 
 def symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
@@ -139,6 +146,6 @@ def symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
 
     Blockwise Qdot = Q om and Pdot = P om with om the maximizing control;
     this is the Hamiltonian vector field of `hamiltonian` for the flat
-    symplectic form.  `optimal_control` validates z.
+    symplectic form.
     """
-    return z @ optimal_control(spec, z)
+    return _symrep_rhs(spec, _phase_point_of(spec, z))

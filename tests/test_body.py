@@ -165,6 +165,20 @@ class TestEulerPoisson:
             np.testing.assert_array_equal(pidot, euler_rhs(spec, state.pi))
 
 
+class TestFieldsKeepTheirChecks:
+    """The public fields validate and then call the step loop's kernels."""
+
+    @pytest.mark.parametrize("bad", [np.zeros((4, 4)), np.zeros((2, 3, 3)), np.zeros(3)])
+    def test_euler_rhs_shapes(self, bad):
+        with pytest.raises(DimensionError):
+            euler_rhs(standard_spec(), bad)
+
+    def test_euler_poisson_rhs_dimension(self):
+        state = BodyState(q=np.eye(4), pi=np.zeros((4, 4)))
+        with pytest.raises(DimensionError):
+            euler_poisson_rhs(standard_spec(), state)
+
+
 class TestHatVee:
     def test_sign_convention(self):
         e3 = hat([0.0, 0.0, 1.0])

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from helpers import random_phase, scaled_skew, standard_pi0, standard_spec
-from nrigid.body import BodyState, InertiaSpec, euler_poisson_rhs, euler_rhs, hat
-from nrigid.errors import DivergenceError, RankLossError
+from nrigid.body import BodyState, InertiaSpec, euler_poisson_rhs, euler_rhs, hat, inertia_inverse
+from nrigid.errors import ConvergenceError, DivergenceError, RankLossError
 from nrigid.integrate import (
+    _RANK_BLOCK,
     IntegratorConfig,
     Trajectory,
+    _check_rank,
+    _run,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
 )
 from nrigid.lift import solve_lift
-from nrigid.matcore import expm, random_rotation
+from nrigid.matcore import commutator, expm, random_rotation
 from nrigid.symrep import FULL_RANK_TOL, optimal_control, phase_point, symrep_rhs
 
 
@@ -343,3 +346,142 @@ class TestProjectionNeedsRotationBlocks:
         with pytest.raises(ValueError, match="attitude s0.q: matrix is not a rotation"):
             integrate_euler_poisson(standard_spec(), s0,
                                     IntegratorConfig("rk4", 0.01, 0.1, project_attitude=True))
+
+
+def rkmk4_step(velocity, act, y, h):
+    # the Munthe-Kaas scheme, written out from the public kernels
+    def dexpinv(theta, v):
+        c1 = commutator(theta, v)
+        return v + 0.5 * c1 + commutator(theta, c1) / 12.0
+
+    k1 = velocity(y)
+    th = (0.5 * h) * k1
+    k2 = dexpinv(th, velocity(act(expm(th), y)))
+    th = (0.5 * h) * k2
+    k3 = dexpinv(th, velocity(act(expm(th), y)))
+    th = h * k3
+    k4 = dexpinv(th, velocity(act(expm(th), y)))
+    theta = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return act(expm(theta), y)
+
+
+class TestKernelsAgainstPublicFunctions:
+    """The step loop's unchecked kernels give the public functions' bits."""
+
+    H = 0.01
+
+    def test_rkmk4_symrep(self):
+        spec = standard_spec()
+        z0 = solve_lift(np.eye(3), standard_pi0())
+        traj = integrate_symrep(spec, z0, IntegratorConfig("rkmk4", self.H, 2 * self.H))
+        y = z0
+        for i in (1, 2):
+            y = rkmk4_step(lambda z: optimal_control(spec, z), lambda g, z: z @ g, y, self.H)
+            np.testing.assert_array_equal(traj.states[i], y)
+
+    def test_rkmk4_euler(self):
+        spec, pi0 = standard_spec(), standard_pi0()
+        traj = integrate_euler(spec, pi0, IntegratorConfig("rkmk4", self.H, 2 * self.H))
+        y = pi0
+        for i in (1, 2):
+            y = rkmk4_step(lambda pi: inertia_inverse(spec, pi), lambda g, pi: g.T @ pi @ g,
+                           y, self.H)
+            np.testing.assert_array_equal(traj.states[i], y)
+
+    def test_midpoint_symrep(self):
+        spec = standard_spec()
+        z0 = solve_lift(np.eye(3), standard_pi0())
+        cfg = IntegratorConfig("midpoint", self.H, self.H)
+        traj = integrate_symrep(spec, z0, cfg)
+        m = z0 + (0.5 * self.H) * symrep_rhs(spec, z0)
+        for _ in range(cfg.midpoint_max_iter):
+            m_next = z0 + (0.5 * self.H) * symrep_rhs(spec, m)
+            delta = float(np.linalg.norm(m_next - m))
+            m = m_next
+            if delta <= cfg.midpoint_tol:
+                break
+        np.testing.assert_array_equal(traj.states[1], 2.0 * m - z0)
+
+    def test_rkmk4_overflow_is_divergence(self):
+        # the unchecked exponential turns a non-finite stage into a
+        # non-finite state, reported with its step
+        z0 = 1e160 * solve_lift(np.eye(3), standard_pi0())
+        with pytest.raises(DivergenceError) as err:
+            integrate_symrep(standard_spec(), z0, IntegratorConfig("rkmk4", 0.01, 0.1))
+        assert err.value.step_index == 1
+
+
+class TestBlockedRankCheck:
+    """The rank is checked once per block of stored states; the error
+    names what a check of every state in turn would name."""
+
+    STEPS = 2 * _RANK_BLOCK + 40  # two full blocks and a partial one
+
+    @staticmethod
+    def start():
+        return random_phase(3, np.random.default_rng(7))
+
+    @classmethod
+    def rate_losing_rank_at(cls, k):
+        # z' = -c z shrinks every singular value by about exp(-c) per unit
+        # step, so the smallest one crosses FULL_RANK_TOL between steps
+        # k - 1 and k
+        s0 = np.linalg.svd(cls.start(), compute_uv=False)[-1]
+        return np.log(s0 / FULL_RANK_TOL) / (k - 0.5)
+
+    def run(self, field, check=_check_rank, scheme="rk4"):
+        cfg = IntegratorConfig(scheme, 1.0, float(self.STEPS))
+        return _run(None, self.start(), cfg, field, field, None, check=check)
+
+    @staticmethod
+    def first_loss(states):
+        smin = [float(np.linalg.svd(z, compute_uv=False)[-1]) for z in states]
+        i = next(i for i, s in enumerate(smin) if s < FULL_RANK_TOL)
+        return i, smin[i]
+
+    @pytest.mark.parametrize("where, k", [
+        ("inside the first block", _RANK_BLOCK // 2),
+        ("last state of a block", _RANK_BLOCK - 1),
+        ("first state of a block", _RANK_BLOCK),
+        ("final partial block", 2 * _RANK_BLOCK + 20),
+    ])
+    def test_matches_per_state_loop(self, where, k):
+        rate = self.rate_losing_rank_at(k)
+        field = lambda spec, z: -rate * z
+        _, states = self.run(field, check=None)
+        step, smin = self.first_loss(states)
+        assert step == k, where
+        with pytest.raises(RankLossError, match=f"at step {k} ") as err:
+            self.run(field)
+        assert err.value.step_index == step
+        assert err.value.min_singular_value == smin
+
+    @pytest.mark.parametrize("scheme, later", [("rk4", DivergenceError),
+                                               ("midpoint", ConvergenceError)])
+    def test_earlier_rank_loss_wins(self, scheme, later):
+        k = 40
+        rate = self.rate_losing_rank_at(k)
+        _, states = self.run(lambda spec, z: -rate * z, check=None, scheme=scheme)
+        step, smin = self.first_loss(states)
+        # the field turns non-finite about ten steps after the rank loss,
+        # inside the same block
+        floor = np.linalg.norm(states[k + 10])
+
+        def field(spec, z):
+            return -rate * z if np.linalg.norm(z) > floor else np.full_like(z, np.inf)
+
+        with pytest.raises(later) as late:
+            self.run(field, check=None, scheme=scheme)
+        if later is DivergenceError:
+            assert step < late.value.step_index < _RANK_BLOCK
+        with pytest.raises(RankLossError) as err:
+            self.run(field, scheme=scheme)
+        assert err.value.step_index == step
+        assert err.value.min_singular_value == smin
+
+    def test_full_rank_run_checks_every_state(self):
+        seen = []
+        _, states = self.run(lambda spec, z: -0.01 * z,
+                             check=lambda block, start: seen.append((start, len(block))))
+        assert seen == [(0, _RANK_BLOCK), (_RANK_BLOCK, _RANK_BLOCK), (2 * _RANK_BLOCK, 41)]
+        assert len(states) == self.STEPS + 1

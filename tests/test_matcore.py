@@ -8,6 +8,7 @@ from helpers import rodrigues, scaled_skew
 from nrigid.body import hat
 from nrigid.errors import DimensionError, OutOfRangeError
 from nrigid.matcore import (
+    _expm,
     commutator,
     expm,
     inner,
@@ -142,6 +143,59 @@ class TestExpm:
     def test_non_square(self):
         with pytest.raises(DimensionError):
             expm(np.zeros((2, 3)))
+
+
+def reference_expm(a):
+    """Scaling and squaring as `expm` computed it before its unchecked
+    kernel: the 1-norm from np.linalg.norm and fresh identities."""
+    norm = np.linalg.norm(a, 1)
+    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
+    b = a / (2.0 ** squarings)
+    result = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for k in range(1, 13):
+        term = term @ b / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result, squarings
+
+
+class TestExpmKernel:
+    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("norm, squarings", [(0.3, 0), (0.8, 1), (20.0, 6)])
+    def test_kernel_matches_public_and_reference_bitwise(self, n, norm, squarings):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            a *= norm / np.linalg.norm(a, 1)
+            want, count = reference_expm(a)
+            assert count == squarings
+            np.testing.assert_array_equal(_expm(a), want)
+            np.testing.assert_array_equal(expm(a), want)
+
+    def test_squarings_follow_the_one_norm(self):
+        # one heavy column: 1-norm 0.9 asks for a squaring, the inf-norm
+        # (0.3) would not
+        a = np.zeros((3, 3))
+        a[:, 0] = 0.3
+        want, count = reference_expm(a)
+        assert count == 1
+        np.testing.assert_array_equal(_expm(a), want)
+
+    def test_cached_identity_is_not_modified(self):
+        a = random_skew(3, 5)
+        first = _expm(a)
+        _expm(np.zeros((3, 3)))[0, 0] = 7.0  # the result is the caller's own array
+        np.testing.assert_array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_array_equal(_expm(a), first)
+
+    def test_kernel_gives_nan_for_a_non_finite_norm(self):
+        a = np.eye(3)
+        a[0, 1] = np.inf
+        assert np.isnan(_expm(a)).all()
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(a)
 
 
 class TestSkewAsinh:

@@ -182,6 +182,11 @@ class TestStackedTrajectories:
         first, last = both.states[0], both.states[-1]
         # views into one stacked array
         assert first.q.base is not None and first.q.base is last.pi.base
+        stack = first.q.base
+        assert stack.shape == (steps + 1, 6, 3)
+        assert all(s.q.base is stack and s.pi.base is stack for s in both.states)
+        assert all(np.shares_memory(s.q, stack[i]) and np.shares_memory(s.pi, stack[i])
+                   for i, s in enumerate(both.states))
         np.testing.assert_array_equal(first.q, q0)
         np.testing.assert_array_equal(first.pi, pi0)
         # the momentum block runs the same recursion as the Euler picture

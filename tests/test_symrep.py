@@ -45,6 +45,13 @@ class TestPhasePoint:
         with pytest.raises(DimensionError):
             q_block(np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("field", [optimal_control, symrep_rhs])
+    def test_fields_check_shape_and_dimension(self, field):
+        with pytest.raises(DimensionError):
+            field(standard_spec(), np.zeros((5, 3)))
+        with pytest.raises(DimensionError):
+            field(standard_spec(), np.zeros((8, 4)))
+
 
 class TestSymplecticForm:
     def test_identity_pairing(self):

@@ -152,9 +152,10 @@ def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
 
 def _attitude_momentum_rhs(spec: InertiaSpec, y) -> np.ndarray:
     """The field (Q om, [pi, om]) on [Q; pi]; its momentum block is `euler_rhs`."""
-    n = spec.n
     om = _attitude_momentum_velocity(spec, y)
-    return np.vstack([y[:n] @ om, _commutator(y[n:], om)])
+    ydot = y @ om
+    ydot[spec.n:] -= om @ y[spec.n:]
+    return ydot
 
 
 def euler_poisson_rhs(spec: InertiaSpec, state: BodyState):

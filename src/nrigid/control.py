@@ -2,30 +2,29 @@
 
 The minimum-effort steering problem (drive an attitude from Q0 to a
 target in time T while minimizing the integrated quadratic control cost)
-has its extremals exactly among the symmetric-representation flows, so
-the search space is the initial body momentum: each candidate pi0 is
-lifted to [Q0; Q0 pi0/2], integrated forward without attitude projection
-(which needs a rotation P block), and scored by the terminal attitude
-mismatch.  That lift has momentum value pi0 and full rank for every skew
-pi0, and the attitude flow depends only on Q0 and pi0, so pi0 has no
-bound.  A damped Gauss-Newton iteration with a forward-difference
-Jacobian runs over the n(n-1)/2 free momentum entries.  The returned
-trajectory keeps P a rotation only when `solve_lift` accepts pi0;
-otherwise its ``orthogonality_defect`` audit is meaningless.
+has its extremals exactly among the symmetric-representation flows.
+Along such a flow the orthogonal momentum value Z^T J Z is the body
+momentum and Q' = Q I^{-1}(Z^T J Z), so the attitude an extremal reaches
+is the Euler-Poisson attitude from (Q0, pi0) and no phase point is
+needed.  The search space is the initial body momentum, with no bound:
+each candidate pi0 is integrated by `integrate_euler_poisson` from
+(Q0, pi0) under the problem's config and scored by the terminal attitude
+mismatch.  A damped Gauss-Newton iteration with a forward-difference
+Jacobian runs over the n(n-1)/2 free momentum entries.  The symmetric
+representation of an answer is one `solve_lift` and `integrate_symrep`
+away wherever the lift bound allows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .body import InertiaSpec
-from .errors import ConvergenceError, DimensionError, OutOfRangeError
-from .integrate import IntegratorConfig, Trajectory, integrate_symrep
-from .lift import solve_lift
+from .body import BodyState, InertiaSpec
+from .errors import ConvergenceError, DimensionError
+from .integrate import IntegratorConfig, Trajectory, integrate_euler_poisson
 from .matcore import require_rotation
-from .symrep import hamiltonian, phase_point, q_block
 
 __all__ = ["BvpProblem", "BvpSolution", "shoot", "trajectory_cost"]
 
@@ -73,21 +72,20 @@ def _skew_from_params(x, n):
 def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
     """Composite Simpson quadrature of the control effort (1/2) <I u, u>.
 
-    At the maximizing control u = I^{-1}(Z^T J Z) the effort equals the
-    phase-space energy, so the integrand is `hamiltonian` over the stacked
-    states.  Requires a uniformly stepped phase-point trajectory with at
-    least three samples.  An odd interval count is closed with the 3/8
-    rule on the last three intervals, keeping 4th-order accuracy.
+    At the maximizing control u = I^{-1} pi the effort equals the energy
+    (the collective-Hamiltonian identity), so the integrand is the
+    trajectory's ``hamiltonian`` audit, for every kind.  Requires a
+    uniformly stepped trajectory with at least three samples.  An odd
+    interval count is closed with the 3/8 rule on the last three
+    intervals, keeping 4th-order accuracy.
     """
-    if traj.kind != "symrep":
-        raise ValueError(f"cost is defined for phase-point trajectories, got {traj.kind!r}")
     if len(traj) < 3:
         raise ValueError("cost quadrature needs at least 3 samples")
     dt = np.diff(traj.times)
     h = float(dt[0])
     if np.max(np.abs(dt - h)) > 1e-9 * max(1.0, h):
         raise ValueError("cost quadrature needs a uniform step")
-    f = hamiltonian(spec, traj.states)
+    f = traj.audits["hamiltonian"]
     intervals = len(f) - 1
     total = 0.0
     if intervals % 2 == 1:
@@ -103,24 +101,16 @@ def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
     return float(total)
 
 
-def _bound_free_flow(problem: BvpProblem, pi0) -> Trajectory:
-    # P = Q0 pi0/2 is no rotation, and projection only repairs drift
-    z0 = phase_point(problem.q0, 0.5 * problem.q0 @ pi0)
-    return integrate_symrep(problem.spec, z0, replace(problem.cfg, project_attitude=False))
-
-
 def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     """Damped Gauss-Newton shooting on the initial body momentum.
 
-    Success means the terminal attitude mismatch (Frobenius) of the
-    search is at most ``tol``; pi0 has no bound.  The returned trajectory
-    starts from ``solve_lift(q0, pi0)`` under ``problem.cfg`` when that
-    lift exists, so P stays a rotation.  Otherwise it is the search's
-    unprojected flow from [Q0; Q0 pi0/2], whose P is no rotation and whose
-    ``orthogonality_defect`` audit is meaningless (about 34 for a 2.5 rad
-    turn of the (1, 2, 3) body in unit time).  ``seed`` drives the random
-    restarts tried when the line search stalls.  Raises ConvergenceError
-    carrying the best iterate:
+    Success means the terminal attitude mismatch (Frobenius) is at most
+    ``tol``; pi0 has no bound.  The returned trajectory is the
+    ``euler-poisson`` flow from (q0, pi0) under ``problem.cfg`` that the
+    search scored, so ``terminal_error`` is its final attitude's distance
+    to the target, and with ``project_attitude`` its attitude stays a
+    rotation.  ``seed`` drives the random restarts tried when the line
+    search stalls.  Raises ConvergenceError carrying the best iterate:
 
     * reason "max_iter" when the iteration budget is exhausted.
     * reason "line_search" when the line search stalls with no restart
@@ -133,13 +123,14 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     rng = np.random.default_rng(seed)
 
     def objective(x):
-        traj = _bound_free_flow(problem, _skew_from_params(x, n))
-        r = (q_block(traj.states[-1]) - problem.q_target).ravel()
-        return r, float(r @ r)
+        s0 = BodyState(problem.q0, _skew_from_params(x, n))
+        traj = integrate_euler_poisson(problem.spec, s0, problem.cfg)
+        r = (traj.states[-1].q - problem.q_target).ravel()
+        return r, float(r @ r), traj
 
     x = np.zeros(d)
-    r, fval = objective(x)
-    best = (x.copy(), np.sqrt(fval))
+    r, fval, traj = objective(x)
+    best = (x.copy(), np.sqrt(fval), traj)
     iterations = 0
     restarts = 0
 
@@ -150,7 +141,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         for j in range(d):
             xj = x.copy()
             xj[j] += _FD_STEP
-            rj, _ = objective(xj)
+            rj, _, _ = objective(xj)
             jac[:, j] = (rj - r) / _FD_STEP
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         slope = 2.0 * float((jac.T @ r) @ direction)
@@ -158,20 +149,20 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         stepped = False
         while alpha >= _MIN_DAMPING:
             candidate = x + alpha * direction
-            r_new, f_new = objective(candidate)
+            r_new, f_new, traj_new = objective(candidate)
             if f_new <= fval + _ARMIJO * alpha * slope:
-                x, r, fval = candidate, r_new, f_new
+                x, r, fval, traj = candidate, r_new, f_new, traj_new
                 stepped = True
                 break
             alpha *= 0.5
         iterations += 1
         if np.sqrt(fval) < best[1]:
-            best = (x.copy(), np.sqrt(fval))
+            best = (x.copy(), np.sqrt(fval), traj)
         if not stepped:
             if restarts < _MAX_RESTARTS:
                 restarts += 1
                 x = 0.3 * restarts * rng.uniform(-1.0, 1.0, d)
-                r, fval = objective(x)
+                r, fval, traj = objective(x)
                 continue
             raise ConvergenceError(
                 f"line search stalled after {restarts} restarts; "
@@ -187,19 +178,12 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             best=_solution(problem, *best),
             reason="max_iter",
         )
-    return _solution(problem, x, np.sqrt(fval), iterations)
+    return _solution(problem, x, np.sqrt(fval), traj, iterations)
 
 
-def _solution(problem: BvpProblem, x, terminal_error, iterations=0) -> BvpSolution:
-    pi0 = _skew_from_params(x, problem.spec.n)
-    try:
-        z0 = solve_lift(problem.q0, pi0)
-    except OutOfRangeError:
-        traj = _bound_free_flow(problem, pi0)
-    else:
-        traj = integrate_symrep(problem.spec, z0, problem.cfg)
+def _solution(problem: BvpProblem, x, terminal_error, traj, iterations=0) -> BvpSolution:
     return BvpSolution(
-        pi0=pi0,
+        pi0=_skew_from_params(x, problem.spec.n),
         terminal_error=float(terminal_error),
         cost=trajectory_cost(problem.spec, traj),
         iterations=iterations,

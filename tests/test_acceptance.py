@@ -54,7 +54,6 @@ from nrigid.symrep import (
     hamiltonian,
     is_full_rank,
     one_form,
-    optimal_control,
     phase_point,
     symplectic_form,
     symrep_rhs,
@@ -299,8 +298,8 @@ def test_criterion_11_optimal_control():
                          t_final=1.0, cfg=cfg)
     sol = shoot(problem, tol=1e-7, max_iter=30, seed=11)
     u_dev = max(
-        float(np.linalg.norm(optimal_control(spec_s, z) - 0.3 * e3))
-        for z in sol.trajectory.states
+        float(np.linalg.norm(inertia_inverse(spec_s, s.pi) - 0.3 * e3))
+        for s in sol.trajectory.states
     )
     spherical_ok = (
         sol.terminal_error <= 1e-6
@@ -314,7 +313,7 @@ def test_criterion_11_optimal_control():
                           t_final=1.0, cfg=cfg)
     sol2 = shoot(problem2, tol=1e-6, max_iter=60, seed=11)
     traj = sol2.trajectory
-    ms = [on_momentum(z) for z in traj.states]
+    ms = [s.pi for s in traj.states]
     h = traj.times[1] - traj.times[0]
     audit = max(
         float(np.linalg.norm((ms[k + 1] - ms[k - 1]) / (2 * h) - euler_rhs(spec_n, ms[k])))

@@ -3,14 +3,18 @@ import pytest
 
 from helpers import standard_pi0, standard_spec
 from nrigid import control
-from nrigid.body import BodyState, InertiaSpec, hat
+from nrigid.body import BodyState, InertiaSpec, hat, inertia_inverse, reduced_hamiltonian
 from nrigid.control import BvpProblem, BvpSolution, shoot, trajectory_cost
 from nrigid.errors import ConvergenceError
-from nrigid.integrate import IntegratorConfig, integrate_euler_poisson, integrate_symrep
+from nrigid.integrate import (
+    IntegratorConfig,
+    integrate_euler,
+    integrate_euler_poisson,
+    integrate_symrep,
+)
 from nrigid.lift import solve_lift
 from nrigid.matcore import expm, spectral_norm
-from nrigid.moment import on_momentum
-from nrigid.symrep import hamiltonian, optimal_control, q_block
+from nrigid.symrep import q_block
 
 E1 = hat([1.0, 0.0, 0.0])
 E2 = hat([0.0, 1.0, 0.0])
@@ -71,6 +75,17 @@ class TestTrajectoryCost:
         reference = trajectory_cost(spec, reference_traj)
         assert abs(costs[0.05] - reference) / abs(costs[0.025] - reference) >= 10.0
 
+    def test_every_kind_costs_the_same(self):
+        # the README body: the energy audit of each picture is the control
+        # effort, by the collective-Hamiltonian identity
+        spec, q0, pi0 = standard_spec(), np.eye(3), standard_pi0()
+        cfg = IntegratorConfig("rk4", 1e-3, 2.0)
+        symrep = trajectory_cost(spec, integrate_symrep(spec, solve_lift(q0, pi0), cfg))
+        body = trajectory_cost(spec, integrate_euler_poisson(spec, BodyState(q0, pi0), cfg))
+        euler = trajectory_cost(spec, integrate_euler(spec, pi0, cfg))
+        assert abs(body - symrep) <= 1e-12
+        assert euler == body
+
     def test_too_few_samples(self):
         spec = standard_spec()
         z0 = solve_lift(np.eye(3), standard_pi0())
@@ -100,8 +115,8 @@ class TestShoot:
         assert abs(sol.cost - 0.09) <= 1e-5
         np.testing.assert_allclose(sol.pi0, 0.6 * E3, atol=1e-5)
         worst = max(
-            np.linalg.norm(optimal_control(spherical_problem().spec, z) - 0.3 * E3)
-            for z in sol.trajectory.states
+            np.linalg.norm(inertia_inverse(spherical_problem().spec, s.pi) - 0.3 * E3)
+            for s in sol.trajectory.states
         )
         assert worst <= 1e-5
 
@@ -118,7 +133,7 @@ class TestShoot:
         from nrigid.body import euler_rhs
 
         traj = sol.trajectory
-        ms = [on_momentum(z) for z in traj.states]
+        ms = [s.pi for s in traj.states]
         h = traj.times[1] - traj.times[0]
         worst = max(
             np.linalg.norm((ms[k + 1] - ms[k - 1]) / (2 * h) - euler_rhs(spec, ms[k]))
@@ -127,19 +142,17 @@ class TestShoot:
         assert worst <= 1e-6
 
     def test_energy_constant_and_collective(self):
-        from nrigid.body import reduced_hamiltonian
-
         sol = shoot(spherical_problem(), tol=1e-7, max_iter=30, seed=0)
         traj = sol.trajectory
         h_vals = traj.audits["hamiltonian"]
         assert np.max(np.abs(h_vals - h_vals[0])) <= 1e-8
         spec = spherical_problem().spec
-        for z, h_val in zip(traj.states[::50], h_vals[::50]):
-            assert abs(reduced_hamiltonian(spec, on_momentum(z)) - h_val) <= 1e-12
+        for s, h_val in zip(traj.states[::50], h_vals[::50]):
+            assert abs(reduced_hamiltonian(spec, s.pi) - h_val) <= 1e-12
 
     def test_cost_equals_horizon_times_energy(self):
         sol = shoot(spherical_problem(), tol=1e-7, max_iter=30, seed=0)
-        h0 = hamiltonian(spherical_problem().spec, sol.trajectory.states[0])
+        h0 = reduced_hamiltonian(spherical_problem().spec, sol.trajectory.states[0].pi)
         assert abs(sol.cost - 1.0 * h0) <= 1e-6
 
     def test_first_order_optimality(self):
@@ -201,22 +214,36 @@ class TestShoot:
         assert abs(sol.cost - 12.5) <= 1e-5
 
     @pytest.mark.parametrize("project_attitude", [False, True])
-    def test_returned_trajectory_is_the_rotation_lift_inside_the_bound(self, project_attitude):
-        problem = spherical_problem(project_attitude=project_attitude)
-        sol = shoot(problem, tol=1e-7, max_iter=30, seed=0)
-        np.testing.assert_allclose(sol.pi0, 0.6 * E3, atol=1e-5)
+    @pytest.mark.parametrize("where", ["inside", "at-rk4", "at-midpoint", "beyond"])
+    def test_returned_trajectory_is_the_searched_flow(self, where, project_attitude):
+        # inside, exactly at and beyond the lift bound |pi0|_2 = 2, the answer
+        # is the euler-poisson flow from (q0, pi0) that the search scored
+        if where == "inside":
+            problem, tol = spherical_problem(project_attitude=project_attitude), 1e-7
+        elif where == "beyond":
+            problem, tol = capped_problem(expm(hat([0.3, -0.2, 0.4])), project_attitude), 1e-6
+        else:
+            # the principal-axis criterion-11 target: pi0 = (2 + 3) 0.4 E1
+            cfg = IntegratorConfig(where[3:], 5e-3, 1.0, project_attitude=project_attitude)
+            problem, tol = BvpProblem(standard_spec(), np.eye(3), expm(0.4 * E1), 1.0, cfg), 1e-6
+        sol = shoot(problem, tol=tol, max_iter=60, seed=0)
+        norm = spectral_norm(sol.pi0)
+        if where == "inside":
+            assert norm < 2.0
+        elif where == "beyond":
+            assert norm > 2.0
+        else:
+            assert abs(norm - 2.0) <= 1e-5
         traj = sol.trajectory
-        assert np.max(traj.audits["orthogonality_defect"]) <= 1e-10
-        assert np.linalg.norm(q_block(traj.states[-1]) - problem.q_target) <= 1e-7
-
-    @pytest.mark.parametrize("project_attitude", [False, True])
-    def test_returned_trajectory_beyond_the_bound_is_bound_free(self, project_attitude):
-        # the bound-free flow is never projected: projecting P needs a rotation
-        problem = capped_problem(expm(hat([0.3, -0.2, 0.4])), project_attitude)
-        sol = shoot(problem, tol=1e-6, max_iter=30, seed=0)
-        states = sol.trajectory.states
-        np.testing.assert_allclose(on_momentum(states[0]), sol.pi0, atol=1e-14)
-        assert np.linalg.norm(q_block(states[-1]) - problem.q_target) <= 1e-6
+        assert traj.kind == "euler-poisson"
+        flow = integrate_euler_poisson(problem.spec, BodyState(problem.q0, sol.pi0), problem.cfg)
+        for s, s_flow in zip(traj.states, flow.states):
+            np.testing.assert_array_equal(s.q, s_flow.q)
+            np.testing.assert_array_equal(s.pi, s_flow.pi)
+        assert sol.terminal_error == np.linalg.norm(traj.states[-1].q - problem.q_target)
+        assert sol.terminal_error <= tol
+        if project_attitude:
+            assert np.max(traj.audits["orthogonality_defect"]) <= 1e-10
 
     def test_line_search_stall_is_named(self, monkeypatch):
         # no damping is admissible, so every line search stalls at once
@@ -234,5 +261,10 @@ class TestShoot:
         with pytest.raises(ConvergenceError) as err:
             shoot(problem, tol=1e-12, max_iter=1, seed=0)
         assert err.value.reason == "max_iter"
-        assert isinstance(err.value.best, BvpSolution)
-        assert err.value.best.terminal_error < 1.0
+        best = err.value.best
+        assert isinstance(best, BvpSolution)
+        assert best.terminal_error < 1.0
+        assert best.trajectory.kind == "euler-poisson"
+        assert best.terminal_error == np.linalg.norm(
+            best.trajectory.states[-1].q - problem.q_target
+        )

@@ -278,6 +278,25 @@ class TestPublicFields:
             y = rk4_step(field, y, self.H)
             np.testing.assert_array_equal(stacked(traj.states[i]), y)
 
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_euler_poisson_field_is_the_stacked_pair(self, n):
+        # the field is one product [Q; pi] om less om pi; it gives the bits
+        # of the two blocks written out separately
+        rng = np.random.default_rng(n)
+        spec = InertiaSpec(rng.uniform(0.5, 2.0, n))
+        s0 = BodyState(q=random_rotation(n, rng), pi=scaled_skew(n, rng, 1.5))
+
+        def field(y):
+            q, pi = y[:n], y[n:]
+            om = inertia_inverse(spec, pi)
+            return np.vstack([q @ om, pi @ om - om @ pi])
+
+        traj = integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", self.H, 50 * self.H))
+        y = stacked(s0)
+        for state in traj.states[1:]:
+            y = rk4_step(field, y, self.H)
+            np.testing.assert_array_equal(stacked(state), y)
+
     def test_rkmk4_momentum_block_matches_euler(self):
         # rk4 is checked in test_stacked; midpoint agrees only to its
         # tolerance, because its stopping test also sees the attitude

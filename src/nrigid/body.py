@@ -131,15 +131,6 @@ class BodyState:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi", pi)
 
-    @classmethod
-    def _view(cls, q, pi) -> BodyState:
-        # A state over blocks the integrator has already checked, kept as
-        # views into its stacked array.
-        state = object.__new__(cls)
-        object.__setattr__(state, "q", q)
-        object.__setattr__(state, "pi", pi)
-        return state
-
     @property
     def n(self) -> int:
         return self.q.shape[0]

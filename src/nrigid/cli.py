@@ -90,45 +90,59 @@ def _parse_momentum(value, n):
     return _parse_matrix(hat(v) if n == 3 and v.shape == (3,) else v, n, "pi0", require_skew)
 
 
+def _parse(convert, value, key):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     """Read and validate a run configuration."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if "n" not in raw or "lambda" not in raw:
         raise ValueError("config must provide 'n' and 'lambda'")
-    n = int(raw["n"])
+    n = _parse(int, raw["n"], "n")
     spec = InertiaSpec(raw["lambda"])
     if spec.n != n:
         raise ValueError(f"lambda has {spec.n} entries, expected n = {n}")
     cfg = None
     if "integrator" in raw:
-        integ = dict(raw["integrator"])
+        integ = _parse(dict, raw["integrator"], "integrator")
+        project = integ.get("project_attitude", False)
+        if not isinstance(project, bool):
+            raise ValueError(f"integrator.project_attitude must be true or false, got {project!r}")
+        tol = integ.get("midpoint_tol", IntegratorConfig.midpoint_tol)
+        max_iter = integ.get("midpoint_max_iter", IntegratorConfig.midpoint_max_iter)
         cfg = IntegratorConfig(
             scheme=integ.get("scheme", "rk4"),
-            step=float(integ["step"]),
-            t_final=float(integ["t_final"]),
-            project_attitude=bool(integ.get("project_attitude", False)),
-            midpoint_tol=float(integ.get("midpoint_tol", 1e-13)),
-            midpoint_max_iter=int(integ.get("midpoint_max_iter", 100)),
+            step=_parse(float, integ["step"], "integrator.step"),
+            t_final=_parse(float, integ["t_final"], "integrator.t_final"),
+            project_attitude=project,
+            midpoint_tol=_parse(float, tol, "integrator.midpoint_tol"),
+            midpoint_max_iter=_parse(int, max_iter, "integrator.midpoint_max_iter"),
         )
     tolerances = dict(_DEFAULT_TOLERANCES)
-    tolerances.update(raw.get("tolerances", {}))
+    for key, value in _parse(dict, raw.get("tolerances", {}), "tolerances").items():
+        tolerances[key] = _parse(float, value, f"tolerances.{key}")
     config = {
         "n": n,
         "spec": spec,
         "q0": _parse_attitude(raw.get("q0", "identity"), n),
         "pi0": _parse_momentum(raw.get("pi0", np.zeros((n, n))), n),
         "cfg": cfg,
-        "seed": int(raw.get("seed", 0)),
-        "outputs": dict(raw.get("outputs", {})),
+        "seed": _parse(int, raw.get("seed", 0), "seed"),
+        "outputs": {key: _parse(Path, value, f"outputs.{key}")
+                    for key, value in _parse(dict, raw.get("outputs", {}), "outputs").items()},
         "tolerances": tolerances,
     }
     if "bvp" in raw:
-        bvp = dict(raw["bvp"])
+        bvp = _parse(dict, raw["bvp"], "bvp")
         config["bvp"] = {
             "q_target": _parse_attitude(bvp.get("q_target", "identity"), n, "q_target"),
-            "tol": float(bvp.get("tol", 1e-6)),
-            "max_iter": int(bvp.get("max_iter", 30)),
+            "tol": _parse(float, bvp.get("tol", 1e-6), "bvp.tol"),
+            "max_iter": _parse(int, bvp.get("max_iter", 30), "bvp.max_iter"),
         }
     return config
 
@@ -141,20 +155,10 @@ def _out_path(args, config, key, default) -> Path:
 
 
 def _state_columns(kind, n):
-    if kind == "euler":
-        return [f"pi_{i}_{j}" for i in range(n) for j in range(n)]
-    if kind == "symrep":
-        return [f"z_{i}_{j}" for i in range(2 * n) for j in range(n)]
-    return [f"q_{i}_{j}" for i in range(n) for j in range(n)] + [
-        f"pi_{i}_{j}" for i in range(n) for j in range(n)
-    ]
-
-
-def _state_rows(traj: Trajectory, rows: slice) -> np.ndarray:
-    states = traj.states[rows]
-    if traj.kind == "euler-poisson":
-        states = [np.vstack([s.q, s.pi]) for s in states]
-    return np.reshape(states, (len(states), -1))
+    rows = {"euler": [("pi", i) for i in range(n)],
+            "symrep": [("z", i) for i in range(2 * n)],
+            "euler-poisson": [("q", i) for i in range(n)] + [("pi", i) for i in range(n)]}[kind]
+    return [f"{name}_{i}_{j}" for name, i in rows for j in range(n)]
 
 
 def _defect_channel(traj: Trajectory) -> np.ndarray:
@@ -177,13 +181,14 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         + ["defect"]
     )
     defects = _defect_channel(traj)
+    states = traj.states.reshape(len(traj), -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(traj), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
             table = np.column_stack([
                 traj.times[rows],
-                _state_rows(traj, rows),
+                states[rows],
                 traj.audits["hamiltonian"][rows],
                 traj.audits["casimir_spectrum"][rows],
                 defects[rows],
@@ -234,9 +239,7 @@ def cmd_simulate(args) -> int:
         z0 = solve_lift(config["q0"], config["pi0"])
         traj = integrate_symrep(spec, z0, cfg)
     else:
-        traj = integrate_euler_poisson(
-            spec, BodyState(q=config["q0"], pi=config["pi0"]), cfg
-        )
+        traj = integrate_euler_poisson(spec, BodyState(q=config["q0"], pi=config["pi0"]), cfg)
     csv_path = _out_path(args, config, "trajectory", f"{args.kind}_trajectory.csv")
     report_path = _out_path(args, config, "report", f"{args.kind}_report.txt")
     write_trajectory_csv(csv_path, traj)
@@ -366,6 +369,8 @@ def _invariant_battery(seed: int, trials: int):
 
 def cmd_check_invariants(args) -> int:
     trials = args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     checks = _invariant_battery(args.seed if args.seed is not None else 0, trials)
     ok = True
     for name, passed in checks.items():

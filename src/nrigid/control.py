@@ -8,11 +8,11 @@ momentum and Q' = Q I^{-1}(Z^T J Z), so the attitude an extremal reaches
 is the Euler-Poisson attitude from (Q0, pi0) and no phase point is
 needed.  The search space is the initial body momentum, with no bound:
 each candidate pi0 is integrated by `integrate_euler_poisson` from
-(Q0, pi0) under the problem's config and scored by the terminal attitude
-mismatch.  A damped Gauss-Newton iteration with a forward-difference
-Jacobian runs over the n(n-1)/2 free momentum entries.  The symmetric
-representation of an answer is one `solve_lift` and `integrate_symrep`
-away wherever the lift bound allows.
+(Q0, pi0) under the problem's config and scored by its terminal attitude
+mismatch, on rows :n of the last state [Q; pi].  A damped Gauss-Newton
+iteration with a forward-difference Jacobian runs over the n(n-1)/2 free
+momentum entries.  The symmetric representation of an answer is one
+`solve_lift` and `integrate_symrep` away wherever the lift bound allows.
 """
 
 from __future__ import annotations
@@ -107,10 +107,11 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     Success means the terminal attitude mismatch (Frobenius) is at most
     ``tol``; pi0 has no bound.  The returned trajectory is the
     ``euler-poisson`` flow from (q0, pi0) under ``problem.cfg`` that the
-    search scored, so ``terminal_error`` is its final attitude's distance
-    to the target, and with ``project_attitude`` its attitude stays a
-    rotation.  ``seed`` drives the random restarts tried when the line
-    search stalls.  Raises ConvergenceError carrying the best iterate:
+    search scored, so ``terminal_error`` is the distance of its final
+    attitude ``trajectory.states[-1, :n]`` to the target, and with
+    ``project_attitude`` its attitude stays a rotation.  ``seed`` drives
+    the random restarts tried when the line search stalls.  Raises
+    ConvergenceError carrying the best iterate:
 
     * reason "max_iter" when the iteration budget is exhausted.
     * reason "line_search" when the line search stalls with no restart
@@ -125,7 +126,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     def objective(x):
         s0 = BodyState(problem.q0, _skew_from_params(x, n))
         traj = integrate_euler_poisson(problem.spec, s0, problem.cfg)
-        r = (traj.states[-1].q - problem.q_target).ravel()
+        r = (traj.states[-1, :n] - problem.q_target).ravel()
         return r, float(r @ r), traj
 
     x = np.zeros(d)

@@ -43,8 +43,8 @@ from .matcore import (
     _commutator,
     _expm,
     _frobenius,
+    _polar_project,
     orthogonality_defect,
-    polar_project,
     require_rotation,
     require_skew,
 )
@@ -106,15 +106,15 @@ class IntegratorConfig:
 class Trajectory:
     """Time-stamped states plus named invariant audit channels.
 
-    ``states`` is one ``(N+1, ...)`` array for the ``euler`` and
-    ``symrep`` kinds, and a list of `BodyState` whose ``q`` and ``pi``
-    are views into one such array for ``euler-poisson``.  Each audit
-    channel holds one value (or row) per state.
+    ``states`` is one ``(N+1, ...)`` array: momenta ``(N+1, n, n)`` for
+    ``euler``, and ``(N+1, 2n, n)`` phase points for ``symrep`` or stacks
+    ``[Q; pi]`` for ``euler-poisson``.  Each audit channel holds one
+    value (or row) per state.
     """
 
     kind: str
     times: np.ndarray
-    states: np.ndarray | list
+    states: np.ndarray
     audits: dict
 
     def __post_init__(self):
@@ -195,13 +195,27 @@ def _check_rank(block, start):
                             step_index=i, min_singular_value=s)
 
 
-def _require_rotation_block(block, what):
-    # Polar projection repairs drift away from a rotation; from any other
-    # block it changes the flow, or fails where the block is singular.
-    try:
-        require_rotation(block)
-    except ValueError as exc:
-        raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
+def _project_rotations(blocks, y):
+    # In place on a step's fresh result, whose shape and finiteness _run has checked.
+    n = y.shape[1]
+    for k in range(0, blocks * n, n):
+        y[k:k + n] = _polar_project(y[k:k + n])
+    return y
+
+
+def _projection(cfg, y0, names):
+    # With project_attitude, the projection after each step of the leading
+    # blocks that `names` names, which must be rotations in y0: projection
+    # repairs drift; from any other block it changes the flow, or fails.
+    if not cfg.project_attitude:
+        return None
+    n = y0.shape[1]
+    for k, what in enumerate(names):
+        try:
+            require_rotation(y0[k * n:(k + 1) * n])
+        except ValueError as exc:
+            raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
+    return partial(_project_rotations, len(names))
 
 
 def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None):
@@ -297,17 +311,9 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     n = spec.n
     if z0.shape != (2 * n, n):
         raise DimensionError(f"phase point has shape {z0.shape}, expected {(2 * n, n)}")
-
-    project = None
-    if cfg.project_attitude:
-        _require_rotation_block(z0[:n], "Q block of z0")
-        _require_rotation_block(z0[n:], "P block of z0")
-
-        def project(z):
-            return np.vstack([polar_project(z[:n]), polar_project(z[n:])])
-
     times, states = _run(spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
-                         check=_check_rank, project=project)
+                         check=_check_rank,
+                         project=_projection(cfg, z0, ("Q block of z0", "P block of z0")))
     j0 = sp_momentum(states[0])
     audits = _audit(states, {
         "hamiltonian": lambda b: hamiltonian(spec, b),
@@ -324,30 +330,22 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
 def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate attitude and body momentum together.
 
-    The momentum subsystem is decoupled: under ``rk4`` and ``rkmk4`` its
-    recursion is that of `integrate_euler` bit for bit, under ``midpoint``
-    (whose stopping test also sees the attitude) to the fixed-point
-    tolerance.  Audits: reduced energy, momentum spectrum, and the
-    orthogonality defect of the attitude.  With ``project_attitude`` the
-    attitude is polar-projected after every step, and ``s0.q`` must be a
-    rotation.
+    The states are the stacks ``[Q; pi]``.  The momentum subsystem is
+    decoupled: under ``rk4`` and ``rkmk4`` its recursion is that of
+    `integrate_euler` bit for bit, under ``midpoint`` (whose stopping test
+    also sees the attitude) to the fixed-point tolerance.  Audits: reduced
+    energy, momentum spectrum, and the orthogonality defect of the
+    attitude.  With ``project_attitude`` the attitude is polar-projected
+    after every step, and ``s0.q`` must be a rotation.
     """
     if s0.n != spec.n:
         raise DimensionError(f"state is {s0.n}-dimensional, inertia is {spec.n}-dimensional")
     n = spec.n
     y0 = np.vstack([s0.q, s0.pi])
-
-    project = None
-    if cfg.project_attitude:
-        _require_rotation_block(s0.q, "attitude s0.q")
-
-        def project(y):
-            return np.vstack([polar_project(y[:n]), y[n:]])
-
-    times, stacked = _run(spec, y0, cfg, _attitude_momentum_rhs, _attitude_momentum_velocity,
-                          _translate_and_conjugate, project=project)
-    states = [BodyState._view(y[:n], y[n:]) for y in stacked]
-    audits = _audit(stacked, {
+    times, states = _run(spec, y0, cfg, _attitude_momentum_rhs, _attitude_momentum_velocity,
+                         _translate_and_conjugate,
+                         project=_projection(cfg, y0, ("attitude s0.q",)))
+    audits = _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
         "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),
         "orthogonality_defect": lambda b: orthogonality_defect(b[:, :n]),

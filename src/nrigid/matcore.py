@@ -169,15 +169,7 @@ def skew_asinh(p) -> np.ndarray:
     return 0.5 * (a - a.T)
 
 
-def polar_project(m) -> np.ndarray:
-    """Nearest orthogonal matrix in the Frobenius norm (polar factor).
-
-    The input must be nonsingular with positive determinant so that the
-    result is a rotation.
-    """
-    m = _as_square(m)
-    if not np.isfinite(m).all():
-        raise ValueError("polar projection of a non-finite matrix")
+def _polar_project(m) -> np.ndarray:
     u, s, vt = np.linalg.svd(m)
     if s[-1] <= 1e-14 * max(1.0, s[0]):
         raise OutOfRangeError(
@@ -187,6 +179,18 @@ def polar_project(m) -> np.ndarray:
     if np.linalg.det(r) < 0.0:
         raise OutOfRangeError("negative determinant: no nearby rotation")
     return r
+
+
+def polar_project(m) -> np.ndarray:
+    """Nearest orthogonal matrix in the Frobenius norm (polar factor).
+
+    The input must be nonsingular with positive determinant so that the
+    result is a rotation.
+    """
+    m = _as_square(m)
+    if not np.isfinite(m).all():
+        raise ValueError("polar projection of a non-finite matrix")
+    return _polar_project(m)
 
 
 @lru_cache(maxsize=None)

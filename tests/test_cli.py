@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nrigid.cli import load_trajectory_csv, main, write_trajectory_csv
+from nrigid.cli import load_config, load_trajectory_csv, main, write_trajectory_csv
 from nrigid.matcore import expm, skew_defect
 from nrigid.body import BodyState, InertiaSpec, hat
 from nrigid.integrate import (
@@ -204,6 +204,54 @@ class TestCheckInvariants:
         out = capsys.readouterr().out
         assert "all invariants passed" in out
         assert out.count("200/200") == 8
+        # no trials is no evidence, and a negative count no invariant failure
+        for trials in ("0", "-3"):
+            assert main(["check-invariants", "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"--trials must be at least 1, got {trials}" in captured.err
+
+
+class TestConfigTypes:
+    INTEGRATOR = {"scheme": "rk4", "step": 0.01, "t_final": 2.0}
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("integrator.step", {"integrator": {**INTEGRATOR, "step": None}}),
+        ("n", {"n": None}),
+        ("tolerances.e_equiv", {"tolerances": {"e_equiv": None}}),
+        ("outputs.report", {"outputs": {"report": None}}),
+        ("integrator", {"integrator": None}),
+        ("tolerances", {"tolerances": None}),
+        ("outputs", {"outputs": 5}),
+        ("bvp", {"bvp": None}),
+    ])
+    def test_wrong_type_exit_2_names_key(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_project_attitude_must_be_boolean(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "cfg.json",
+                           integrator={**self.INTEGRATOR, "project_attitude": value})
+        assert main(["simulate", "euler-poisson", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "integrator.project_attitude must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_project_attitude_boolean_kept(self, tmp_path, value):
+        cfg = write_config(tmp_path / "cfg.json",
+                           integrator={**self.INTEGRATOR, "project_attitude": value})
+        assert load_config(cfg)["cfg"].project_attitude is value
+
+    def test_midpoint_defaults_from_integrator_config(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(IntegratorConfig, "midpoint_tol", 1e-11)
+        monkeypatch.setattr(IntegratorConfig, "midpoint_max_iter", 7)
+        cfg = load_config(write_config(tmp_path / "cfg.json"))["cfg"]
+        assert (cfg.midpoint_tol, cfg.midpoint_max_iter) == (1e-11, 7)
+        given = {**self.INTEGRATOR, "midpoint_tol": 1e-12, "midpoint_max_iter": 50}
+        cfg = load_config(write_config(tmp_path / "cfg.json", integrator=given))["cfg"]
+        assert (cfg.midpoint_tol, cfg.midpoint_max_iter) == (1e-12, 50)
 
 
 class TestNonFiniteConfig:
@@ -265,11 +313,9 @@ class TestTrajectoryCsvFormat:
         header = ["t"] + cols + ["H", "casimir_1", "casimir_2", "casimir_3", "defect"]
         lines = [",".join(header)]
         for i, t in enumerate(traj.times):
+            # an euler-poisson state [Q; pi] flattens to the q_* then pi_* columns
             state = traj.states[i]
-            if traj.kind == "euler-poisson":
-                flat = list(state.q.ravel()) + list(state.pi.ravel())
-            else:
-                flat = list(state.ravel())
+            flat = list(state.ravel())
             if traj.kind == "euler":
                 defect = skew_defect(state)
             else:

@@ -15,14 +15,8 @@ from nrigid.integrate import (
     integrate_symrep,
 )
 from nrigid.lift import solve_lift
-from nrigid.matcore import commutator, expm, random_rotation
+from nrigid.matcore import commutator, expm, polar_project, random_rotation
 from nrigid.symrep import FULL_RANK_TOL, optimal_control, phase_point, symrep_rhs
-
-
-def stacked(state):
-    if isinstance(state, BodyState):
-        return np.vstack([state.q, state.pi])
-    return state
 
 
 def final_state(kind, *args):
@@ -31,7 +25,7 @@ def final_state(kind, *args):
         "symrep": integrate_symrep,
         "euler-poisson": integrate_euler_poisson,
     }[kind]
-    return stacked(integrator(*args).states[-1])
+    return integrator(*args).states[-1]
 
 
 # a body strong enough that discretization error sits well above roundoff
@@ -160,7 +154,7 @@ class TestEulerPoisson:
         spec = standard_spec()
         s0 = BodyState(q=expm(hat([0.1, 0.2, 0.3])), pi=np.zeros((3, 3)))
         traj = integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", 1e-2, 1.0))
-        assert max(np.linalg.norm(s.q - s0.q) for s in traj.states) == 0.0
+        assert max(np.linalg.norm(y[:3] - s0.q) for y in traj.states) == 0.0
 
     @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
     def test_momentum_matches_standalone_euler(self, scheme):
@@ -171,7 +165,7 @@ class TestEulerPoisson:
         )
         alone = integrate_euler(spec, standard_pi0(), cfg)
         worst = max(
-            np.linalg.norm(s.pi - pi) for s, pi in zip(both.states, alone.states)
+            np.linalg.norm(y[3:] - pi) for y, pi in zip(both.states, alone.states)
         )
         assert worst <= 1e-12
 
@@ -273,10 +267,10 @@ class TestPublicFields:
             return np.vstack(euler_poisson_rhs(spec, BodyState(q=y[:3], pi=y[3:])))
 
         traj = integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", self.H, 2 * self.H))
-        y = stacked(s0)
+        y = np.vstack([s0.q, s0.pi])
         for i in (1, 2):
             y = rk4_step(field, y, self.H)
-            np.testing.assert_array_equal(stacked(traj.states[i]), y)
+            np.testing.assert_array_equal(traj.states[i], y)
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_euler_poisson_field_is_the_stacked_pair(self, n):
@@ -292,10 +286,10 @@ class TestPublicFields:
             return np.vstack([q @ om, pi @ om - om @ pi])
 
         traj = integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", self.H, 50 * self.H))
-        y = stacked(s0)
+        y = np.vstack([s0.q, s0.pi])
         for state in traj.states[1:]:
             y = rk4_step(field, y, self.H)
-            np.testing.assert_array_equal(stacked(state), y)
+            np.testing.assert_array_equal(state, y)
 
     def test_rkmk4_momentum_block_matches_euler(self):
         # rk4 is checked in test_stacked; midpoint agrees only to its
@@ -305,8 +299,7 @@ class TestPublicFields:
         s0 = BodyState(q=np.eye(3), pi=pi0)
         coupled = integrate_euler_poisson(spec, s0, cfg)
         alone = integrate_euler(spec, pi0, cfg)
-        for state, pi in zip(coupled.states, alone.states):
-            np.testing.assert_array_equal(state.pi, pi)
+        np.testing.assert_array_equal(coupled.states[:, 3:], alone.states)
 
 
 class TestNonFiniteInitialState:
@@ -365,6 +358,37 @@ class TestProjectionNeedsRotationBlocks:
         with pytest.raises(ValueError, match="attitude s0.q: matrix is not a rotation"):
             integrate_euler_poisson(standard_spec(), s0,
                                     IntegratorConfig("rk4", 0.01, 0.1, project_attitude=True))
+
+
+class TestProjectedSteps:
+    """With ``project_attitude`` every step is the unprojected step followed
+    by the public `polar_project` of each rotation block."""
+
+    H = 0.05
+
+    @staticmethod
+    def integrate(kind, spec, y, cfg):
+        if kind == "symrep":
+            return integrate_symrep(spec, y, cfg)
+        n = spec.n
+        return integrate_euler_poisson(spec, BodyState(q=y[:n], pi=y[n:]), cfg)
+
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    @pytest.mark.parametrize("kind, blocks", [("symrep", 2), ("euler-poisson", 1)])
+    def test_matches_polar_project_of_each_step(self, kind, blocks, scheme):
+        spec, pi0, n = standard_spec(), 1.8 * standard_pi0(), 3
+        y0 = solve_lift(np.eye(n), pi0) if kind == "symrep" else np.vstack([np.eye(n), pi0])
+        cfg = IntegratorConfig(scheme, self.H, 10 * self.H, project_attitude=True)
+        traj = self.integrate(kind, spec, y0, cfg)
+        moved = False
+        for y, y_next in zip(traj.states[:-1], traj.states[1:]):
+            step = self.integrate(kind, spec, y, IntegratorConfig(scheme, self.H, self.H))
+            expected = step.states[1].copy()
+            for k in range(0, blocks * n, n):
+                expected[k:k + n] = polar_project(expected[k:k + n])
+            np.testing.assert_array_equal(y_next, expected)
+            moved = moved or not np.array_equal(expected, step.states[1])
+        assert moved
 
 
 def rkmk4_step(velocity, act, y, h):

@@ -61,6 +61,16 @@ _DEFAULT_TOLERANCES = {
     "casimir_drift": 1e-8,
 }
 
+# The keys each config section may hold; any other key is rejected, so a
+# misspelt tolerance cannot fall back to its default unnoticed.
+_SECTION_KEYS = {
+    "integrator": ("scheme", "step", "t_final", "project_attitude",
+                   "midpoint_tol", "midpoint_max_iter"),
+    "tolerances": tuple(_DEFAULT_TOLERANCES),
+    "outputs": ("trajectory", "report"),
+    "bvp": ("q_target", "tol", "max_iter"),
+}
+
 
 # Rows per block of the CSV writer.
 _CSV_BLOCK = 128
@@ -97,19 +107,37 @@ def _parse(convert, value, key):
         raise ValueError(f"{key}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    # int() would truncate 3.7 to 3 and read true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _section(value, name) -> dict:
+    section = _parse(dict, value, name)
+    unknown = [key for key in section if key not in _SECTION_KEYS[name]]
+    if unknown:
+        raise ValueError(
+            f"{name}: unknown key {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(_SECTION_KEYS[name])}"
+        )
+    return section
+
+
 def load_config(path) -> dict:
     """Read and validate a run configuration."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if "n" not in raw or "lambda" not in raw:
         raise ValueError("config must provide 'n' and 'lambda'")
-    n = _parse(int, raw["n"], "n")
+    n = _parse(_integer, raw["n"], "n")
     spec = InertiaSpec(raw["lambda"])
     if spec.n != n:
         raise ValueError(f"lambda has {spec.n} entries, expected n = {n}")
     cfg = None
     if "integrator" in raw:
-        integ = _parse(dict, raw["integrator"], "integrator")
+        integ = _section(raw["integrator"], "integrator")
         project = integ.get("project_attitude", False)
         if not isinstance(project, bool):
             raise ValueError(f"integrator.project_attitude must be true or false, got {project!r}")
@@ -121,10 +149,10 @@ def load_config(path) -> dict:
             t_final=_parse(float, integ["t_final"], "integrator.t_final"),
             project_attitude=project,
             midpoint_tol=_parse(float, tol, "integrator.midpoint_tol"),
-            midpoint_max_iter=_parse(int, max_iter, "integrator.midpoint_max_iter"),
+            midpoint_max_iter=_parse(_integer, max_iter, "integrator.midpoint_max_iter"),
         )
     tolerances = dict(_DEFAULT_TOLERANCES)
-    for key, value in _parse(dict, raw.get("tolerances", {}), "tolerances").items():
+    for key, value in _section(raw.get("tolerances", {}), "tolerances").items():
         tolerances[key] = _parse(float, value, f"tolerances.{key}")
     config = {
         "n": n,
@@ -132,17 +160,17 @@ def load_config(path) -> dict:
         "q0": _parse_attitude(raw.get("q0", "identity"), n),
         "pi0": _parse_momentum(raw.get("pi0", np.zeros((n, n))), n),
         "cfg": cfg,
-        "seed": _parse(int, raw.get("seed", 0), "seed"),
+        "seed": _parse(_integer, raw.get("seed", 0), "seed"),
         "outputs": {key: _parse(Path, value, f"outputs.{key}")
-                    for key, value in _parse(dict, raw.get("outputs", {}), "outputs").items()},
+                    for key, value in _section(raw.get("outputs", {}), "outputs").items()},
         "tolerances": tolerances,
     }
     if "bvp" in raw:
-        bvp = _parse(dict, raw["bvp"], "bvp")
+        bvp = _section(raw["bvp"], "bvp")
         config["bvp"] = {
             "q_target": _parse_attitude(bvp.get("q_target", "identity"), n, "q_target"),
             "tol": _parse(float, bvp.get("tol", 1e-6), "bvp.tol"),
-            "max_iter": _parse(int, bvp.get("max_iter", 30), "bvp.max_iter"),
+            "max_iter": _parse(_integer, bvp.get("max_iter", 30), "bvp.max_iter"),
         }
     return config
 

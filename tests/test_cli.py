@@ -230,6 +230,46 @@ class TestConfigTypes:
         assert main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"error: {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, overrides", [
+        ("tolerances", "e_equv", {"tolerances": {"e_equv": 0.0}}),
+        ("integrator", "stepsize", {"integrator": {**INTEGRATOR, "stepsize": 0.001}}),
+        ("outputs", "reprot", {"outputs": {"trajectory": "traj.csv", "reprot": "r.txt"}}),
+        ("bvp", "maxiter", {"bvp": {"q_target": "identity", "maxiter": 5}}),
+    ])
+    def test_unknown_key_exit_2_names_it(self, tmp_path, capsys, section, key, overrides):
+        # a misspelt key would otherwise leave its default in force
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"error: {section}: unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("n", {"n": 3.7}),
+        ("n", {"n": True}),
+        ("seed", {"seed": 2.5}),
+        ("seed", {"seed": True}),
+        ("seed", {"seed": float("inf")}),
+        ("integrator.midpoint_max_iter",
+         {"integrator": {**INTEGRATOR, "midpoint_max_iter": 2.9}}),
+        ("integrator.midpoint_max_iter",
+         {"integrator": {**INTEGRATOR, "midpoint_max_iter": True}}),
+        ("bvp.max_iter", {"bvp": {"max_iter": 2.9}}),
+        ("bvp.max_iter", {"bvp": {"max_iter": False}}),
+    ])
+    def test_non_integral_integer_exit_2_names_key(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"error: {key}: expected an integer" in capsys.readouterr().err
+
+    def test_integral_floats_accepted_as_integers(self, tmp_path):
+        cfg = load_config(write_config(
+            tmp_path / "cfg.json", n=3.0, seed=42.0,
+            integrator={**self.INTEGRATOR, "midpoint_max_iter": 50.0},
+            bvp={"max_iter": 30.0},
+        ))
+        values = (cfg["n"], cfg["seed"], cfg["cfg"].midpoint_max_iter, cfg["bvp"]["max_iter"])
+        assert values == (3, 42, 50, 30)
+        assert all(type(v) is int for v in values)
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_project_attitude_must_be_boolean(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path / "cfg.json",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -8,6 +10,7 @@ from helpers import rodrigues, scaled_skew
 from nrigid.body import hat
 from nrigid.errors import DimensionError, OutOfRangeError
 from nrigid.matcore import (
+    _EXPM_THETA,
     _expm,
     commutator,
     expm,
@@ -30,6 +33,20 @@ from nrigid.matcore import (
 )
 
 E1, E2, E3 = hat([1, 0, 0]), hat([0, 1, 0]), hat([0, 0, 1])
+
+# (m, 1-norm) just below and just above each degree bound theta_m
+NEAR_THETA = [(m, side * theta) for m, theta in enumerate(_EXPM_THETA, 1)
+              for side in (0.999, 1.001)]
+
+
+def with_one_norm(a, norm):
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+def eigendecomposition_oracle(a):
+    """exp of a skew matrix from the eigenvectors of the Hermitian i a."""
+    angles, v = np.linalg.eigh(1j * a)
+    return np.real((v * np.exp(-1j * angles)) @ v.conj().T)
 
 
 class TestInner:
@@ -134,8 +151,7 @@ class TestExpm:
         rng = np.random.default_rng(31)
         for _ in range(25):
             a = random_skew(5, rng) * rng.uniform(0.1, 10.0)
-            angles, v = np.linalg.eigh(1j * a)
-            oracle = np.real((v * np.exp(-1j * angles)) @ v.conj().T)
+            oracle = eigendecomposition_oracle(a)
             assert np.linalg.norm(expm(a) - oracle) <= 1e-13 * max(
                 1.0, np.linalg.norm(oracle)
             )
@@ -144,18 +160,65 @@ class TestExpm:
         with pytest.raises(DimensionError):
             expm(np.zeros((2, 3)))
 
+    def test_degree_bounds_from_their_inequality(self):
+        # theta_m: the largest x with x^(m+1)/(m+1)! e^x <= 2^-53, to 1%
+        def tail(x, m):
+            return x ** (m + 1) / math.factorial(m + 1) * math.exp(x)
 
-def reference_expm(a):
-    """Scaling and squaring as `expm` computed it before its unchecked
-    kernel: the 1-norm from np.linalg.norm and fresh identities."""
-    norm = np.linalg.norm(a, 1)
-    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    b = a / (2.0 ** squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 13):
+        assert len(_EXPM_THETA) == 11
+        for m, theta in enumerate(_EXPM_THETA, 1):
+            assert tail(theta, m) <= 2.0 ** -53
+            assert tail(1.01 * theta, m) > 2.0 ** -53
+
+    @pytest.mark.parametrize("m, norm", NEAR_THETA)
+    def test_degree_follows_the_one_norm(self, m, norm):
+        # at or below theta_m the kernel sums m terms, above it m + 1
+        a = with_one_norm(np.random.default_rng(m).uniform(-1.0, 1.0, (4, 4)), norm)
+        degree = m if norm <= _EXPM_THETA[m - 1] else m + 1
+        np.testing.assert_array_equal(_expm(a), taylor(a, degree))
+
+    @pytest.mark.parametrize("m, norm", NEAR_THETA)
+    def test_small_skew_matches_rodrigues(self, m, norm):
+        rng = np.random.default_rng(40 + m)
+        for _ in range(5):
+            w = rng.normal(size=3)
+            w *= norm / np.abs(hat(w)).sum(axis=0).max()
+            np.testing.assert_allclose(
+                expm(hat(w)), rodrigues(w, np.linalg.norm(w)), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("m, norm", NEAR_THETA)
+    def test_small_skew_16_matches_eigendecomposition_oracle(self, m, norm):
+        a = with_one_norm(random_skew(16, 60 + m), norm)
+        np.testing.assert_allclose(
+            expm(a), eigendecomposition_oracle(a), rtol=0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("m, norm", NEAR_THETA)
+    def test_small_non_skew_matches_order_12_reference(self, m, norm):
+        for n in (2, 3, 5):
+            a = with_one_norm(random_sp(n, 80 + m), norm)
+            want, _ = reference_expm(a)
+            assert np.linalg.norm(expm(a) - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def taylor(b, degree):
+    """I + b + ... + b^degree/degree!, summed term by term."""
+    result = np.eye(b.shape[0])
+    term = np.eye(b.shape[0])
+    for k in range(1, degree + 1):
         term = term @ b / k
         result = result + term
+    return result
+
+
+def reference_expm(a):
+    """Scaling and squaring with the fixed order-12 Taylor sum `expm` used
+    before its degree followed the norm, and before its unchecked kernel:
+    the 1-norm from np.linalg.norm and fresh identities."""
+    norm = np.linalg.norm(a, 1)
+    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
+    result = taylor(a / (2.0 ** squarings), 12)
     for _ in range(squarings):
         result = result @ result
     return result, squarings
@@ -163,7 +226,8 @@ def reference_expm(a):
 
 class TestExpmKernel:
     @pytest.mark.parametrize("n", [3, 16])
-    @pytest.mark.parametrize("norm, squarings", [(0.3, 0), (0.8, 1), (20.0, 6)])
+    # every norm above theta_11 = 0.242 sums the full order-12 series
+    @pytest.mark.parametrize("norm, squarings", [(0.243, 0), (0.3, 0), (0.8, 1), (20.0, 6)])
     def test_kernel_matches_public_and_reference_bitwise(self, n, norm, squarings):
         rng = np.random.default_rng(n)
         for _ in range(5):

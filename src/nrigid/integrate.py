@@ -21,11 +21,10 @@ attitude-momentum field of `euler_poisson_rhs`) and body velocities, so
 checked once, at the boundary, and the step loop calls the unchecked
 kernels behind those functions, `expm` and `commutator`.
 
-Every accepted step is written into one stacked array.  The rank of the
-phase points is checked once per block of stored states, with one
-stacked SVD; `RankLossError` names the first step below full rank, also
-when a later step of the block failed first.  The invariant audits are
-computed from the stack after the run, over blocks of states.  No
+Every accepted step is written into one stacked array.  The invariant
+audits, the rank margin of the phase points among them, are computed from
+the stack after the run, over blocks of states.  `RankLossError` names the
+first state below full rank, also when a later step failed first.  No
 step-size adaptivity: runs are reproducible and admit clean order checks.
 """
 
@@ -49,7 +48,7 @@ from .matcore import (
     require_skew,
 )
 from .moment import casimir_spectrum, on_momentum, sp_momentum
-from .symrep import FULL_RANK_TOL, _optimal_control, _symrep_rhs, hamiltonian
+from .symrep import FULL_RANK_TOL, _optimal_control, _symrep_rhs, min_singular_value
 
 __all__ = [
     "IntegratorConfig",
@@ -65,9 +64,6 @@ _SCHEMES = ("rk4", "rkmk4", "midpoint")
 # audits, the 2n x 2n symplectic momentum values above all, whatever the
 # length of the trajectory.
 _AUDIT_BLOCK = 128
-# Stored states per stacked SVD of the rank check; a rank loss is raised
-# at most this many steps after it happened.
-_RANK_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -184,17 +180,6 @@ def _translate_and_conjugate(g, y):
     return np.vstack([_translate(g, y[:n]), _conjugate(g, y[n:])])
 
 
-def _check_rank(block, start):
-    # RankLossError at the first state below full rank; block[0] is step start.
-    smin = np.linalg.svd(block, compute_uv=False)[:, -1]
-    lost = np.flatnonzero(smin < FULL_RANK_TOL)
-    if lost.size:
-        i, s = start + int(lost[0]), float(smin[lost[0]])
-        raise RankLossError(f"phase point left the full-rank set at step {i} "
-                            f"(min singular value {s:.3g})",
-                            step_index=i, min_singular_value=s)
-
-
 def _project_rotations(blocks, y):
     # In place on a step's fresh result, whose shape and finiteness _run has checked.
     n = y.shape[1]
@@ -207,6 +192,7 @@ def _projection(cfg, y0, names):
     # With project_attitude, the projection after each step of the leading
     # blocks that `names` names, which must be rotations in y0: projection
     # repairs drift; from any other block it changes the flow, or fails.
+    # rkmk4 keeps rotations to round-off, so there it only adds round-off.
     if not cfg.project_attitude:
         return None
     n = y0.shape[1]
@@ -218,11 +204,11 @@ def _projection(cfg, y0, names):
     return partial(_project_rotations, len(names))
 
 
-def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, project=None):
+def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
     """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4.
 
-    ``check(block, start)`` sees the stored states in blocks of `_RANK_BLOCK`
-    from step ``start``, and those stored before a step that raises.
+    Returns the times, the stored states and the exception of the step that
+    failed, or None; a failed run returns the states stored before it.
     """
     steps = cfg.step_count()
     h = cfg.step
@@ -240,7 +226,7 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, projec
         raise ValueError("initial state has non-finite entries")
     states = np.empty((steps + 1,) + y.shape)
     states[0] = y
-    checked = 0  # states[:checked] have passed the check
+    times = np.arange(steps + 1) * h
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(1, steps + 1):
             try:
@@ -249,17 +235,10 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, check=None, projec
                     raise DivergenceError(f"non-finite state at step {i}", step_index=i)
                 if project is not None:
                     y = project(y)
-            except (ConvergenceError, DivergenceError, ValueError):
-                # a failed step must not hide an earlier rank loss
-                if check is not None:
-                    check(states[checked:i], checked)
-                raise
+            except (ConvergenceError, DivergenceError, ValueError) as exc:
+                return times[:i], states[:i], exc
             states[i] = y
-            if check is not None and (i + 1 - checked == _RANK_BLOCK or i == steps):
-                check(states[checked:i + 1], checked)
-                checked = i + 1
-    times = np.arange(steps + 1) * h
-    return times, states
+    return times, states, None
 
 
 def _audit(states, channels) -> dict:
@@ -288,7 +267,9 @@ def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory
     pi0 = require_skew(np.asarray(pi0, dtype=float))
     if pi0.shape != (spec.n, spec.n):
         raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
-    times, states = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
+    times, states, failure = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
+    if failure is not None:
+        raise failure
     audits = _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b),
         "casimir_spectrum": casimir_spectrum,
@@ -300,8 +281,10 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     """Integrate the symmetric representation from a full-rank phase point.
 
     Audits: the phase-space energy, the drift of the conserved symplectic
-    momentum value, the orthogonality defect of the two blocks, and the
-    singular-value spectrum of the orthogonal momentum value.
+    momentum value, the orthogonality defect of the two blocks, the
+    singular-value spectrum of the orthogonal momentum value, and the rank
+    margin `min_singular_value`, whose first value below `FULL_RANK_TOL`
+    raises `RankLossError`, also when a later step failed.
 
     With ``project_attitude`` both blocks are polar-projected after every
     step, and both blocks of ``z0`` must be rotations, as they are for
@@ -311,19 +294,30 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     n = spec.n
     if z0.shape != (2 * n, n):
         raise DimensionError(f"phase point has shape {z0.shape}, expected {(2 * n, n)}")
-    times, states = _run(spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
-                         check=_check_rank,
-                         project=_projection(cfg, z0, ("Q block of z0", "P block of z0")))
+    times, states, failure = _run(
+        spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
+        project=_projection(cfg, z0, ("Q block of z0", "P block of z0")))
+    # The rank alone first: its loss wins over a later failure, and other audits may overflow.
+    margin = _audit(states, {"rank_margin": min_singular_value})["rank_margin"]
+    lost = np.flatnonzero(margin < FULL_RANK_TOL)
+    if lost.size:
+        i, s = int(lost[0]), float(margin[lost[0]])
+        raise RankLossError(f"phase point left the full-rank set at step {i} "
+                            f"(min singular value {s:.3g})",
+                            step_index=i, min_singular_value=s)
+    if failure is not None:
+        raise failure
     j0 = sp_momentum(states[0])
     audits = _audit(states, {
-        "hamiltonian": lambda b: hamiltonian(spec, b),
         "j_drift": lambda b: _frobenius(sp_momentum(b) - j0),
         "orthogonality_defect": lambda b: np.maximum(
             orthogonality_defect(b[:, :n]), orthogonality_defect(b[:, n:])
         ),
         "on_momentum": on_momentum,
     })
+    audits["hamiltonian"] = reduced_hamiltonian(spec, audits["on_momentum"])  # H(Z) = h(Z^T J Z)
     audits["casimir_spectrum"] = casimir_spectrum(audits["on_momentum"])
+    audits["rank_margin"] = margin
     return Trajectory("symrep", times, states, audits)
 
 
@@ -342,9 +336,11 @@ def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorCon
         raise DimensionError(f"state is {s0.n}-dimensional, inertia is {spec.n}-dimensional")
     n = spec.n
     y0 = np.vstack([s0.q, s0.pi])
-    times, states = _run(spec, y0, cfg, _attitude_momentum_rhs, _attitude_momentum_velocity,
-                         _translate_and_conjugate,
-                         project=_projection(cfg, y0, ("attitude s0.q",)))
+    times, states, failure = _run(spec, y0, cfg, _attitude_momentum_rhs,
+                                  _attitude_momentum_velocity, _translate_and_conjugate,
+                                  project=_projection(cfg, y0, ("attitude s0.q",)))
+    if failure is not None:
+        raise failure
     audits = _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
         "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .body import InertiaSpec, _inertia_inverse, inertia_apply, inertia_inverse
+from .body import InertiaSpec, _inertia_inverse, inertia_apply, reduced_hamiltonian
 from .errors import DimensionError
-from .matcore import _jmat, inner
+from .matcore import _flat_dot, _jmat, inner
 
 __all__ = [
     "FULL_RANK_TOL",
@@ -63,13 +63,17 @@ def p_block(z) -> np.ndarray:
     return _split(z)[1]
 
 
-def min_singular_value(z) -> float:
-    _split(z)
-    return float(np.linalg.svd(np.asarray(z, dtype=float), compute_uv=False)[-1])
+def min_singular_value(z):
+    """Smallest singular value of a phase point, a float; one value per
+    leading index of a stack ``(..., 2n, n)``."""
+    z = np.asarray(z, dtype=float)
+    _split(z, stacked=True)
+    smin = np.linalg.svd(z, compute_uv=False)[..., -1]
+    return float(smin) if z.ndim == 2 else smin
 
 
-def is_full_rank(z, tol=FULL_RANK_TOL) -> bool:
-    """Whether z lies in the open set of full-rank phase points."""
+def is_full_rank(z, tol=FULL_RANK_TOL):
+    """Whether z (or each point of a stack) lies in the open set of full-rank phase points."""
     return min_singular_value(z) > tol
 
 
@@ -79,7 +83,7 @@ def symplectic_form(x, y) -> float:
     yq, yp = _split(y)
     if xq.shape != yq.shape:
         raise DimensionError("tangent vectors must have equal shapes")
-    return float(np.tensordot(xq, yp) - np.tensordot(xp, yq))
+    return _flat_dot(xq, yp) - _flat_dot(xp, yq)
 
 
 def one_form(z, zdot) -> float:
@@ -92,7 +96,7 @@ def one_form(z, zdot) -> float:
     qd, pd = _split(zdot)
     if q.shape != qd.shape:
         raise DimensionError("point and tangent must have equal shapes")
-    return 0.5 * float(np.tensordot(p, qd) - np.tensordot(q, pd))
+    return 0.5 * (_flat_dot(p, qd) - _flat_dot(q, pd))
 
 
 def _phase_point_of(spec: InertiaSpec, z, stacked=False) -> np.ndarray:
@@ -122,7 +126,7 @@ def control_hamiltonian(spec: InertiaSpec, z, u) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != q.shape:
         raise DimensionError(f"control has shape {u.shape}, expected {q.shape}")
-    return float(np.tensordot(q.T @ p, u)) - 0.5 * inner(inertia_apply(spec, u), u)
+    return _flat_dot(q.T @ p, u) - 0.5 * inner(inertia_apply(spec, u), u)
 
 
 def hamiltonian(spec: InertiaSpec, z):
@@ -133,8 +137,7 @@ def hamiltonian(spec: InertiaSpec, z):
     ``(..., 2n, n)``.
     """
     z = _phase_point_of(spec, z, stacked=True)
-    w = z.swapaxes(-1, -2) @ (_jmat(spec.n) @ z)
-    return 0.5 * inner(w, inertia_inverse(spec, w))
+    return reduced_hamiltonian(spec, z.swapaxes(-1, -2) @ (_jmat(spec.n) @ z))
 
 
 def _symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:

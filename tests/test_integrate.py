@@ -4,11 +4,11 @@ import pytest
 from helpers import random_phase, scaled_skew, standard_pi0, standard_spec
 from nrigid.body import BodyState, InertiaSpec, euler_poisson_rhs, euler_rhs, hat, inertia_inverse
 from nrigid.errors import ConvergenceError, DivergenceError, RankLossError
+from nrigid import integrate
 from nrigid.integrate import (
-    _RANK_BLOCK,
+    _AUDIT_BLOCK,
     IntegratorConfig,
     Trajectory,
-    _check_rank,
     _run,
     integrate_euler,
     integrate_euler_poisson,
@@ -16,7 +16,13 @@ from nrigid.integrate import (
 )
 from nrigid.lift import solve_lift
 from nrigid.matcore import commutator, expm, polar_project, random_rotation
-from nrigid.symrep import FULL_RANK_TOL, optimal_control, phase_point, symrep_rhs
+from nrigid.symrep import (
+    FULL_RANK_TOL,
+    min_singular_value,
+    optimal_control,
+    phase_point,
+    symrep_rhs,
+)
 
 
 def final_state(kind, *args):
@@ -455,10 +461,12 @@ class TestKernelsAgainstPublicFunctions:
 
 
 class TestBlockedRankCheck:
-    """The rank is checked once per block of stored states; the error
-    names what a check of every state in turn would name."""
+    """The rank margin is audited after the run, over the blocks of the
+    audit pass; the error names what a check of every state in turn would
+    name.  A field that shrinks the phase point stands in for the symmetric
+    representation's."""
 
-    STEPS = 2 * _RANK_BLOCK + 40  # two full blocks and a partial one
+    STEPS = 2 * _AUDIT_BLOCK + 40  # two full blocks and a partial one
 
     @staticmethod
     def start():
@@ -472,9 +480,16 @@ class TestBlockedRankCheck:
         s0 = np.linalg.svd(cls.start(), compute_uv=False)[-1]
         return np.log(s0 / FULL_RANK_TOL) / (k - 0.5)
 
-    def run(self, field, check=_check_rank, scheme="rk4"):
-        cfg = IntegratorConfig(scheme, 1.0, float(self.STEPS))
-        return _run(None, self.start(), cfg, field, field, None, check=check)
+    def cfg(self, scheme):
+        return IntegratorConfig(scheme, 1.0, float(self.STEPS))
+
+    def steps(self, field, scheme="rk4"):
+        # the run alone, which checks no rank
+        return _run(None, self.start(), self.cfg(scheme), field, field, None)
+
+    def run_symrep(self, monkeypatch, field, scheme="rk4"):
+        monkeypatch.setattr(integrate, "_symrep_rhs", field)
+        return integrate_symrep(standard_spec(), self.start(), self.cfg(scheme))
 
     @staticmethod
     def first_loss(states):
@@ -483,48 +498,51 @@ class TestBlockedRankCheck:
         return i, smin[i]
 
     @pytest.mark.parametrize("where, k", [
-        ("inside the first block", _RANK_BLOCK // 2),
-        ("last state of a block", _RANK_BLOCK - 1),
-        ("first state of a block", _RANK_BLOCK),
-        ("final partial block", 2 * _RANK_BLOCK + 20),
+        ("inside the first block", _AUDIT_BLOCK // 2),
+        ("last state of a block", _AUDIT_BLOCK - 1),
+        ("first state of a block", _AUDIT_BLOCK),
+        ("final partial block", 2 * _AUDIT_BLOCK + 20),
     ])
-    def test_matches_per_state_loop(self, where, k):
+    def test_matches_per_state_loop(self, monkeypatch, where, k):
         rate = self.rate_losing_rank_at(k)
         field = lambda spec, z: -rate * z
-        _, states = self.run(field, check=None)
+        _, states, failure = self.steps(field)
+        assert failure is None
         step, smin = self.first_loss(states)
         assert step == k, where
         with pytest.raises(RankLossError, match=f"at step {k} ") as err:
-            self.run(field)
+            self.run_symrep(monkeypatch, field)
         assert err.value.step_index == step
         assert err.value.min_singular_value == smin
+        assert str(err.value) == (f"phase point left the full-rank set at step {k} "
+                                  f"(min singular value {smin:.3g})")
 
     @pytest.mark.parametrize("scheme, later", [("rk4", DivergenceError),
                                                ("midpoint", ConvergenceError)])
-    def test_earlier_rank_loss_wins(self, scheme, later):
+    def test_earlier_rank_loss_wins(self, monkeypatch, scheme, later):
         k = 40
         rate = self.rate_losing_rank_at(k)
-        _, states = self.run(lambda spec, z: -rate * z, check=None, scheme=scheme)
+        _, states, _ = self.steps(lambda spec, z: -rate * z, scheme=scheme)
         step, smin = self.first_loss(states)
-        # the field turns non-finite about ten steps after the rank loss,
-        # inside the same block
+        # the field turns non-finite about ten steps after the rank loss
         floor = np.linalg.norm(states[k + 10])
 
         def field(spec, z):
             return -rate * z if np.linalg.norm(z) > floor else np.full_like(z, np.inf)
 
-        with pytest.raises(later) as late:
-            self.run(field, check=None, scheme=scheme)
+        _, prefix, failure = self.steps(field, scheme=scheme)
+        assert isinstance(failure, later)
+        assert step < len(prefix) < self.STEPS
         if later is DivergenceError:
-            assert step < late.value.step_index < _RANK_BLOCK
+            assert failure.step_index == len(prefix)
         with pytest.raises(RankLossError) as err:
-            self.run(field, scheme=scheme)
+            self.run_symrep(monkeypatch, field, scheme=scheme)
         assert err.value.step_index == step
         assert err.value.min_singular_value == smin
 
-    def test_full_rank_run_checks_every_state(self):
-        seen = []
-        _, states = self.run(lambda spec, z: -0.01 * z,
-                             check=lambda block, start: seen.append((start, len(block))))
-        assert seen == [(0, _RANK_BLOCK), (_RANK_BLOCK, _RANK_BLOCK), (2 * _RANK_BLOCK, 41)]
-        assert len(states) == self.STEPS + 1
+    def test_full_rank_run_checks_every_state(self, monkeypatch):
+        traj = self.run_symrep(monkeypatch, lambda spec, z: -0.01 * z)
+        assert len(traj.states) == self.STEPS + 1
+        np.testing.assert_array_equal(
+            traj.audits["rank_margin"], [min_singular_value(z) for z in traj.states]
+        )

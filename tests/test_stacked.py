@@ -28,7 +28,7 @@ from nrigid.moment import (
     on_momentum,
     sp_momentum,
 )
-from nrigid.symrep import hamiltonian, optimal_control
+from nrigid.symrep import hamiltonian, min_singular_value, optimal_control
 
 SCHEMES = ("rk4", "rkmk4", "midpoint")
 # 301 states: two full audit blocks and a partial one.
@@ -90,6 +90,7 @@ class TestKernelsOverStacks:
             (sp_momentum, [sp_momentum(x) for x in flat]),
             (on_momentum, [on_momentum(x) for x in flat]),
             (lambda x: level_set_defect(x, mu0), [level_set_defect(x, mu0) for x in flat]),
+            (min_singular_value, [min_singular_value(x) for x in flat]),
         ]:
             got = kernel(z)
             want = np.array(reference).reshape(got.shape)
@@ -109,6 +110,7 @@ class TestKernelsOverStacks:
             reduced_hamiltonian(spec, m),
             hamiltonian(spec, z),
             level_set_defect(z, mu0),
+            min_singular_value(z),
         ):
             assert type(value) is float
 
@@ -124,6 +126,8 @@ class TestKernelsOverStacks:
             on_momentum(np.zeros((4, 5, 3)))
         with pytest.raises(DimensionError):
             hamiltonian(spec, np.zeros(6))
+        with pytest.raises(DimensionError):
+            min_singular_value(np.zeros((4, 5, 3)))
 
 
 def reference_audits(kind, spec, states):
@@ -144,6 +148,7 @@ def reference_audits(kind, spec, states):
             ],
             "casimir_spectrum": [casimir_spectrum(on_momentum(z)) for z in states],
             "on_momentum": [on_momentum(z) for z in states],
+            "rank_margin": [min_singular_value(z) for z in states],
         }
     n = spec.n
     return {

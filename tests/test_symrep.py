@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_phase, standard_spec
-from nrigid.body import InertiaSpec, hat
+from nrigid.body import InertiaSpec, hat, inertia_apply
 from nrigid.errors import DimensionError
 from nrigid.matcore import (
     inner,
@@ -40,6 +40,8 @@ class TestPhasePoint:
     def test_full_rank(self):
         assert is_full_rank(stacked(np.eye(3), np.zeros((3, 3))))
         assert not is_full_rank(np.zeros((6, 3)))
+        points = np.stack([stacked(np.eye(3), np.zeros((3, 3))), np.zeros((6, 3))])
+        np.testing.assert_array_equal(is_full_rank(points), [True, False])
 
     def test_bad_shape(self):
         with pytest.raises(DimensionError):
@@ -72,6 +74,19 @@ class TestSymplecticForm:
             assert abs(
                 symplectic_form(x, y) - float(np.trace(x.T @ j @ y))
             ) <= 1e-13
+        # the pairings agree bit for bit with tensordot, transposed operands included
+        for n in (3, 5, 8, 16):
+            spec = InertiaSpec(rng.uniform(0.5, 2.0, n))
+            for _ in range(10):
+                x, y = random_phase(n, rng), random_phase(n, rng)
+                u = rng.uniform(-1.0, 1.0, (n, n))
+                xq, xp, yq, yp = x[:n], x[n:], y[:n], y[n:]
+                assert symplectic_form(x, y) == float(np.tensordot(xq, yp) - np.tensordot(xp, yq))
+                assert one_form(x, y) == 0.5 * float(np.tensordot(xp, yq) - np.tensordot(xq, yp))
+                for v in (u, u.T):
+                    effort = 0.5 * inner(inertia_apply(spec, v), v)
+                    assert control_hamiltonian(spec, x, v) == (
+                        float(np.tensordot(xq.T @ xp, v)) - effort)
 
     def test_nondegenerate_gram(self):
         # Gram matrix of the form on the standard basis of 4 x 2 matrices

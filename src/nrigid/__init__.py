@@ -53,6 +53,7 @@ from .moment import (
     ad_star,
     casimir_spectrum,
     infinitesimal_generator,
+    invariant_battery,
     kks_form,
     level_set_defect,
     on_action,

@@ -31,34 +31,41 @@ class InertiaSpec:
     (I om)_ij = (lambda_i + lambda_j) om_ij, so every pairwise sum with
     i != j must be positive; this is checked eagerly because the inverse
     divides by those sums.
+
+    A stack of parameter vectors ``(..., n)`` is one body per leading
+    index: `inertia_apply`, `inertia_inverse`, `reduced_hamiltonian` and
+    `hamiltonian` broadcast its pair sums against the leading axes of
+    their argument.  The integrators step a single body.
     """
 
     lam: np.ndarray
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if lam.ndim != 1 or lam.size < 2:
+        if lam.shape[-1] < 2:
             raise DimensionError("lambda must be a vector of length >= 2")
         if not np.isfinite(lam).all():
             raise ValueError("lambda entries must be finite")
-        sums = lam[:, None] + lam[None, :]
-        for i in range(lam.size):
-            for j in range(i + 1, lam.size):
-                if sums[i, j] <= 1e-12:
-                    raise ValueError(
-                        f"lambda[{i}] + lambda[{j}] = {sums[i, j]:.6g} "
-                        "must be positive"
-                    )
+        sums = lam[..., :, None] + lam[..., None, :]
+        bad = np.argwhere(np.triu(sums <= 1e-12, 1))
+        if bad.size:
+            *body, i, j = bad[0]
+            at = "".join(f"[{k}]" for k in body)
+            raise ValueError(
+                f"lambda{at}[{i}] + lambda{at}[{j}] = {sums[tuple(bad[0])]:.6g} "
+                "must be positive"
+            )
         # Diagonal set to 1 so entrywise division is safe; skew matrices
         # are zero there anyway.
-        np.fill_diagonal(sums, 1.0)
+        diagonal = np.arange(lam.shape[-1])
+        sums[..., diagonal, diagonal] = 1.0
         sums.flags.writeable = False
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "_pair_sums", sums)
 
     @property
     def n(self) -> int:
-        return self.lam.size
+        return self.lam.shape[-1]
 
 
 def _check_n_by_n(spec: InertiaSpec, m) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import BodyState, InertiaSpec, hat, reduced_hamiltonian
+from .body import BodyState, InertiaSpec, hat
 from .control import BvpProblem, shoot
 from .errors import (
     CertificationError,
@@ -30,27 +30,8 @@ from .integrate import (
     integrate_symrep,
 )
 from .lift import solve_lift, verify_reduction
-from .matcore import (
-    inner,
-    random_rotation,
-    random_skew,
-    random_sp,
-    random_sp_group,
-    require_rotation,
-    require_skew,
-    rotation_defect,
-    skew_defect,
-)
-from .moment import (
-    on_action,
-    on_coadjoint,
-    on_momentum,
-    reduced_form_check,
-    sp_action,
-    sp_coadjoint,
-    sp_momentum,
-)
-from .symrep import hamiltonian, one_form
+from .matcore import require_rotation, require_skew, rotation_defect, skew_defect
+from .moment import invariant_battery
 
 __all__ = ["main", "load_config", "load_trajectory_csv"]
 
@@ -345,61 +326,13 @@ def cmd_solve_bvp(args) -> int:
     return 0
 
 
-def _invariant_battery(seed: int, trials: int):
-    """Seeded property battery over the momentum-map identities."""
-    checks = {
-        "momentum_identity_sp": 0,
-        "momentum_identity_on": 0,
-        "equivariance_sp": 0,
-        "equivariance_on": 0,
-        "hamiltonian_invariance": 0,
-        "one_form_invariance": 0,
-        "reduced_form_consistency": 0,
-        "collective_hamiltonian": 0,
-    }
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        n = 3 + trial % 3
-        spec = InertiaSpec(rng.uniform(0.5, 2.0, n))
-        z = rng.uniform(-1.0, 1.0, (2 * n, n))
-        zdot = rng.uniform(-1.0, 1.0, (2 * n, n))
-        xi = random_sp(n, rng)
-        a = random_skew(n, rng)
-        b = random_skew(n, rng)
-        s = random_sp_group(n, rng)
-        r = random_rotation(n, rng)
-        if trial % 2 == 1:
-            r = r @ np.diag([-1.0] + [1.0] * (n - 1))
-
-        if abs(inner(sp_momentum(z), xi) - one_form(z, xi @ z)) <= 1e-12:
-            checks["momentum_identity_sp"] += 1
-        if abs(inner(on_momentum(z), a) - one_form(z, z @ a)) <= 1e-12:
-            checks["momentum_identity_on"] += 1
-        if np.linalg.norm(sp_momentum(sp_action(s, z)) - sp_coadjoint(s, sp_momentum(z))) <= 1e-11:
-            checks["equivariance_sp"] += 1
-        if np.linalg.norm(on_momentum(on_action(z, r)) - on_coadjoint(r, on_momentum(z))) <= 1e-12:
-            checks["equivariance_on"] += 1
-        if abs(hamiltonian(spec, sp_action(s, z)) - hamiltonian(spec, z)) <= 1e-11:
-            checks["hamiltonian_invariance"] += 1
-        theta_ok = (
-            abs(one_form(sp_action(s, z), s @ zdot) - one_form(z, zdot)) <= 1e-12
-            and abs(one_form(on_action(z, r), zdot @ r) - one_form(z, zdot)) <= 1e-12
-        )
-        if theta_ok:
-            checks["one_form_invariance"] += 1
-        lhs, rhs = reduced_form_check(z, a, b)
-        if abs(lhs - rhs) <= 1e-12:
-            checks["reduced_form_consistency"] += 1
-        if abs(reduced_hamiltonian(spec, on_momentum(z)) - hamiltonian(spec, z)) <= 1e-12:
-            checks["collective_hamiltonian"] += 1
-    return checks
-
-
 def cmd_check_invariants(args) -> int:
     trials = args.trials
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    checks = _invariant_battery(args.seed if args.seed is not None else 0, trials)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    checks = invariant_battery(args.seed, trials)
     ok = True
     for name, passed in checks.items():
         print(f"{name}: {passed}/{trials}")

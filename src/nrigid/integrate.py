@@ -258,12 +258,18 @@ def _audit(states, channels) -> dict:
     return audits
 
 
+def _one_body(spec: InertiaSpec) -> None:
+    if spec.lam.ndim != 1:
+        raise DimensionError(f"the integrators step one body, got lambda of shape {spec.lam.shape}")
+
+
 def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the Euler equation for the body momentum.
 
     Audits: the reduced energy and the singular-value spectrum of the
     momentum (constant on the coadjoint orbit).
     """
+    _one_body(spec)
     pi0 = require_skew(np.asarray(pi0, dtype=float))
     if pi0.shape != (spec.n, spec.n):
         raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
@@ -290,6 +296,7 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     step, and both blocks of ``z0`` must be rotations, as they are for
     points constructed by `solve_lift`; any other start raises ValueError.
     """
+    _one_body(spec)
     z0 = np.asarray(z0, dtype=float)
     n = spec.n
     if z0.shape != (2 * n, n):
@@ -329,11 +336,15 @@ def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorCon
     `integrate_euler` bit for bit, under ``midpoint`` (whose stopping test
     also sees the attitude) to the fixed-point tolerance.  Audits: reduced
     energy, momentum spectrum, and the orthogonality defect of the
-    attitude.  With ``project_attitude`` the attitude is polar-projected
-    after every step, and ``s0.q`` must be a rotation.
+    attitude.  ``s0.pi`` must be skew, as the momentum of
+    `integrate_euler` must be; ``s0.q`` is audited, not validated, unless
+    ``project_attitude`` polar-projects the attitude after every step,
+    which needs a rotation ``s0.q``.
     """
+    _one_body(spec)
     if s0.n != spec.n:
         raise DimensionError(f"state is {s0.n}-dimensional, inertia is {spec.n}-dimensional")
+    require_skew(s0.pi)
     n = spec.n
     y0 = np.vstack([s0.q, s0.pi])
     times, states, failure = _run(spec, y0, cfg, _attitude_momentum_rhs,

@@ -100,9 +100,9 @@ def _commutator(a, b) -> np.ndarray:
 
 
 def commutator(a, b) -> np.ndarray:
-    """Matrix commutator ab - ba."""
-    a = _as_square(a)
-    b = _as_square(b)
+    """Matrix commutator ab - ba, member by member for two stacks ``(..., n, n)`` of equal shape."""
+    a = _as_square(a, stacked=True)
+    b = _as_square(b, stacked=True)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     return _commutator(a, b)
@@ -115,24 +115,52 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _expm(a) -> np.ndarray:
+def _expm(a, order=None) -> np.ndarray:
     # The kernel of `expm`, without its checks.  A matrix whose 1-norm is
     # not finite gives NaN, which the integrators report as divergence.
-    norm = np.abs(a).sum(axis=0).max()
-    if not np.isfinite(norm):
-        return np.full(a.shape, np.nan)
-    squarings = 0 if norm <= _EXPM_THRESHOLD else int(
-        np.ceil(np.log2(norm / _EXPM_THRESHOLD))
-    )
-    degree = bisect_left(_EXPM_THETA, norm) + 1
+    # `_expm_stack` passes a stack of members that share their
+    # (degree, squarings) pair as `order`.
+    if order is None:
+        norm = np.abs(a).sum(axis=0).max()
+        if not np.isfinite(norm):
+            return np.full(a.shape, np.nan)
+        squarings = 0 if norm <= _EXPM_THRESHOLD else int(
+            np.ceil(np.log2(norm / _EXPM_THRESHOLD))
+        )
+        degree = bisect_left(_EXPM_THETA, norm) + 1
+    else:
+        degree, squarings = order
     b = a / (2.0 ** squarings)
-    result = term = _identity(a.shape[0])
+    result = term = _identity(a.shape[-1])
     for k in range(1, degree + 1):
         term = term @ b / k
         result = result + term
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def _expm_stack(a) -> np.ndarray:
+    """`_expm` of every matrix of a stack ``(..., m, m)``, bit for bit.
+
+    The members are grouped by their Taylor degree and squaring count, as
+    `_expm` picks them from the 1-norm, and each group runs `_expm`'s
+    Taylor and squaring loop at once.  A member whose 1-norm is not finite
+    gives NaN in that member only.
+    """
+    flat = a.reshape((-1,) + a.shape[-2:])
+    norm = np.abs(flat).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(norm)
+    norm = np.where(finite, norm, 0.0)
+    squarings = np.ceil(
+        np.log2(np.maximum(norm, _EXPM_THRESHOLD) / _EXPM_THRESHOLD)
+    ).astype(int)
+    degree = np.searchsorted(_EXPM_THETA, norm) + 1
+    result = np.full(flat.shape, np.nan)
+    for order in set(zip(degree[finite].tolist(), squarings[finite].tolist())):
+        members = finite & (degree == order[0]) & (squarings == order[1])
+        result[members] = _expm(flat[members], order)
+    return result.reshape(a.shape)
 
 
 def expm(a) -> np.ndarray:
@@ -305,39 +333,56 @@ def _generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_n_at_least_2(n: int) -> int:
+def _uniform_blocks(n, seed, lead=()) -> np.ndarray:
+    # Entries uniform in [-1, 1], drawn as `lead` blocks of n x n.
     n = int(n)
     if n < 2:
         raise OutOfRangeError("random matrix generators need n >= 2")
-    return n
+    return _generator(seed).uniform(-1.0, 1.0, lead + (n, n))
+
+
+# The maps from uniform draws to the random elements.  They act over the
+# last two axes (three blocks for the symplectic ones), so that the
+# generators below and `moment.invariant_battery`, which stacks the draws
+# of many trials, build each element with the same arithmetic.
+
+def _skew_part(x) -> np.ndarray:
+    return 0.5 * (x - x.swapaxes(-1, -2))
+
+
+def _sp_element(x) -> np.ndarray:
+    # [[A, sym B], [sym C, -A^T]] from the blocks (A, B, C) along axis -3.
+    a, b, c = x[..., 0, :, :], x[..., 1, :, :], x[..., 2, :, :]
+    n = a.shape[-1]
+    xi = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
+    xi[..., :n, :n] = a
+    xi[..., :n, n:] = 0.5 * (b + b.swapaxes(-1, -2))
+    xi[..., n:, :n] = 0.5 * (c + c.swapaxes(-1, -2))
+    xi[..., n:, n:] = -a.swapaxes(-1, -2)
+    return xi
+
+
+def _rotation_of(x) -> np.ndarray:
+    return _expm_stack(_skew_part(x))
+
+
+def _sp_group_of(x) -> np.ndarray:
+    return _expm_stack(0.5 * _sp_element(x))
 
 
 def random_skew(n, seed) -> np.ndarray:
     """Seeded random skew matrix, entries uniform in [-1, 1] before antisymmetrization."""
-    n = _check_n_at_least_2(n)
-    g = _generator(seed)
-    x = g.uniform(-1.0, 1.0, (n, n))
-    return 0.5 * (x - x.T)
+    return _skew_part(_uniform_blocks(n, seed))
 
 
 def random_sp(n, seed) -> np.ndarray:
     """Seeded random element of sp(2n, R), blocks [[A, B], [C, -A^T]] with B, C symmetric."""
-    n = _check_n_at_least_2(n)
-    g = _generator(seed)
-    a = g.uniform(-1.0, 1.0, (n, n))
-    b = g.uniform(-1.0, 1.0, (n, n))
-    c = g.uniform(-1.0, 1.0, (n, n))
-    xi = np.zeros((2 * n, 2 * n))
-    xi[:n, :n] = a
-    xi[:n, n:] = 0.5 * (b + b.T)
-    xi[n:, :n] = 0.5 * (c + c.T)
-    xi[n:, n:] = -a.T
-    return xi
+    return _sp_element(_uniform_blocks(n, seed, (3,)))
 
 
 def random_rotation(n, seed) -> np.ndarray:
     """Seeded random rotation, the exponential of a random skew matrix."""
-    return expm(random_skew(n, seed))
+    return _rotation_of(_uniform_blocks(n, seed))
 
 
 def random_sp_group(n, seed) -> np.ndarray:
@@ -346,4 +391,4 @@ def random_sp_group(n, seed) -> np.ndarray:
     The algebra sample is halved before exponentiation to keep the group
     element well conditioned for identity checks at tolerances near 1e-11.
     """
-    return expm(0.5 * random_sp(n, seed))
+    return _sp_group_of(_uniform_blocks(n, seed, (3,)))

@@ -77,23 +77,28 @@ def is_full_rank(z, tol=FULL_RANK_TOL):
     return min_singular_value(z) > tol
 
 
-def symplectic_form(x, y) -> float:
-    """The flat symplectic form tr(X^T J Y) = tr(Xq^T Yp - Xp^T Yq)."""
-    xq, xp = _split(x)
-    yq, yp = _split(y)
+def symplectic_form(x, y):
+    """The flat symplectic form tr(X^T J Y) = tr(Xq^T Yp - Xp^T Yq).
+
+    A float for two tangent vectors, one value per leading index of two
+    stacks ``(..., 2n, n)`` of equal shape.
+    """
+    xq, xp = _split(x, stacked=True)
+    yq, yp = _split(y, stacked=True)
     if xq.shape != yq.shape:
         raise DimensionError("tangent vectors must have equal shapes")
     return _flat_dot(xq, yp) - _flat_dot(xp, yq)
 
 
-def one_form(z, zdot) -> float:
+def one_form(z, zdot):
     """Primitive of the symplectic form: -(1/2) tr(Z^T J Zdot).
 
     Blockwise this is (1/2) tr(P^T Qdot - Q^T Pdot); the symplectic form is
-    minus its exterior derivative.
+    minus its exterior derivative.  A float for one point and tangent, one
+    value per leading index of two stacks ``(..., 2n, n)`` of equal shape.
     """
-    q, p = _split(z)
-    qd, pd = _split(zdot)
+    q, p = _split(z, stacked=True)
+    qd, pd = _split(zdot, stacked=True)
     if q.shape != qd.shape:
         raise DimensionError("point and tangent must have equal shapes")
     return 0.5 * (_flat_dot(p, qd) - _flat_dot(q, pd))

@@ -3,7 +3,30 @@
 import numpy as np
 
 from nrigid import InertiaSpec, hat
-from nrigid.matcore import spectral_norm
+from nrigid.body import reduced_hamiltonian
+from nrigid.matcore import (
+    inner,
+    random_rotation,
+    random_skew,
+    random_sp,
+    random_sp_group,
+    spectral_norm,
+)
+from nrigid.moment import (
+    _BATTERY_BLOCK,
+    on_action,
+    on_coadjoint,
+    on_momentum,
+    reduced_form_check,
+    sp_action,
+    sp_coadjoint,
+    sp_momentum,
+)
+from nrigid.symrep import hamiltonian, one_form
+
+# A trial count of the invariant battery whose last block holds one trial,
+# so that two of that block's n groups are empty.
+BLOCK_CROSSING = _BATTERY_BLOCK + 1
 
 
 def rodrigues(axis, angle):
@@ -34,3 +57,77 @@ def standard_spec():
 
 def standard_pi0():
     return hat([0.5, 0.6, 0.7])
+
+
+def invariant_battery_reference(seed, trials):
+    """The invariant battery as a loop of 2-D calls, one trial at a time.
+
+    The formulas, draws and tolerances of each trial are those of the
+    per-trial loop that `nrigid check-invariants` ran before the battery
+    was stacked.  Returns the pass counts and every residual: one per
+    trial, and for one_form_invariance the pair (symplectic action,
+    orthogonal action).
+    """
+    checks = {
+        "momentum_identity_sp": 0,
+        "momentum_identity_on": 0,
+        "equivariance_sp": 0,
+        "equivariance_on": 0,
+        "hamiltonian_invariance": 0,
+        "one_form_invariance": 0,
+        "reduced_form_consistency": 0,
+        "collective_hamiltonian": 0,
+    }
+    residuals = {name: [] for name in checks}
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        n = 3 + trial % 3
+        spec = InertiaSpec(rng.uniform(0.5, 2.0, n))
+        z = rng.uniform(-1.0, 1.0, (2 * n, n))
+        zdot = rng.uniform(-1.0, 1.0, (2 * n, n))
+        xi = random_sp(n, rng)
+        a = random_skew(n, rng)
+        b = random_skew(n, rng)
+        s = random_sp_group(n, rng)
+        r = random_rotation(n, rng)
+        if trial % 2 == 1:
+            r = r @ np.diag([-1.0] + [1.0] * (n - 1))
+
+        lhs, rhs = reduced_form_check(z, a, b)
+        res = {
+            "momentum_identity_sp": abs(inner(sp_momentum(z), xi) - one_form(z, xi @ z)),
+            "momentum_identity_on": abs(inner(on_momentum(z), a) - one_form(z, z @ a)),
+            "equivariance_sp": np.linalg.norm(
+                sp_momentum(sp_action(s, z)) - sp_coadjoint(s, sp_momentum(z))),
+            "equivariance_on": np.linalg.norm(
+                on_momentum(on_action(z, r)) - on_coadjoint(r, on_momentum(z))),
+            "hamiltonian_invariance": abs(hamiltonian(spec, sp_action(s, z)) - hamiltonian(spec, z)),
+            "one_form_invariance": (
+                abs(one_form(sp_action(s, z), s @ zdot) - one_form(z, zdot)),
+                abs(one_form(on_action(z, r), zdot @ r) - one_form(z, zdot)),
+            ),
+            "reduced_form_consistency": abs(lhs - rhs),
+            "collective_hamiltonian": abs(
+                reduced_hamiltonian(spec, on_momentum(z)) - hamiltonian(spec, z)),
+        }
+        for name, value in res.items():
+            residuals[name].append(value)
+
+        if res["momentum_identity_sp"] <= 1e-12:
+            checks["momentum_identity_sp"] += 1
+        if res["momentum_identity_on"] <= 1e-12:
+            checks["momentum_identity_on"] += 1
+        if res["equivariance_sp"] <= 1e-11:
+            checks["equivariance_sp"] += 1
+        if res["equivariance_on"] <= 1e-12:
+            checks["equivariance_on"] += 1
+        if res["hamiltonian_invariance"] <= 1e-11:
+            checks["hamiltonian_invariance"] += 1
+        theta_sp, theta_on = res["one_form_invariance"]
+        if theta_sp <= 1e-12 and theta_on <= 1e-12:
+            checks["one_form_invariance"] += 1
+        if res["reduced_form_consistency"] <= 1e-12:
+            checks["reduced_form_consistency"] += 1
+        if res["collective_hamiltonian"] <= 1e-12:
+            checks["collective_hamiltonian"] += 1
+    return checks, {name: np.array(values, dtype=float) for name, values in residuals.items()}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import BLOCK_CROSSING, invariant_battery_reference
 from nrigid.cli import load_config, load_trajectory_csv, main, write_trajectory_csv
 from nrigid.matcore import expm, skew_defect
 from nrigid.body import BodyState, InertiaSpec, hat
@@ -210,6 +211,22 @@ class TestCheckInvariants:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"--trials must be at least 1, got {trials}" in captured.err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["check-invariants", "--seed", "-1", "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("seed, trials", [(0, 7), (42, BLOCK_CROSSING)])
+    def test_output_matches_per_trial_loop(self, capsys, seed, trials):
+        counts, _ = invariant_battery_reference(seed, trials)
+        expected = "".join(f"{name}: {passed}/{trials}\n" for name, passed in counts.items())
+        expected += "all invariants passed\n"
+        assert main(["check-invariants", "--seed", str(seed), "--trials", str(trials)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
 
 
 class TestConfigTypes:

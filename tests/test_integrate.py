@@ -191,6 +191,15 @@ class TestEulerPoisson:
         )
         assert np.max(traj.audits["orthogonality_defect"]) <= 1e-12
 
+    def test_momentum_must_be_skew(self):
+        # integrate_euler rejects the same momentum
+        pi0 = hat([0.5, 0.6, 0.7]) + 0.3 * np.eye(3)
+        cfg = IntegratorConfig("rk4", 1e-2, 1.0)
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            integrate_euler_poisson(standard_spec(), BodyState(q=np.eye(3), pi=pi0), cfg)
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            integrate_euler(standard_spec(), pi0, cfg)
+
     def test_projection_repairs_attitude(self):
         traj = integrate_euler_poisson(
             standard_spec(),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_phase, standard_spec
+from helpers import BLOCK_CROSSING, invariant_battery_reference, random_phase, standard_spec
 from nrigid.body import hat, inertia_inverse, reduced_hamiltonian
 from nrigid.errors import DimensionError, LevelSetError
 from nrigid.matcore import (
@@ -14,9 +14,12 @@ from nrigid.matcore import (
     skew_defect,
 )
 from nrigid.moment import (
+    _BATTERY_BLOCK,
+    _battery_residuals,
     ad_star,
     casimir_spectrum,
     infinitesimal_generator,
+    invariant_battery,
     kks_form,
     level_set_defect,
     on_action,
@@ -309,3 +312,28 @@ class TestCasimirSpectrum:
         np.testing.assert_allclose(
             casimir_spectrum(on_coadjoint(r, pi)), casimir_spectrum(pi), atol=1e-13
         )
+
+
+class TestInvariantBattery:
+    """The stacked battery against the per-trial loop of 2-D calls."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7, BLOCK_CROSSING])
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_residuals_match_per_trial_loop_bitwise(self, seed, trials):
+        counts, residuals = invariant_battery_reference(seed, trials)
+        got = _battery_residuals(seed, trials)
+        assert list(got) == list(residuals)
+        for name, values in residuals.items():
+            assert got[name].shape == values.shape
+            np.testing.assert_array_equal(got[name], values, err_msg=name)
+        assert invariant_battery(seed, trials) == counts
+
+    def test_block_crossing_count_leaves_groups_empty(self):
+        last_block = np.arange(BLOCK_CROSSING)[_BATTERY_BLOCK:]
+        assert sorted({3 + t % 3 for t in last_block.tolist()}) == [3 + _BATTERY_BLOCK % 3]
+
+    def test_inputs_validated(self):
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            invariant_battery(0, 0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            invariant_battery(-1, 5)

@@ -17,18 +17,39 @@ from nrigid.integrate import (
 )
 from nrigid.lift import mu0_of, solve_lift, verify_reduction
 from nrigid.matcore import (
+    _EXPM_THETA,
+    _expm,
+    _expm_stack,
+    commutator,
+    expm,
     inner,
     orthogonality_defect,
     random_rotation,
+    random_skew,
+    random_sp,
+    random_sp_group,
     skew_defect,
 )
 from nrigid.moment import (
+    ad_star,
     casimir_spectrum,
+    kks_form,
     level_set_defect,
+    on_action,
+    on_coadjoint,
     on_momentum,
+    reduced_form_check,
+    sp_action,
+    sp_coadjoint,
     sp_momentum,
 )
-from nrigid.symrep import hamiltonian, min_singular_value, optimal_control
+from nrigid.symrep import (
+    hamiltonian,
+    min_singular_value,
+    one_form,
+    optimal_control,
+    symplectic_form,
+)
 
 SCHEMES = ("rk4", "rkmk4", "midpoint")
 # 301 states: two full audit blocks and a partial one.
@@ -128,6 +149,178 @@ class TestKernelsOverStacks:
             hamiltonian(spec, np.zeros(6))
         with pytest.raises(DimensionError):
             min_singular_value(np.zeros((4, 5, 3)))
+
+
+class TestBatteryKernelsOverStacks:
+    """The kernels of the invariant battery, bitwise against a loop of 2-D calls."""
+
+    @staticmethod
+    def points(lead, n=3, seed=4):
+        rng = np.random.default_rng(seed)
+        size = int(np.prod(lead))
+        return {
+            "z": rng.uniform(-1.0, 1.0, lead + (2 * n, n)),
+            "zdot": rng.uniform(-1.0, 1.0, lead + (2 * n, n)),
+            "s": np.array([random_sp_group(n, rng) for _ in range(size)]).reshape(lead + (2 * n, 2 * n)),
+            "r": np.array([random_rotation(n, rng) for _ in range(size)]).reshape(lead + (n, n)),
+            "a": np.array([random_skew(n, rng) for _ in range(size)]).reshape(lead + (n, n)),
+            "b": np.array([random_skew(n, rng) for _ in range(size)]).reshape(lead + (n, n)),
+        }
+
+    KERNELS = {
+        "one_form": lambda p: one_form(p["z"], p["zdot"]),
+        "symplectic_form": lambda p: symplectic_form(p["z"], p["zdot"]),
+        "sp_action": lambda p: sp_action(p["s"], p["z"]),
+        "on_action": lambda p: on_action(p["z"], p["r"]),
+        "sp_coadjoint": lambda p: sp_coadjoint(p["s"], sp_momentum(p["z"])),
+        "on_coadjoint": lambda p: on_coadjoint(p["r"], on_momentum(p["z"])),
+        "commutator": lambda p: commutator(p["a"], p["b"]),
+        "ad_star": lambda p: ad_star(p["a"], p["b"]),
+        "kks_form": lambda p: kks_form(on_momentum(p["z"]), p["a"], p["b"]),
+        "reduced_form_check": lambda p: np.stack(reduced_form_check(p["z"], p["a"], p["b"]), axis=-1),
+    }
+
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_matches_loop_bitwise(self, name, lead):
+        kernel = self.KERNELS[name]
+        stacked = self.points(lead)
+        got = kernel(stacked)
+        assert got.shape[: len(lead)] == lead
+        flat = {key: value.reshape((-1,) + value.shape[len(lead):]) for key, value in stacked.items()}
+        for k in range(int(np.prod(lead))):
+            want = kernel({key: value[k] for key, value in flat.items()})
+            np.testing.assert_array_equal(got.reshape((-1,) + got.shape[len(lead):])[k], want)
+
+    def test_matrix_calls_keep_their_types(self):
+        p = self.points(())
+        for name in ("one_form", "symplectic_form", "kks_form"):
+            assert type(self.KERNELS[name](p)) is float
+        assert all(type(v) is float for v in reduced_form_check(p["z"], p["a"], p["b"]))
+        for name in ("sp_action", "on_action", "sp_coadjoint", "on_coadjoint", "commutator", "ad_star"):
+            value = self.KERNELS[name](p)
+            assert isinstance(value, np.ndarray) and value.ndim == 2
+
+    def test_leading_axes_broadcast(self):
+        p = self.points((5,))
+        s0 = p["s"][0]
+        np.testing.assert_array_equal(sp_action(s0, p["z"]), np.array([sp_action(s0, z) for z in p["z"]]))
+        np.testing.assert_array_equal(on_action(p["z"][0], p["r"]),
+                                      np.array([on_action(p["z"][0], r) for r in p["r"]]))
+
+    def test_stack_shapes_validated(self):
+        z = np.zeros((4, 6, 3))
+        with pytest.raises(DimensionError):
+            sp_action(np.zeros((4, 4, 4)), z)
+        with pytest.raises(DimensionError):
+            on_action(z, np.zeros((4, 2, 2)))
+        with pytest.raises(DimensionError):
+            sp_coadjoint(np.zeros((4, 6, 6)), np.zeros((4, 4, 4)))
+        with pytest.raises(DimensionError):
+            on_coadjoint(np.zeros((4, 3, 3)), np.zeros((4, 2, 2)))
+        with pytest.raises(DimensionError):
+            one_form(z, np.zeros((5, 6, 3)))
+        with pytest.raises(DimensionError):
+            symplectic_form(z, np.zeros((6, 3)))
+        with pytest.raises(DimensionError):
+            commutator(np.zeros((4, 3, 3)), np.zeros((5, 3, 3)))
+        # the level set's momentum value is still one matrix
+        with pytest.raises(DimensionError):
+            level_set_defect(z, np.zeros((4, 6, 6)))
+
+
+class TestStackedInertia:
+    """An `InertiaSpec` of stacked parameters is one body per leading index."""
+
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)])
+    def test_matches_one_spec_per_member(self, lead):
+        rng = np.random.default_rng(6)
+        n = 4
+        lam = rng.uniform(0.5, 2.0, lead + (n,))
+        z = rng.uniform(-1.0, 1.0, lead + (2 * n, n))
+        pi = on_momentum(z)
+        spec = InertiaSpec(lam)
+        assert spec.n == n
+        got = {
+            "hamiltonian": hamiltonian(spec, z),
+            "reduced_hamiltonian": reduced_hamiltonian(spec, pi),
+            "inertia_inverse": inertia_inverse(spec, pi),
+            "inertia_apply": inertia_apply(spec, pi),
+        }
+        flat_lam, flat_z = lam.reshape(-1, n), z.reshape(-1, 2 * n, n)
+        for k in range(len(flat_lam)):
+            one = InertiaSpec(flat_lam[k])
+            want = {
+                "hamiltonian": hamiltonian(one, flat_z[k]),
+                "reduced_hamiltonian": reduced_hamiltonian(one, on_momentum(flat_z[k])),
+                "inertia_inverse": inertia_inverse(one, on_momentum(flat_z[k])),
+                "inertia_apply": inertia_apply(one, on_momentum(flat_z[k])),
+            }
+            for name, value in got.items():
+                np.testing.assert_array_equal(value.reshape((-1,) + value.shape[len(lead):])[k],
+                                              want[name])
+
+    def test_member_named_in_validation(self):
+        with pytest.raises(ValueError, match=r"lambda\[1\]\[0\] \+ lambda\[1\]\[2\]"):
+            InertiaSpec([[1.0, 2.0, 3.0], [1.0, 5.0, -1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            InertiaSpec([[1.0, 2.0, 3.0], [1.0, np.nan, 1.0]])
+
+    @pytest.mark.parametrize("kind", ["euler", "symrep", "euler-poisson"])
+    def test_integrators_step_one_body(self, kind):
+        spec = InertiaSpec([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+        pi0 = scaled_skew(3, np.random.default_rng(7), 1.0)
+        cfg = IntegratorConfig("rk4", 0.01, 0.1)
+        with pytest.raises(DimensionError, match="one body"):
+            if kind == "euler":
+                integrate_euler(spec, pi0, cfg)
+            elif kind == "symrep":
+                integrate_symrep(spec, solve_lift(np.eye(3), pi0), cfg)
+            else:
+                integrate_euler_poisson(spec, BodyState(q=np.eye(3), pi=pi0), cfg)
+
+
+class TestStackedExpm:
+    """`_expm_stack` against `_expm` of each member, bit for bit."""
+
+    @pytest.mark.parametrize("m", [3, 6, 10])
+    def test_members_span_several_orders(self, m):
+        rng = np.random.default_rng(m)
+        # 1-norms from below theta_1 to 40, so that the members fall into
+        # many (degree, squarings) groups
+        norms = [0.0, 0.5 * _EXPM_THETA[0]] + list(np.geomspace(1e-6, 40.0, 22))
+        a = rng.uniform(-1.0, 1.0, (len(norms), m, m))
+        a *= (np.array(norms) / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+        a[0] = 0.0
+        orders = set()
+        for k in range(len(a)):
+            norm = np.abs(a[k]).sum(axis=0).max()
+            squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
+            orders.add((int(np.searchsorted(_EXPM_THETA, norm)) + 1, squarings))
+        assert len(orders) >= 10
+        got = _expm_stack(a)
+        for k in range(len(a)):
+            np.testing.assert_array_equal(got[k], _expm(a[k]))
+        np.testing.assert_array_equal(got[0], np.eye(m))
+        # and over two leading axes
+        np.testing.assert_array_equal(_expm_stack(a.reshape(4, 6, m, m)), got.reshape(4, 6, m, m))
+
+    def test_non_finite_member_only(self):
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-1.0, 1.0, (5, 4, 4))
+        a[2, 1, 3] = np.nan
+        a[4, 0, 0] = np.inf
+        got = _expm_stack(a)
+        assert np.isnan(got[2]).all() and np.isnan(got[4]).all()
+        for k in (0, 1, 3):
+            assert np.isfinite(got[k]).all()
+            np.testing.assert_array_equal(got[k], _expm(a[k]))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_random_group_elements_are_the_public_exponential(self, n):
+        for seed in range(20):
+            np.testing.assert_array_equal(random_rotation(n, seed), expm(random_skew(n, seed)))
+            np.testing.assert_array_equal(random_sp_group(n, seed), expm(0.5 * random_sp(n, seed)))
 
 
 def reference_audits(kind, spec, states):

@@ -9,7 +9,6 @@ the defining constraints at the boundaries that need them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -38,15 +37,10 @@ __all__ = [
     "random_sp_group",
 ]
 
-# Scaling threshold and Taylor degree bounds of the exponential kernel.
-# theta_m = _EXPM_THETA[m - 1] is the largest x with
-# x^(m+1)/(m+1)! e^x <= 2^-53, rounded down to three digits, so degree m
-# is accurate to unit round-off up to 1-norm theta_m.  Above theta_11,
-# which every scaled argument is, the degree is 12; its tail at the
-# threshold 0.5 is below 4e-14.  Written out to keep the import cheap.
+# Scaling threshold and Taylor degree of the exponential kernel; the
+# tail of the degree-12 sum at the threshold is below 4e-14.
 _EXPM_THRESHOLD = 0.5
-_EXPM_THETA = (1.49e-8, 8.73e-6, 2.27e-4, 1.67e-3, 6.55e-3, 1.77e-2,
-               3.79e-2, 6.94e-2, 0.113, 0.171, 0.242)
+_EXPM_DEGREE = 12
 
 
 def _as_matrix(a, stacked=False) -> np.ndarray:
@@ -115,24 +109,20 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _expm(a, order=None) -> np.ndarray:
+def _expm(a, squarings=None) -> np.ndarray:
     # The kernel of `expm`, without its checks.  A matrix whose 1-norm is
-    # not finite gives NaN, which the integrators report as divergence.
-    # `_expm_stack` passes a stack of members that share their
-    # (degree, squarings) pair as `order`.
-    if order is None:
+    # not finite gives NaN.  `_expm_stack` passes a stack of members that
+    # share their squaring count.
+    if squarings is None:
         norm = np.abs(a).sum(axis=0).max()
         if not np.isfinite(norm):
             return np.full(a.shape, np.nan)
         squarings = 0 if norm <= _EXPM_THRESHOLD else int(
             np.ceil(np.log2(norm / _EXPM_THRESHOLD))
         )
-        degree = bisect_left(_EXPM_THETA, norm) + 1
-    else:
-        degree, squarings = order
     b = a / (2.0 ** squarings)
     result = term = _identity(a.shape[-1])
-    for k in range(1, degree + 1):
+    for k in range(1, _EXPM_DEGREE + 1):
         term = term @ b / k
         result = result + term
     for _ in range(squarings):
@@ -143,10 +133,10 @@ def _expm(a, order=None) -> np.ndarray:
 def _expm_stack(a) -> np.ndarray:
     """`_expm` of every matrix of a stack ``(..., m, m)``, bit for bit.
 
-    The members are grouped by their Taylor degree and squaring count, as
-    `_expm` picks them from the 1-norm, and each group runs `_expm`'s
-    Taylor and squaring loop at once.  A member whose 1-norm is not finite
-    gives NaN in that member only.
+    The members are grouped by their squaring count, as `_expm` picks it
+    from the 1-norm, and each group runs `_expm`'s Taylor and squaring
+    loop at once.  A member whose 1-norm is not finite gives NaN in that
+    member only.
     """
     flat = a.reshape((-1,) + a.shape[-2:])
     norm = np.abs(flat).sum(axis=-2).max(axis=-1)
@@ -155,26 +145,21 @@ def _expm_stack(a) -> np.ndarray:
     squarings = np.ceil(
         np.log2(np.maximum(norm, _EXPM_THRESHOLD) / _EXPM_THRESHOLD)
     ).astype(int)
-    degree = np.searchsorted(_EXPM_THETA, norm) + 1
     result = np.full(flat.shape, np.nan)
-    for order in set(zip(degree[finite].tolist(), squarings[finite].tolist())):
-        members = finite & (degree == order[0]) & (squarings == order[1])
-        result[members] = _expm(flat[members], order)
+    for count in set(squarings[finite].tolist()):
+        members = finite & (squarings == count)
+        result[members] = _expm(flat[members], count)
     return result.reshape(a.shape)
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a truncated Taylor series.
 
-    A matrix of 1-norm above 0.5 is halved until it is at most 0.5, and
-    the result squared back as often.  The Taylor degree is the smallest
-    m <= 11 whose tail bound x^(m+1)/(m+1)! e^x is below unit round-off
-    at the 1-norm x, and 12 above x = 0.242, which covers every scaled
-    matrix; a 1-norm of 1e-4 takes degree 3 (the selection of Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 2011, for a Taylor kernel).  The result
-    is accurate to ~1e-13 at the matrix sizes and norms this package works
-    with.  For skew-symmetric input it is orthogonal with determinant +1
-    to the same accuracy.
+    A matrix of 1-norm above 0.5 is halved until it is at most 0.5, the
+    Taylor series summed to degree 12, and the result squared back as
+    often.  The result is accurate to ~1e-13 at the matrix sizes and
+    norms this package works with.  For skew-symmetric input it is
+    orthogonal with determinant +1 to the same accuracy.
     """
     a = _as_square(a)
     if not np.isfinite(a).all():

@@ -9,13 +9,14 @@ from nrigid.integrate import (
     _AUDIT_BLOCK,
     IntegratorConfig,
     Trajectory,
+    _cayley,
     _run,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
 )
 from nrigid.lift import solve_lift
-from nrigid.matcore import commutator, expm, polar_project, random_rotation
+from nrigid.matcore import expm, polar_project, random_rotation, random_skew, rotation_defect
 from nrigid.symrep import (
     FULL_RANK_TOL,
     min_singular_value,
@@ -407,20 +408,19 @@ class TestProjectedSteps:
 
 
 def rkmk4_step(velocity, act, y, h):
-    # the Munthe-Kaas scheme, written out from the public kernels
-    def dexpinv(theta, v):
-        c1 = commutator(theta, v)
-        return v + 0.5 * c1 + commutator(theta, c1) / 12.0
+    # the Munthe-Kaas scheme in the Cayley chart, written out from public
+    # pieces; every argument a is half the chart variable theta
+    def cay(a):
+        return (np.eye(len(a)) + a) @ np.linalg.inv(np.eye(len(a)) - a)
+
+    def stage(a):
+        return (np.eye(len(a)) + a) @ velocity(act(cay(a), y)) @ (np.eye(len(a)) - a)
 
     k1 = velocity(y)
-    th = (0.5 * h) * k1
-    k2 = dexpinv(th, velocity(act(expm(th), y)))
-    th = (0.5 * h) * k2
-    k3 = dexpinv(th, velocity(act(expm(th), y)))
-    th = h * k3
-    k4 = dexpinv(th, velocity(act(expm(th), y)))
-    theta = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return act(expm(theta), y)
+    k2 = stage((0.25 * h) * k1)
+    k3 = stage((0.25 * h) * k2)
+    k4 = stage((0.5 * h) * k3)
+    return act(cay((h / 12.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), y)
 
 
 class TestKernelsAgainstPublicFunctions:
@@ -461,12 +461,40 @@ class TestKernelsAgainstPublicFunctions:
         np.testing.assert_array_equal(traj.states[1], 2.0 * m - z0)
 
     def test_rkmk4_overflow_is_divergence(self):
-        # the unchecked exponential turns a non-finite stage into a
-        # non-finite state, reported with its step
+        # the unchecked chart turns a non-finite stage into a non-finite
+        # state, reported with its step
         z0 = 1e160 * solve_lift(np.eye(3), standard_pi0())
         with pytest.raises(DivergenceError) as err:
             integrate_symrep(standard_spec(), z0, IntegratorConfig("rkmk4", 0.01, 0.1))
         assert err.value.step_index == 1
+
+
+class TestCayleyChart:
+    """The chart of the rkmk4 step: its pull-back inverts the tangent exactly."""
+
+    DT = 1e-5
+
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    def test_inverse_tangent_is_exact(self, n):
+        # cay(theta)^-1 d/dt cay(theta + t theta') at t = 0 is omega, for the
+        # chart velocity theta' that omega pulls back to
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            theta, omega = random_skew(n, rng), random_skew(n, rng)
+            g, pull_back = _cayley(0.5 * theta)
+            tangent = pull_back(omega)
+            plus, _ = _cayley(0.5 * (theta + self.DT * tangent))
+            minus, _ = _cayley(0.5 * (theta - self.DT * tangent))
+            got = np.linalg.inv(g) @ (plus - minus) / (2.0 * self.DT)
+            assert np.abs(got - omega).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    def test_group_element_is_a_rotation(self, n):
+        rng = np.random.default_rng(10 + n)
+        for scale in (1e-3, 1.0, 30.0):
+            theta = scale * random_skew(n, rng)
+            g, _ = _cayley(0.5 * theta)
+            assert rotation_defect(g) <= 1e-14 * n
 
 
 class TestBlockedRankCheck:

@@ -10,7 +10,6 @@ from helpers import rodrigues, scaled_skew
 from nrigid.body import hat
 from nrigid.errors import DimensionError, OutOfRangeError
 from nrigid.matcore import (
-    _EXPM_THETA,
     _expm,
     commutator,
     expm,
@@ -34,8 +33,14 @@ from nrigid.matcore import (
 
 E1, E2, E3 = hat([1, 0, 0]), hat([0, 1, 0]), hat([0, 0, 1])
 
-# (m, 1-norm) just below and just above each degree bound theta_m
-NEAR_THETA = [(m, side * theta) for m, theta in enumerate(_EXPM_THETA, 1)
+# theta_m: the largest x with x^(m+1)/(m+1)! e^x <= 2^-53, rounded down to
+# three digits, so that m Taylor terms reach unit round-off up to 1-norm
+# theta_m (Al-Mohy and Higham, SIAM J. Sci. Comput. 2011)
+TAYLOR_THETA = (1.49e-8, 8.73e-6, 2.27e-4, 1.67e-3, 6.55e-3, 1.77e-2,
+                3.79e-2, 6.94e-2, 0.113, 0.171, 0.242)
+# (m, 1-norm) just below and just above each theta_m: small arguments
+# across the range where the degree-12 sum carries more terms than it needs
+NEAR_THETA = [(m, side * theta) for m, theta in enumerate(TAYLOR_THETA, 1)
               for side in (0.999, 1.001)]
 
 
@@ -165,17 +170,20 @@ class TestExpm:
         def tail(x, m):
             return x ** (m + 1) / math.factorial(m + 1) * math.exp(x)
 
-        assert len(_EXPM_THETA) == 11
-        for m, theta in enumerate(_EXPM_THETA, 1):
+        assert len(TAYLOR_THETA) == 11
+        for m, theta in enumerate(TAYLOR_THETA, 1):
             assert tail(theta, m) <= 2.0 ** -53
             assert tail(1.01 * theta, m) > 2.0 ** -53
 
     @pytest.mark.parametrize("m, norm", NEAR_THETA)
     def test_degree_follows_the_one_norm(self, m, norm):
-        # at or below theta_m the kernel sums m terms, above it m + 1
+        # The degree a 1-norm needs follows it: at or below theta_m, m terms
+        # already agree with the kernel's degree-12 sum to round-off, which
+        # bounds what summing the full series moves at small arguments.
         a = with_one_norm(np.random.default_rng(m).uniform(-1.0, 1.0, (4, 4)), norm)
-        degree = m if norm <= _EXPM_THETA[m - 1] else m + 1
-        np.testing.assert_array_equal(_expm(a), taylor(a, degree))
+        np.testing.assert_array_equal(_expm(a), taylor(a, 12))
+        degree = m if norm <= TAYLOR_THETA[m - 1] else m + 1
+        assert np.abs(_expm(a) - taylor(a, degree)).max() <= 2.0 ** -52
 
     @pytest.mark.parametrize("m, norm", NEAR_THETA)
     def test_small_skew_matches_rodrigues(self, m, norm):
@@ -213,9 +221,8 @@ def taylor(b, degree):
 
 
 def reference_expm(a):
-    """Scaling and squaring with the fixed order-12 Taylor sum `expm` used
-    before its degree followed the norm, and before its unchecked kernel:
-    the 1-norm from np.linalg.norm and fresh identities."""
+    """Scaling and squaring with the order-12 Taylor sum, written apart
+    from the kernel: the 1-norm from np.linalg.norm and fresh identities."""
     norm = np.linalg.norm(a, 1)
     squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
     result = taylor(a / (2.0 ** squarings), 12)
@@ -226,8 +233,8 @@ def reference_expm(a):
 
 class TestExpmKernel:
     @pytest.mark.parametrize("n", [3, 16])
-    # every norm above theta_11 = 0.242 sums the full order-12 series
-    @pytest.mark.parametrize("norm, squarings", [(0.243, 0), (0.3, 0), (0.8, 1), (20.0, 6)])
+    @pytest.mark.parametrize("norm, squarings", [(1e-9, 0), (1e-4, 0), (0.01, 0), (0.1, 0),
+                                                 (0.243, 0), (0.3, 0), (0.8, 1), (20.0, 6)])
     def test_kernel_matches_public_and_reference_bitwise(self, n, norm, squarings):
         rng = np.random.default_rng(n)
         for _ in range(5):

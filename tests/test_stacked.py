@@ -11,13 +11,13 @@ from nrigid.control import trajectory_cost
 from nrigid.errors import DimensionError
 from nrigid.integrate import (
     IntegratorConfig,
+    _cayley,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
 )
 from nrigid.lift import mu0_of, solve_lift, verify_reduction
 from nrigid.matcore import (
-    _EXPM_THETA,
     _expm,
     _expm_stack,
     commutator,
@@ -286,18 +286,18 @@ class TestStackedExpm:
     @pytest.mark.parametrize("m", [3, 6, 10])
     def test_members_span_several_orders(self, m):
         rng = np.random.default_rng(m)
-        # 1-norms from below theta_1 to 40, so that the members fall into
-        # many (degree, squarings) groups
-        norms = [0.0, 0.5 * _EXPM_THETA[0]] + list(np.geomspace(1e-6, 40.0, 22))
+        # 1-norms from 1e-9 to 40, so that the members fall into every
+        # squaring count from 0 to 7
+        norms = ([0.0, 1e-9] + list(np.geomspace(1e-6, 0.5, 8))
+                 + list(0.75 * 2.0 ** np.arange(7)) + list(np.geomspace(0.6, 40.0, 7)))
         a = rng.uniform(-1.0, 1.0, (len(norms), m, m))
         a *= (np.array(norms) / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
         a[0] = 0.0
-        orders = set()
+        counts = set()
         for k in range(len(a)):
             norm = np.abs(a[k]).sum(axis=0).max()
-            squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-            orders.add((int(np.searchsorted(_EXPM_THETA, norm)) + 1, squarings))
-        assert len(orders) >= 10
+            counts.add(0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5))))
+        assert counts == set(range(8))
         got = _expm_stack(a)
         for k in range(len(a)):
             np.testing.assert_array_equal(got[k], _expm(a[k]))
@@ -321,6 +321,26 @@ class TestStackedExpm:
         for seed in range(20):
             np.testing.assert_array_equal(random_rotation(n, seed), expm(random_skew(n, seed)))
             np.testing.assert_array_equal(random_sp_group(n, seed), expm(0.5 * random_sp(n, seed)))
+
+
+class TestStackedCayley:
+    """The rkmk4 step's Cayley chart over a stack ``(B, n, n)`` against each
+    member alone, bit for bit: a batch axis through rkmk4 moves no member."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 16])
+    def test_members_are_the_single_results(self, n):
+        rng = np.random.default_rng(n)
+        scales = np.geomspace(1e-4, 10.0, 9)[:, None, None]
+        a = scales * np.stack([random_skew(n, rng) for _ in scales])
+        omega = np.stack([random_skew(n, rng) for _ in scales])
+        g, pull_back = _cayley(a)
+        pulled = pull_back(omega)
+        eye = np.eye(n)
+        for k in range(len(a)):
+            one, one_pull_back = _cayley(a[k])
+            np.testing.assert_array_equal(g[k], one)
+            np.testing.assert_array_equal(g[k], (eye + a[k]) @ np.linalg.inv(eye - a[k]))
+            np.testing.assert_array_equal(pulled[k], one_pull_back(omega[k]))
 
 
 def reference_audits(kind, spec, states):

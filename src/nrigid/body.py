@@ -144,15 +144,18 @@ class BodyState:
 
 
 def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
-    """Body velocity om = I^{-1} pi of an attitude and momentum stacked as [Q; pi]."""
-    return _inertia_inverse(spec, y[spec.n:])
+    """Body velocity om = I^{-1} pi of an attitude and momentum stacked as [Q; pi].
+
+    Over the last two axes, so a batch ``(B, 2n, n)`` of stacks passes too.
+    """
+    return _inertia_inverse(spec, y[..., spec.n:, :])
 
 
 def _attitude_momentum_rhs(spec: InertiaSpec, y) -> np.ndarray:
     """The field (Q om, [pi, om]) on [Q; pi]; its momentum block is `euler_rhs`."""
     om = _attitude_momentum_velocity(spec, y)
     ydot = y @ om
-    ydot[spec.n:] -= om @ y[spec.n:]
+    ydot[..., spec.n:, :] -= om @ y[..., spec.n:, :]
     return ydot
 
 

@@ -7,12 +7,16 @@ Along such a flow the orthogonal momentum value Z^T J Z is the body
 momentum and Q' = Q I^{-1}(Z^T J Z), so the attitude an extremal reaches
 is the Euler-Poisson attitude from (Q0, pi0) and no phase point is
 needed.  The search space is the initial body momentum, with no bound:
-each candidate pi0 is integrated by `integrate_euler_poisson` from
-(Q0, pi0) under the problem's config and scored by its terminal attitude
-mismatch, on rows :n of the last state [Q; pi].  A damped Gauss-Newton
-iteration with a forward-difference Jacobian runs over the n(n-1)/2 free
-momentum entries.  The symmetric representation of an answer is one
-`solve_lift` and `integrate_symrep` away wherever the lift bound allows.
+each candidate pi0 is integrated on the flow of `integrate_euler_poisson`
+from (Q0, pi0) under the problem's config and scored by its terminal
+attitude mismatch, on rows :n of the last state [Q; pi].  A damped
+Gauss-Newton iteration with a forward-difference Jacobian runs over the
+d = n(n-1)/2 free momentum entries.  The full step of each line search
+runs with its d probes as one batch of 1 + d runs, each bit for bit its
+own run, so when it is accepted it brings its Jacobian with it; a damped
+candidate runs alone.  The symmetric representation of
+an answer is one `solve_lift` and `integrate_symrep` away wherever the
+lift bound allows.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import BodyState, InertiaSpec
+from .body import InertiaSpec
 from .errors import ConvergenceError, DimensionError
-from .integrate import IntegratorConfig, Trajectory, integrate_euler_poisson
+from .integrate import IntegratorConfig, Trajectory, _euler_poisson
 from .matcore import require_rotation
 
 __all__ = ["BvpProblem", "BvpSolution", "shoot", "trajectory_cost"]
@@ -62,11 +66,12 @@ class BvpSolution:
     trajectory: Trajectory
 
 
-def _skew_from_params(x, n):
-    a = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    a[iu] = x
-    return a - a.T
+def _skew_from_params(x, upper, n):
+    # Skew matrices from their entries above the diagonal, at the indices
+    # `upper` = np.triu_indices(n, 1), over the leading axes of x.
+    a = np.zeros(x.shape[:-1] + (n, n))
+    a[..., upper[0], upper[1]] = x
+    return a - a.swapaxes(-2, -1)
 
 
 def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
@@ -110,7 +115,19 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     search scored, so ``terminal_error`` is the distance of its final
     attitude ``trajectory.states[-1, :n]`` to the target, and with
     ``project_attitude`` its attitude stays a rotation.  ``seed`` drives
-    the random restarts tried when the line search stalls.  Raises
+    the random restarts tried when the line search stalls.
+
+    The full Gauss-Newton step x, the first candidate of each line search
+    and usually the one accepted, runs in one batch with its d
+    forward-difference probes x + _FD_STEP e_j, and takes its Jacobian from
+    that batch when accepted.  A damped candidate runs alone, so a line
+    search that backtracks pays one batch, not one per candidate; the
+    probes of an iterate it reaches run as one batch of d when its Jacobian
+    is needed.  Every member of a batch is its own run bit for bit, so the
+    iterates are those of scoring each point alone.  If a member of a batch
+    fails, the candidate is scored alone and its probes run alone when its
+    Jacobian is needed: a probe's failure then raises as it does there, and
+    one at a candidate the line search rejects does not.  Raises
     ConvergenceError carrying the best iterate:
 
     * reason "max_iter" when the iteration budget is exhausted.
@@ -119,18 +136,59 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = problem.spec.n
+    spec, cfg, n = problem.spec, problem.cfg, problem.spec.n
     d = n * (n - 1) // 2
+    upper = np.triu_indices(n, 1)
+    probes = np.arange(d)
     rng = np.random.default_rng(seed)
 
-    def objective(x):
-        s0 = BodyState(problem.q0, _skew_from_params(x, n))
-        traj = integrate_euler_poisson(problem.spec, s0, problem.cfg)
-        r = (traj.states[-1, :n] - problem.q_target).ravel()
-        return r, float(r @ r), traj
+    def flow(xs):
+        # The flow from (q0, pi0(x)) for x, or for each row x of xs as one batch.
+        y0 = np.empty(xs.shape[:-1] + (2 * n, n))
+        y0[..., :n, :] = problem.q0
+        y0[..., n:, :] = _skew_from_params(xs, upper, n)
+        return _euler_poisson(spec, y0, cfg)
+
+    def differences(mismatch, r):
+        # The forward-difference Jacobian from the probes' terminal mismatches,
+        # in C order as the column loop of `jacobian` builds it.
+        return np.ascontiguousarray(((mismatch.reshape(d, -1) - r) / _FD_STEP).T)
+
+    def alone(x):
+        # The residual, its square norm and trajectory at x, and no Jacobian.
+        traj, last, failure = flow(x)
+        if failure is not None:
+            raise failure
+        r = (last[:n] - problem.q_target).ravel()
+        return r, float(r @ r), traj, None
+
+    def with_probes(x):
+        # As `alone`, with the Jacobian at x from the probes of x's batch, or
+        # None when a member of the batch failed and x was scored alone.
+        xs = np.repeat(x[None], 1 + d, axis=0)
+        xs[1 + probes, probes] += _FD_STEP
+        traj, last, failure = flow(xs)
+        if failure is not None:
+            return alone(x)
+        mismatch = last[:, :n] - problem.q_target
+        r = mismatch[0].ravel()
+        return r, float(r @ r), traj, differences(mismatch[1:], r)
+
+    def jacobian(x, r):
+        # The probes of x as one batch; if a member fails, one by one, so
+        # that the first failing probe raises as it does alone.
+        xs = np.repeat(x[None], d, axis=0)
+        xs[probes, probes] += _FD_STEP
+        _, last, failure = flow(xs)
+        if failure is None:
+            return differences(last[:, :n] - problem.q_target, r)
+        jac = np.empty((r.size, d))
+        for j in range(d):
+            jac[:, j] = (alone(xs[j])[0] - r) / _FD_STEP
+        return jac
 
     x = np.zeros(d)
-    r, fval, traj = objective(x)
+    r, fval, traj, jac = with_probes(x)
     best = (x.copy(), np.sqrt(fval), traj)
     iterations = 0
     restarts = 0
@@ -138,21 +196,19 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     while iterations < max_iter:
         if np.sqrt(fval) <= tol:
             break
-        jac = np.empty((r.size, d))
-        for j in range(d):
-            xj = x.copy()
-            xj[j] += _FD_STEP
-            rj, _, _ = objective(xj)
-            jac[:, j] = (rj - r) / _FD_STEP
+        if jac is None:
+            jac = jacobian(x, r)
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0
         stepped = False
         while alpha >= _MIN_DAMPING:
             candidate = x + alpha * direction
-            r_new, f_new, traj_new = objective(candidate)
+            # The full step runs with its probes; a damped one alone.
+            score = with_probes if alpha == 1.0 else alone
+            r_new, f_new, traj_new, jac_new = score(candidate)
             if f_new <= fval + _ARMIJO * alpha * slope:
-                x, r, fval, traj = candidate, r_new, f_new, traj_new
+                x, r, fval, traj, jac = candidate, r_new, f_new, traj_new, jac_new
                 stepped = True
                 break
             alpha *= 0.5
@@ -163,12 +219,12 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             if restarts < _MAX_RESTARTS:
                 restarts += 1
                 x = 0.3 * restarts * rng.uniform(-1.0, 1.0, d)
-                r, fval, traj = objective(x)
+                r, fval, traj, jac = with_probes(x)
                 continue
             raise ConvergenceError(
                 f"line search stalled after {restarts} restarts; "
                 f"best terminal error {best[1]:.3g}",
-                best=_solution(problem, *best),
+                best=_solution(problem, upper, *best),
                 reason="line_search",
             )
 
@@ -176,15 +232,15 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         raise ConvergenceError(
             f"no convergence in {max_iter} Gauss-Newton iterations; "
             f"best terminal error {best[1]:.3g} > tol {tol:g}",
-            best=_solution(problem, *best),
+            best=_solution(problem, upper, *best),
             reason="max_iter",
         )
-    return _solution(problem, x, np.sqrt(fval), traj, iterations)
+    return _solution(problem, upper, x, np.sqrt(fval), traj, iterations)
 
 
-def _solution(problem: BvpProblem, x, terminal_error, traj, iterations=0) -> BvpSolution:
+def _solution(problem: BvpProblem, upper, x, terminal_error, traj, iterations=0) -> BvpSolution:
     return BvpSolution(
-        pi0=_skew_from_params(x, problem.spec.n),
+        pi0=_skew_from_params(x, upper, problem.spec.n),
         terminal_error=float(terminal_error),
         cost=trajectory_cost(problem.spec, traj),
         iterations=iterations,

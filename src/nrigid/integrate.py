@@ -23,7 +23,11 @@ kernels behind those functions; rkmk4 adds one n x n inverse per stage.
 
 Every accepted step is written into one stacked array.  The invariant
 audits, the rank margin of the phase points among them, are computed from
-the stack after the run, over blocks of states.  `RankLossError` names the
+the stack after the run, over blocks of states.  The step loop also takes
+a batch of initial states along a leading axis, whose members step as
+their own runs bit for bit; it stores the states of the first member and
+the last state of each.  `shoot` runs its candidates with their
+forward-difference probes that way.  `RankLossError` names the
 first state below full rank, also when a later step failed first.  No
 step-size adaptivity: runs are reproducible and admit clean order checks.
 """
@@ -169,8 +173,31 @@ def _midpoint_step(rhs, y, h, tol, max_iter):
     )
 
 
+def _midpoint_batch_step(rhs, y, h, tol, max_iter):
+    # `_midpoint_step` on each member of a batch (B, ...), which stops at its
+    # own iteration count: a member whose test passes is frozen, and only the
+    # members still iterating are evaluated.  The test takes the norm of each
+    # member alone, as the single step does; a norm over the stack's last two
+    # axes sums in another order and can differ in the last bit.
+    out = np.empty_like(y)
+    active = np.arange(len(y))
+    m = y + (0.5 * h) * rhs(y)
+    for _ in range(max_iter):
+        y_active = y[active]
+        m_next = y_active + (0.5 * h) * rhs(m)
+        d = m_next - m
+        done = np.array([float(np.linalg.norm(d[k])) <= tol for k in range(len(active))])
+        out[active[done]] = 2.0 * m_next[done] - y_active[done]
+        active, m = active[~done], m_next[~done]
+        if not active.size:
+            return out
+    raise ConvergenceError(
+        f"implicit midpoint fixed point did not reach {tol:g} in {max_iter} iterations"
+    )
+
+
 def _conjugate(g, pi):
-    return g.T @ pi @ g
+    return g.swapaxes(-2, -1) @ pi @ g
 
 
 def _translate(g, z):
@@ -178,70 +205,83 @@ def _translate(g, z):
 
 
 def _translate_and_conjugate(g, y):
-    # Attitude translated, momentum conjugated, on a stacked [Q; pi].
-    n = y.shape[1]
-    return np.vstack([_translate(g, y[:n]), _conjugate(g, y[n:])])
+    # Attitude translated, momentum conjugated, on stacks [Q; pi] over the last two axes.
+    n = y.shape[-1]
+    return np.concatenate([_translate(g, y[..., :n, :]), _conjugate(g, y[..., n:, :])], axis=-2)
 
 
 def _project_rotations(blocks, y):
     # In place on a step's fresh result, whose shape and finiteness _run has checked.
-    n = y.shape[1]
+    n = y.shape[-1]
     for k in range(0, blocks * n, n):
-        y[k:k + n] = _polar_project(y[k:k + n])
+        y[..., k:k + n, :] = _polar_project(y[..., k:k + n, :])
     return y
 
 
 def _projection(cfg, y0, names):
     # With project_attitude, the projection after each step of the leading
-    # blocks that `names` names, which must be rotations in y0: projection
-    # repairs drift; from any other block it changes the flow, or fails.
-    # rkmk4 keeps rotations to round-off, so there it only adds round-off.
+    # blocks that `names` names, which must be rotations in y0 (in each
+    # member of a batch): projection repairs drift; from any other block it
+    # changes the flow, or fails.  rkmk4 keeps rotations to round-off, so
+    # there it only adds round-off.
     if not cfg.project_attitude:
         return None
-    n = y0.shape[1]
-    for k, what in enumerate(names):
-        try:
-            require_rotation(y0[k * n:(k + 1) * n])
-        except ValueError as exc:
-            raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
+    n = y0.shape[-1]
+    for member in y0.reshape((-1,) + y0.shape[-2:]):
+        for k, what in enumerate(names):
+            try:
+                require_rotation(member[k * n:(k + 1) * n])
+            except ValueError as exc:
+                raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
     return partial(_project_rotations, len(names))
+
+
+def _step(advance, project, y, i):
+    y = advance(y)
+    if not np.isfinite(y).all():
+        raise DivergenceError(f"non-finite state at step {i}", step_index=i)
+    return y if project is None else project(y)
 
 
 def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
     """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4.
 
-    Returns the times, the stored states and the exception of the step that
-    failed, or None; a failed run returns the states stored before it.
+    y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` of states
+    whose members step together; each member's states are those of its own
+    run bit for bit.  Returns the times, the stored states ``(N+1, rows,
+    n)``, the last of them for every member and the failure of the step
+    that failed, or None.  A batch stores the states of its first member
+    only, so it holds one run's history whatever B is.  A failed run
+    returns what it stored before that step, and its failure is that
+    step's exception; a batch stops at the first step at which any member
+    fails, and which member failed is left to the caller.
     """
     steps = cfg.step_count()
-    h = cfg.step
+    h, tol, max_iter = cfg.step, cfg.midpoint_tol, cfg.midpoint_max_iter
     field, velocity = partial(rhs, spec), partial(omega_of, spec)
+    y = np.array(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("initial state has non-finite entries")
+    batch = y.ndim == 3
     if cfg.scheme == "rk4":
         advance = lambda y: _rk4_step(field, y, h)
     elif cfg.scheme == "rkmk4":
         advance = lambda y: _rkmk4_step(velocity, act, y, h)
+    elif batch:
+        advance = lambda y: _midpoint_batch_step(field, y, h, tol, max_iter)
     else:
-        advance = lambda y: _midpoint_step(
-            field, y, h, cfg.midpoint_tol, cfg.midpoint_max_iter
-        )
-    y = np.array(y0, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("initial state has non-finite entries")
-    states = np.empty((steps + 1,) + y.shape)
-    states[0] = y
+        advance = lambda y: _midpoint_step(field, y, h, tol, max_iter)
+    states = np.empty((steps + 1,) + y.shape[-2:])
+    states[0] = y[0] if batch else y
     times = np.arange(steps + 1) * h
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(1, steps + 1):
             try:
-                y = advance(y)
-                if not np.isfinite(y).all():
-                    raise DivergenceError(f"non-finite state at step {i}", step_index=i)
-                if project is not None:
-                    y = project(y)
+                y = _step(advance, project, y, i)
             except (ConvergenceError, DivergenceError, ValueError) as exc:
-                return times[:i], states[:i], exc
-            states[i] = y
-    return times, states, None
+                return times[:i], states[:i], y, exc
+            states[i] = y[0] if batch else y
+    return times, states, y, None
 
 
 def _audit(states, channels) -> dict:
@@ -276,7 +316,7 @@ def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory
     pi0 = require_skew(np.asarray(pi0, dtype=float))
     if pi0.shape != (spec.n, spec.n):
         raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
-    times, states, failure = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
+    times, states, _, failure = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
     if failure is not None:
         raise failure
     audits = _audit(states, {
@@ -304,7 +344,7 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     n = spec.n
     if z0.shape != (2 * n, n):
         raise DimensionError(f"phase point has shape {z0.shape}, expected {(2 * n, n)}")
-    times, states, failure = _run(
+    times, states, _, failure = _run(
         spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
         project=_projection(cfg, z0, ("Q block of z0", "P block of z0")))
     # The rank alone first: its loss wins over a later failure, and other audits may overflow.
@@ -331,6 +371,28 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     return Trajectory("symrep", times, states, audits)
 
 
+def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
+    """The attitude-momentum run behind `integrate_euler_poisson` and `shoot`.
+
+    y0 is one stack ``[Q; pi]``, or a batch ``(B, 2n, n)`` of them that
+    steps as B runs.  Returns the audited trajectory of the first member,
+    the last state of every member and None; or None, None and the
+    failure of `_run`.
+    """
+    times, states, last, failure = _run(spec, y0, cfg, _attitude_momentum_rhs,
+                                        _attitude_momentum_velocity, _translate_and_conjugate,
+                                        project=_projection(cfg, y0, ("attitude s0.q",)))
+    if failure is not None:
+        return None, None, failure
+    n = spec.n
+    audits = _audit(states, {
+        "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
+        "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),
+        "orthogonality_defect": lambda b: orthogonality_defect(b[:, :n]),
+    })
+    return Trajectory("euler-poisson", times, states, audits), last, None
+
+
 def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate attitude and body momentum together.
 
@@ -348,16 +410,7 @@ def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorCon
     if s0.n != spec.n:
         raise DimensionError(f"state is {s0.n}-dimensional, inertia is {spec.n}-dimensional")
     require_skew(s0.pi)
-    n = spec.n
-    y0 = np.vstack([s0.q, s0.pi])
-    times, states, failure = _run(spec, y0, cfg, _attitude_momentum_rhs,
-                                  _attitude_momentum_velocity, _translate_and_conjugate,
-                                  project=_projection(cfg, y0, ("attitude s0.q",)))
+    traj, _, failure = _euler_poisson(spec, np.vstack([s0.q, s0.pi]), cfg)
     if failure is not None:
         raise failure
-    audits = _audit(states, {
-        "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
-        "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),
-        "orthogonality_defect": lambda b: orthogonality_defect(b[:, :n]),
-    })
-    return Trajectory("euler-poisson", times, states, audits)
+    return traj

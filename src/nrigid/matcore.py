@@ -195,13 +195,15 @@ def skew_asinh(p) -> np.ndarray:
 
 
 def _polar_project(m) -> np.ndarray:
+    # Over the last two axes; a stack fails on its first member that fails.
     u, s, vt = np.linalg.svd(m)
-    if s[-1] <= 1e-14 * max(1.0, s[0]):
+    singular = s[..., -1] <= 1e-14 * np.maximum(1.0, s[..., 0])
+    if np.count_nonzero(singular):
         raise OutOfRangeError(
-            f"singular input: smallest singular value {s[-1]:.3g}"
+            f"singular input: smallest singular value {s[..., -1][singular].flat[0]:.3g}"
         )
     r = u @ vt
-    if np.linalg.det(r) < 0.0:
+    if np.count_nonzero(np.linalg.det(r) < 0.0):
         raise OutOfRangeError("negative determinant: no nearby rotation")
     return r
 

@@ -3,7 +3,10 @@
 import numpy as np
 
 from nrigid import InertiaSpec, hat
-from nrigid.body import reduced_hamiltonian
+from nrigid import control
+from nrigid.body import BodyState, reduced_hamiltonian
+from nrigid.errors import ConvergenceError
+from nrigid.integrate import integrate_euler_poisson
 from nrigid.matcore import (
     inner,
     random_rotation,
@@ -131,3 +134,79 @@ def invariant_battery_reference(seed, trials):
         if res["collective_hamiltonian"] <= 1e-12:
             checks["collective_hamiltonian"] += 1
     return checks, {name: np.array(values, dtype=float) for name, values in residuals.items()}
+
+
+def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
+    """`shoot` as a loop of single public runs, one per point scored.
+
+    This is the search `control.shoot` ran before it stepped each candidate
+    with its forward-difference probes as one batch: the probes of an
+    iterate run, one by one, at the top of the iteration that needs its
+    Jacobian.  The constants are read from `control` at call time, so a
+    monkeypatched constant acts on both.  Returns what `shoot` returns and
+    raises what it raises.
+    """
+    n = problem.spec.n
+    d = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+
+    def skew(x):
+        a = np.zeros((n, n))
+        a[np.triu_indices(n, 1)] = x
+        return a - a.T
+
+    def objective(x):
+        traj = integrate_euler_poisson(problem.spec, BodyState(problem.q0, skew(x)), problem.cfg)
+        r = (traj.states[-1, :n] - problem.q_target).ravel()
+        return r, float(r @ r), traj
+
+    def solution(x, terminal_error, traj, iterations=0):
+        return control.BvpSolution(pi0=skew(x), terminal_error=float(terminal_error),
+                                   cost=control.trajectory_cost(problem.spec, traj),
+                                   iterations=iterations, trajectory=traj)
+
+    x = np.zeros(d)
+    r, fval, traj = objective(x)
+    best = (x.copy(), np.sqrt(fval), traj)
+    iterations = 0
+    restarts = 0
+    while iterations < max_iter:
+        if np.sqrt(fval) <= tol:
+            break
+        jac = np.empty((r.size, d))
+        for j in range(d):
+            xj = x.copy()
+            xj[j] += control._FD_STEP
+            rj, _, _ = objective(xj)
+            jac[:, j] = (rj - r) / control._FD_STEP
+        direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        slope = 2.0 * float((jac.T @ r) @ direction)
+        alpha = 1.0
+        stepped = False
+        while alpha >= control._MIN_DAMPING:
+            candidate = x + alpha * direction
+            r_new, f_new, traj_new = objective(candidate)
+            if f_new <= fval + control._ARMIJO * alpha * slope:
+                x, r, fval, traj = candidate, r_new, f_new, traj_new
+                stepped = True
+                break
+            alpha *= 0.5
+        iterations += 1
+        if np.sqrt(fval) < best[1]:
+            best = (x.copy(), np.sqrt(fval), traj)
+        if not stepped:
+            if restarts < control._MAX_RESTARTS:
+                restarts += 1
+                x = 0.3 * restarts * rng.uniform(-1.0, 1.0, d)
+                r, fval, traj = objective(x)
+                continue
+            raise ConvergenceError(
+                f"line search stalled after {restarts} restarts; "
+                f"best terminal error {best[1]:.3g}",
+                best=solution(*best), reason="line_search")
+    if np.sqrt(fval) > tol:
+        raise ConvergenceError(
+            f"no convergence in {max_iter} Gauss-Newton iterations; "
+            f"best terminal error {best[1]:.3g} > tol {tol:g}",
+            best=solution(*best), reason="max_iter")
+    return solution(x, np.sqrt(fval), traj, iterations)

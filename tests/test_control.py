@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import standard_pi0, standard_spec
+from helpers import scaled_skew, shoot_reference, standard_pi0, standard_spec
 from nrigid import control
 from nrigid.body import BodyState, InertiaSpec, hat, inertia_inverse, reduced_hamiltonian
 from nrigid.control import BvpProblem, BvpSolution, shoot, trajectory_cost
-from nrigid.errors import ConvergenceError
+from nrigid.errors import ConvergenceError, DivergenceError
 from nrigid.integrate import (
     IntegratorConfig,
     integrate_euler,
@@ -266,3 +266,152 @@ class TestShoot:
         assert best.terminal_error == np.linalg.norm(
             best.trajectory.states[-1, :3] - problem.q_target
         )
+
+
+def assert_same_solution(sol, ref):
+    """Bit for bit: pi0, iteration count, cost, terminal error, trajectory."""
+    np.testing.assert_array_equal(sol.pi0, ref.pi0)
+    assert sol.iterations == ref.iterations
+    assert sol.cost == ref.cost
+    assert sol.terminal_error == ref.terminal_error
+    assert sol.trajectory.kind == ref.trajectory.kind
+    np.testing.assert_array_equal(sol.trajectory.times, ref.trajectory.times)
+    np.testing.assert_array_equal(sol.trajectory.states, ref.trajectory.states)
+    assert sorted(sol.trajectory.audits) == sorted(ref.trajectory.audits)
+    for name, values in ref.trajectory.audits.items():
+        np.testing.assert_array_equal(sol.trajectory.audits[name], values)
+
+
+def outcome(solve, problem, **kwargs):
+    try:
+        return solve(problem, **kwargs)
+    except (ConvergenceError, DivergenceError) as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, BvpSolution):
+        assert isinstance(got, BvpSolution), got
+        assert_same_solution(got, want)
+        return
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert getattr(got, "step_index", None) == getattr(want, "step_index", None)
+    assert getattr(got, "reason", None) == getattr(want, "reason", None)
+    if getattr(want, "best", None) is not None:
+        assert_same_solution(got.best, want.best)
+
+
+class RunSpy:
+    """Records every run that `shoot` makes: its member count, whether it
+    failed, and for a failed batch whether its first member fails alone."""
+
+    def __init__(self, monkeypatch):
+        self.runs = []
+        run = control._euler_poisson
+
+        def spy(spec, y0, cfg):
+            out = run(spec, y0, cfg)
+            members = 1 if y0.ndim == 2 else len(y0)
+            failed = out[2] is not None
+            first_fails = failed and (members == 1 or run(spec, y0[0], cfg)[2] is not None)
+            self.runs.append((members, failed, first_fails))
+            return out
+
+        monkeypatch.setattr(control, "_euler_poisson", spy)
+
+    def failed(self, members):
+        return [first_fails for m, failed, first_fails in self.runs if m == members and failed]
+
+
+class TestBatchedProbes:
+    """`shoot` runs each candidate with its forward-difference probes as one
+    batch; `helpers.shoot_reference`, a loop of single public runs, is the
+    oracle, bit for bit."""
+
+    @staticmethod
+    def problem(which, scheme, project_attitude):
+        cfg = IntegratorConfig(scheme, 5e-3, 1.0, project_attitude=project_attitude)
+        if which == "spherical":
+            spec, q_target, solve = InertiaSpec([1.0, 1.0, 1.0]), expm(0.3 * E3), (1e-7, 30, 11)
+        elif which == "principal-axis":
+            spec, q_target, solve = standard_spec(), expm(0.4 * E1), (1e-6, 60, 11)
+        else:
+            spec = InertiaSpec([1.0, 1.5, 2.0, 2.5])
+            q_target, solve = expm(scaled_skew(4, np.random.default_rng(4), 0.3)), (1e-10, 30, 0)
+        problem = BvpProblem(spec, np.eye(spec.n), q_target, 1.0, cfg)
+        return problem, dict(zip(("tol", "max_iter", "seed"), solve))
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    @pytest.mark.parametrize("which", ["spherical", "principal-axis", "seeded-n4"])
+    def test_matches_loop_oracle(self, which, scheme, project_attitude):
+        problem, kwargs = self.problem(which, scheme, project_attitude)
+        sol = shoot(problem, **kwargs)
+        assert sol.terminal_error <= kwargs["tol"]
+        assert_same_solution(sol, shoot_reference(problem, **kwargs))
+
+    def test_failed_search_matches_loop_oracle(self):
+        problem, _ = self.problem("seeded-n4", "rk4", False)
+        kwargs = dict(tol=1e-12, max_iter=1, seed=0)
+        err = outcome(shoot, problem, **kwargs)
+        assert isinstance(err, ConvergenceError) and err.reason == "max_iter"
+        assert_same_outcome(err, outcome(shoot_reference, problem, **kwargs))
+
+    def test_damped_candidates_run_alone(self, monkeypatch):
+        # A target the search cannot reach in time 1: the line search
+        # backtracks often.  Each line search runs its full step with the
+        # d = 3 probes, one batch of 4; a damped candidate runs alone, and
+        # the Jacobian at an iterate it reached is one batch of its 3 probes.
+        cfg = IntegratorConfig("rk4", 0.05, 1.0)
+        problem = BvpProblem(standard_spec(), np.eye(3), expm(1.5 * hat([0.6, -0.48, 0.64])),
+                             1.0, cfg)
+        kwargs = dict(tol=1e-8, max_iter=8, seed=0)
+        spy = RunSpy(monkeypatch)
+        got = outcome(shoot, problem, **kwargs)
+        assert isinstance(got, ConvergenceError) and got.reason == "max_iter"
+        members = [m for m, _, _ in spy.runs]
+        assert not any(failed for _, failed, _ in spy.runs)
+        assert members.count(4) == 1 + kwargs["max_iter"]
+        assert members.count(1) > 0 and members.count(3) > 0
+        assert set(members) == {1, 3, 4}
+        assert_same_outcome(got, outcome(shoot_reference, problem, **kwargs))
+
+    def test_probe_failing_at_rejected_candidate_does_not_raise(self, monkeypatch):
+        # With a coarse forward-difference step, probes of some rejected
+        # candidates leave the momenta at which 10 midpoint fixed-point
+        # iterations converge; the search goes on and ends as the oracle's
+        # does, in a stalled line search.
+        monkeypatch.setattr(control, "_FD_STEP", 3.0)
+        cfg = IntegratorConfig("midpoint", 0.1, 1.0, midpoint_max_iter=10)
+        problem = BvpProblem(standard_spec(), np.eye(3), expm(2.5 * hat([0.6, -0.48, 0.64])),
+                             1.0, cfg)
+        spy = RunSpy(monkeypatch)
+        got = outcome(shoot, problem, tol=1e-6, max_iter=30, seed=0)
+        # batches of a candidate and its probes that failed in a probe only
+        assert spy.failed(4).count(False) > 0
+        assert isinstance(got, ConvergenceError) and got.reason == "line_search"
+        assert_same_outcome(got, outcome(shoot_reference, problem, tol=1e-6, max_iter=30, seed=0))
+
+    def test_probe_failing_at_accepted_candidate_raises_as_alone(self, monkeypatch):
+        # A coarse step puts a probe of an accepted iterate where rk4 at
+        # h = 0.2 diverges: shoot raises that probe's own DivergenceError,
+        # as the oracle does when it builds that iterate's Jacobian.
+        monkeypatch.setattr(control, "_FD_STEP", 300.0)
+        cfg = IntegratorConfig("rk4", 0.2, 1.0)
+        problem = BvpProblem(standard_spec(), np.eye(3), expm(hat([0.6, -0.48, 0.64])), 1.0, cfg)
+        spy = RunSpy(monkeypatch)
+        got = outcome(shoot, problem, tol=1e-6, max_iter=60, seed=0)
+        assert isinstance(got, DivergenceError)
+        # The iterates before it ran their batches whole.  The last batch
+        # of 4 failed in a probe, its candidate was accepted alone, and the
+        # batch of its 3 probes failed; the probes then ran alone.
+        assert spy.runs[0] == (4, False, False)
+        last_batch = max(i for i, run in enumerate(spy.runs) if run[0] == 4)
+        assert spy.runs[last_batch] == (4, True, False)
+        assert spy.runs[last_batch + 1] == (1, False, False)
+        assert spy.runs[last_batch + 2][:2] == (3, True)
+        assert spy.runs[-1] == (1, True, True)
+        want = outcome(shoot_reference, problem, tol=1e-6, max_iter=60, seed=0)
+        assert_same_outcome(got, want)
+        assert got.step_index == want.step_index == 5

@@ -543,7 +543,7 @@ class TestBlockedRankCheck:
     def test_matches_per_state_loop(self, monkeypatch, where, k):
         rate = self.rate_losing_rank_at(k)
         field = lambda spec, z: -rate * z
-        _, states, failure = self.steps(field)
+        _, states, _, failure = self.steps(field)
         assert failure is None
         step, smin = self.first_loss(states)
         assert step == k, where
@@ -559,7 +559,7 @@ class TestBlockedRankCheck:
     def test_earlier_rank_loss_wins(self, monkeypatch, scheme, later):
         k = 40
         rate = self.rate_losing_rank_at(k)
-        _, states, _ = self.steps(lambda spec, z: -rate * z, scheme=scheme)
+        _, states, _, _ = self.steps(lambda spec, z: -rate * z, scheme=scheme)
         step, smin = self.first_loss(states)
         # the field turns non-finite about ten steps after the rank loss
         floor = np.linalg.norm(states[k + 10])
@@ -567,7 +567,7 @@ class TestBlockedRankCheck:
         def field(spec, z):
             return -rate * z if np.linalg.norm(z) > floor else np.full_like(z, np.inf)
 
-        _, prefix, failure = self.steps(field, scheme=scheme)
+        _, prefix, _, failure = self.steps(field, scheme=scheme)
         assert isinstance(failure, later)
         assert step < len(prefix) < self.STEPS
         if later is DivergenceError:

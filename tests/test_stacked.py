@@ -2,16 +2,34 @@
 computed from the stacked states, and the reduction comparison over the
 stacks, each checked against a loop of 2-D calls."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
 from helpers import random_phase, scaled_skew
-from nrigid.body import BodyState, InertiaSpec, inertia_apply, inertia_inverse, reduced_hamiltonian
+from nrigid.body import (
+    BodyState,
+    InertiaSpec,
+    _attitude_momentum_rhs,
+    _attitude_momentum_velocity,
+    _euler_rhs,
+    _inertia_inverse,
+    inertia_apply,
+    inertia_inverse,
+    reduced_hamiltonian,
+)
 from nrigid.control import trajectory_cost
-from nrigid.errors import DimensionError
+from nrigid.errors import ConvergenceError, DimensionError, DivergenceError
 from nrigid.integrate import (
     IntegratorConfig,
     _cayley,
+    _conjugate,
+    _euler_poisson,
+    _projection,
+    _run,
+    _translate_and_conjugate,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
@@ -341,6 +359,158 @@ class TestStackedCayley:
             np.testing.assert_array_equal(g[k], one)
             np.testing.assert_array_equal(g[k], (eye + a[k]) @ np.linalg.inv(eye - a[k]))
             np.testing.assert_array_equal(pulled[k], one_pull_back(omega[k]))
+
+
+class TestBatchedRun:
+    """`_run` over a batch ``(B, rows, n)`` against each member's own run,
+    bit for bit, on the attitude-momentum field that `shoot` batches and on
+    the Euler field."""
+
+    # Momenta of spectral norm 0.02, 0.5 and 2.5 take different numbers of
+    # midpoint fixed-point iterations over a run.
+    NORMS = (0.02, 0.5, 2.5)
+    STEPS = 40
+
+    @staticmethod
+    def counted(field, counts):
+        # The field or velocity, counting the members it is evaluated on.
+        def rhs(spec, y):
+            counts.append(1 if y.ndim == 2 else len(y))
+            return field(spec, y)
+        return rhs
+
+    def run(self, kind, spec, y0, cfg, counts):
+        c = partial(self.counted, counts=counts)
+        if kind == "euler":
+            return _run(spec, y0, cfg, c(_euler_rhs), c(_inertia_inverse), _conjugate)
+        return _run(spec, y0, cfg, c(_attitude_momentum_rhs), c(_attitude_momentum_velocity),
+                    _translate_and_conjugate, project=_projection(cfg, y0, ("attitude",)))
+
+    def members(self, kind, n):
+        rng = np.random.default_rng(n)
+        out = []
+        for norm in self.NORMS:
+            pi0 = scaled_skew(n, rng, norm)
+            out.append(pi0 if kind == "euler" else np.vstack([random_rotation(n, rng), pi0]))
+        return np.stack(out)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 16])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind, project_attitude", [
+        ("euler-poisson", False), ("euler-poisson", True), ("euler", False),
+    ])
+    def test_members_are_their_single_runs(self, kind, project_attitude, scheme, n):
+        # A batch stores its first member's states: the batch is run once
+        # with each member first, and that member's states and every
+        # member's last state must equal their single runs.
+        spec = InertiaSpec(np.linspace(0.5, 2.0, n))
+        cfg = IntegratorConfig(scheme, 0.025, 0.025 * self.STEPS, project_attitude=project_attitude)
+        y0 = self.members(kind, n)
+        singles, single_counts = [], []
+        for b in range(len(y0)):
+            counts = []
+            single = self.run(kind, spec, y0[b], cfg, counts)
+            assert single[3] is None
+            np.testing.assert_array_equal(single[2], single[1][-1])
+            singles.append(single)
+            single_counts.append(sum(counts))
+        for b in range(len(y0)):
+            batch_counts = []
+            times, states, last, failure = self.run(kind, spec, np.roll(y0, -b, axis=0), cfg,
+                                                    batch_counts)
+            assert failure is None
+            assert states.shape == (self.STEPS + 1,) + y0.shape[1:]
+            assert last.shape == y0.shape
+            np.testing.assert_array_equal(times, singles[b][0])
+            np.testing.assert_array_equal(states, singles[b][1])
+            for k in range(len(y0)):
+                np.testing.assert_array_equal(last[k], singles[(b + k) % len(y0)][1][-1])
+            # Each member is evaluated as often as in its own run: under
+            # midpoint a member whose fixed point has converged is not
+            # iterated further.
+            assert sum(batch_counts) == sum(single_counts)
+        if scheme == "midpoint":
+            assert len(set(single_counts)) == len(single_counts), single_counts
+        else:
+            assert single_counts == [4 * self.STEPS] * len(y0)
+
+    def test_batch_holds_one_runs_history(self):
+        # n = 8 and 28 probes, as `shoot` batches them, over 1000 steps: the
+        # batch stores one member's states, so its peak allocation stays
+        # within twice that history, where the 29 histories would take 29
+        # times as much.
+        n, steps = 8, 1000
+        spec = InertiaSpec(np.linspace(0.5, 2.0, n))
+        cfg = IntegratorConfig("rk4", 1e-3, 1e-3 * steps)
+        rng = np.random.default_rng(8)
+        q0 = random_rotation(n, rng)
+        y0 = np.stack([np.vstack([q0, scaled_skew(n, rng, 1.0)]) for _ in range(29)])
+        history = (steps + 1) * y0[0].nbytes
+        tracemalloc.start()
+        try:
+            traj, last, failure = _euler_poisson(spec, y0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failure is None
+        assert traj.states.shape == (steps + 1, 2 * n, n) and last.shape == y0.shape
+        assert peak < 2 * history, (peak, history)
+
+    def test_midpoint_stops_on_each_members_own_norm(self):
+        # The tolerance is set to a member's first fixed-point increment, as
+        # its own run measures it, where a norm over the stack's last two
+        # axes reads larger: that member must stop after one iteration in
+        # the batch as it does alone.
+        spec, h = InertiaSpec([1.0, 2.0, 3.0]), 0.05
+
+        def start(seed):
+            rng = np.random.default_rng(seed)
+            return np.vstack([random_rotation(3, rng), scaled_skew(3, rng, 1.0)])
+
+        for seed in range(200):
+            y = start(seed)
+            m = y + (0.5 * h) * _attitude_momentum_rhs(spec, y)
+            d = y + (0.5 * h) * _attitude_momentum_rhs(spec, m) - m
+            if np.linalg.norm(d[None], axis=(-2, -1))[0] > np.linalg.norm(d):
+                break
+        else:
+            pytest.skip("no start whose stacked norm differs from its own on this platform")
+        cfg = IntegratorConfig("midpoint", h, h, midpoint_tol=float(np.linalg.norm(d)))
+        y0 = np.stack([start(seed + 1), y, start(seed + 2)])
+        _, _, last, failure = self.run("euler-poisson", spec, y0, cfg, [])
+        assert failure is None
+        for b in range(len(y0)):
+            _, one, _, _ = self.run("euler-poisson", spec, y0[b], cfg, [])
+            np.testing.assert_array_equal(last[b], one[-1])
+
+    @pytest.mark.parametrize("scheme, failing, expected", [
+        ("rk4", 1000.0, DivergenceError),
+        ("midpoint", 300.0, ConvergenceError),
+    ])
+    def test_batch_stops_at_first_failing_step(self, scheme, failing, expected):
+        # Member 1 fails; the batch stops at the step at which that member's
+        # own run fails, with that run's exception, and holds what member 0
+        # and every member reached before it.
+        spec = InertiaSpec([1.0, 2.0, 3.0])
+        cfg = IntegratorConfig(scheme, 0.05, 2.0)
+        rng = np.random.default_rng(0)
+        q0 = random_rotation(3, rng)
+        y0 = np.stack([np.vstack([q0, scaled_skew(3, rng, norm)])
+                       for norm in (0.5, failing, 1.0)])
+        times, states, last, exc = self.run("euler-poisson", spec, y0, cfg, [])
+        one_times, one_states, one_last, one_exc = self.run("euler-poisson", spec, y0[1], cfg, [])
+        assert type(exc) is type(one_exc) is expected
+        assert str(exc) == str(one_exc)
+        assert getattr(exc, "step_index", None) == getattr(one_exc, "step_index", None)
+        np.testing.assert_array_equal(times, one_times)
+        np.testing.assert_array_equal(last[1], one_last)
+        np.testing.assert_array_equal(last[1], one_states[-1])
+        for b in (0, 2):
+            _, good, _, none = self.run("euler-poisson", spec, y0[b], cfg, [])
+            assert none is None
+            np.testing.assert_array_equal(last[b], good[len(times) - 1])
+            if b == 0:
+                np.testing.assert_array_equal(states, good[:len(times)])
 
 
 def reference_audits(kind, spec, states):

@@ -9,7 +9,6 @@ minimum-effort attitude steering problem by shooting.
 """
 
 from .body import (
-    BodyState,
     InertiaSpec,
     euler_poisson_rhs,
     euler_rhs,

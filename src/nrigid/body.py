@@ -12,7 +12,6 @@ from .matcore import _as_square, _commutator, inner
 
 __all__ = [
     "InertiaSpec",
-    "BodyState",
     "inertia_apply",
     "inertia_inverse",
     "reduced_hamiltonian",
@@ -114,35 +113,6 @@ def euler_rhs(spec: InertiaSpec, pi) -> np.ndarray:
     return _euler_rhs(spec, _as_square(_check_n_by_n(spec, pi)))
 
 
-@dataclass(frozen=True, eq=False)
-class BodyState:
-    """Attitude Q together with body momentum pi.
-
-    Shapes and finiteness are enforced; orthogonality of Q is an audited
-    quantity of the integrators, never repaired silently.
-    """
-
-    q: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        pi = np.asarray(self.pi, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape != pi.shape:
-            raise DimensionError(
-                f"attitude and momentum must be square and equal-size, "
-                f"got {q.shape} and {pi.shape}"
-            )
-        if not (np.isfinite(q).all() and np.isfinite(pi).all()):
-            raise ValueError("body state entries must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "pi", pi)
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-
 def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
     """Body velocity om = I^{-1} pi of an attitude and momentum stacked as [Q; pi].
 
@@ -151,19 +121,26 @@ def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
     return _inertia_inverse(spec, y[..., spec.n:, :])
 
 
-def _attitude_momentum_rhs(spec: InertiaSpec, y) -> np.ndarray:
-    """The field (Q om, [pi, om]) on [Q; pi]; its momentum block is `euler_rhs`."""
+def _euler_poisson_rhs(spec: InertiaSpec, y) -> np.ndarray:
+    # Over the last two axes, so a batch (B, 2n, n) of stacks steps too.
     om = _attitude_momentum_velocity(spec, y)
     ydot = y @ om
     ydot[..., spec.n:, :] -= om @ y[..., spec.n:, :]
     return ydot
 
 
-def euler_poisson_rhs(spec: InertiaSpec, state: BodyState):
-    """Right-hand side (Q om, [pi, om]) with om = I^{-1} pi."""
-    _check_n_by_n(spec, state.q)
-    ydot = _attitude_momentum_rhs(spec, np.vstack([state.q, state.pi]))
-    return ydot[:state.n], ydot[state.n:]
+def euler_poisson_rhs(spec: InertiaSpec, y) -> np.ndarray:
+    """Right-hand side (Q om, [pi, om]) with om = I^{-1} pi, on the stack [Q; pi].
+
+    Takes and returns one ``(2n, n)`` array, the layout of the
+    ``euler-poisson`` trajectory states; its momentum block is `euler_rhs`.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (2 * spec.n, spec.n):
+        raise DimensionError(
+            f"expected a [Q; pi] stack of shape {(2 * spec.n, spec.n)}, got shape {y.shape}"
+        )
+    return _euler_poisson_rhs(spec, y)
 
 
 def hat(v) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import BodyState, InertiaSpec, hat
+from .body import InertiaSpec, hat
 from .control import BvpProblem, shoot
 from .errors import (
     CertificationError,
@@ -248,7 +248,7 @@ def cmd_simulate(args) -> int:
         z0 = solve_lift(config["q0"], config["pi0"])
         traj = integrate_symrep(spec, z0, cfg)
     else:
-        traj = integrate_euler_poisson(spec, BodyState(q=config["q0"], pi=config["pi0"]), cfg)
+        traj = integrate_euler_poisson(spec, np.vstack([config["q0"], config["pi0"]]), cfg)
     csv_path = _out_path(args, config, "trajectory", f"{args.kind}_trajectory.csv")
     report_path = _out_path(args, config, "report", f"{args.kind}_report.txt")
     write_trajectory_csv(csv_path, traj)

@@ -17,9 +17,12 @@ Three schemes are provided:
 
 The schemes step the package's own fields (`euler_rhs`, `symrep_rhs`, the
 attitude-momentum field of `euler_poisson_rhs`) and body velocities, so
-`verify_reduction` compares the flows the package publishes.  Inputs are
-checked once, at the boundary, and the step loop calls the unchecked
-kernels behind those functions; rkmk4 adds one n x n inverse per stage.
+`verify_reduction` compares the flows the package publishes.  Each
+integrator takes its initial state in the layout of its states (a momentum,
+a phase point, a stack ``[Q; pi]``), so a run can restart from any state of
+another.  Inputs are checked once, at the boundary, and the step loop calls
+the unchecked kernels behind those functions; rkmk4 adds one n x n inverse
+per stage.
 
 Every accepted step is written into one stacked array.  The invariant
 audits, the rank margin of the phase points among them, are computed from
@@ -39,8 +42,8 @@ from functools import partial
 
 import numpy as np
 
-from .body import BodyState, InertiaSpec, reduced_hamiltonian
-from .body import _attitude_momentum_rhs, _attitude_momentum_velocity, _euler_rhs, _inertia_inverse
+from .body import InertiaSpec, reduced_hamiltonian
+from .body import _attitude_momentum_velocity, _euler_poisson_rhs, _euler_rhs, _inertia_inverse
 from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
 from .matcore import (
     _frobenius,
@@ -379,9 +382,9 @@ def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
     the last state of every member and None; or None, None and the
     failure of `_run`.
     """
-    times, states, last, failure = _run(spec, y0, cfg, _attitude_momentum_rhs,
+    times, states, last, failure = _run(spec, y0, cfg, _euler_poisson_rhs,
                                         _attitude_momentum_velocity, _translate_and_conjugate,
-                                        project=_projection(cfg, y0, ("attitude s0.q",)))
+                                        project=_projection(cfg, y0, ("the attitude block of y0",)))
     if failure is not None:
         return None, None, failure
     n = spec.n
@@ -393,24 +396,27 @@ def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
     return Trajectory("euler-poisson", times, states, audits), last, None
 
 
-def integrate_euler_poisson(spec: InertiaSpec, s0: BodyState, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate attitude and body momentum together.
+def integrate_euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate attitude and body momentum together from the stack ``y0 = [Q; pi]``.
 
-    The states are the stacks ``[Q; pi]``.  The momentum subsystem is
+    ``y0`` is one ``(2n, n)`` array, the layout of the states, so a run can
+    restart from any state of another.  The momentum subsystem is
     decoupled: under ``rk4`` and ``rkmk4`` its recursion is that of
     `integrate_euler` bit for bit, under ``midpoint`` (whose stopping test
     also sees the attitude) to the fixed-point tolerance.  Audits: reduced
     energy, momentum spectrum, and the orthogonality defect of the
-    attitude.  ``s0.pi`` must be skew, as the momentum of
-    `integrate_euler` must be; ``s0.q`` is audited, not validated, unless
-    ``project_attitude`` polar-projects the attitude after every step,
-    which needs a rotation ``s0.q``.
+    attitude.  The momentum block must be skew, as the momentum of
+    `integrate_euler` must be; the attitude block is audited, not
+    validated, unless ``project_attitude`` polar-projects it after every
+    step, which needs a rotation there.
     """
     _one_body(spec)
-    if s0.n != spec.n:
-        raise DimensionError(f"state is {s0.n}-dimensional, inertia is {spec.n}-dimensional")
-    require_skew(s0.pi)
-    traj, _, failure = _euler_poisson(spec, np.vstack([s0.q, s0.pi]), cfg)
+    y0 = np.asarray(y0, dtype=float)
+    n = spec.n
+    if y0.shape != (2 * n, n):
+        raise DimensionError(f"attitude-momentum stack has shape {y0.shape}, expected {(2 * n, n)}")
+    require_skew(y0[n:])
+    traj, _, failure = _euler_poisson(spec, y0, cfg)
     if failure is not None:
         raise failure
     return traj

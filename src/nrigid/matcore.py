@@ -109,17 +109,9 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _expm(a, squarings=None) -> np.ndarray:
-    # The kernel of `expm`, without its checks.  A matrix whose 1-norm is
-    # not finite gives NaN.  `_expm_stack` passes a stack of members that
-    # share their squaring count.
-    if squarings is None:
-        norm = np.abs(a).sum(axis=0).max()
-        if not np.isfinite(norm):
-            return np.full(a.shape, np.nan)
-        squarings = 0 if norm <= _EXPM_THRESHOLD else int(
-            np.ceil(np.log2(norm / _EXPM_THRESHOLD))
-        )
+def _expm(a, squarings) -> np.ndarray:
+    # The Taylor and squaring loop of `_expm_stack`, for a matrix or a
+    # stack of members that share their squaring count.
     b = a / (2.0 ** squarings)
     result = term = _identity(a.shape[-1])
     for k in range(1, _EXPM_DEGREE + 1):
@@ -131,12 +123,13 @@ def _expm(a, squarings=None) -> np.ndarray:
 
 
 def _expm_stack(a) -> np.ndarray:
-    """`_expm` of every matrix of a stack ``(..., m, m)``, bit for bit.
+    """The kernel of `expm`, without its checks, over a matrix or a stack ``(..., m, m)``.
 
-    The members are grouped by their squaring count, as `_expm` picks it
-    from the 1-norm, and each group runs `_expm`'s Taylor and squaring
-    loop at once.  A member whose 1-norm is not finite gives NaN in that
-    member only.
+    Each member's squaring count is picked from its 1-norm, and the
+    members are grouped by it, so each group runs `_expm`'s Taylor and
+    squaring loop at once and every member equals its own exponential bit
+    for bit.  A member whose 1-norm is not finite gives NaN in that member
+    only.
     """
     flat = a.reshape((-1,) + a.shape[-2:])
     norm = np.abs(flat).sum(axis=-2).max(axis=-1)
@@ -164,7 +157,7 @@ def expm(a) -> np.ndarray:
     a = _as_square(a)
     if not np.isfinite(a).all():
         raise ValueError("matrix exponential of a non-finite matrix")
-    return _expm(a)
+    return _expm_stack(a)
 
 
 def spectral_norm(m) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 
 from nrigid import InertiaSpec, hat
 from nrigid import control
-from nrigid.body import BodyState, reduced_hamiltonian
+from nrigid.body import reduced_hamiltonian
 from nrigid.errors import ConvergenceError
 from nrigid.integrate import integrate_euler_poisson
 from nrigid.matcore import (
@@ -156,7 +156,7 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
         return a - a.T
 
     def objective(x):
-        traj = integrate_euler_poisson(problem.spec, BodyState(problem.q0, skew(x)), problem.cfg)
+        traj = integrate_euler_poisson(problem.spec, np.vstack([problem.q0, skew(x)]), problem.cfg)
         r = (traj.states[-1, :n] - problem.q_target).ravel()
         return r, float(r @ r), traj
 

@@ -3,7 +3,6 @@ import pytest
 
 from helpers import standard_spec
 from nrigid.body import (
-    BodyState,
     InertiaSpec,
     euler_poisson_rhs,
     euler_rhs,
@@ -144,15 +143,16 @@ class TestEulerRhs:
 class TestEulerPoisson:
     def test_zero_momentum(self):
         spec = standard_spec()
-        state = BodyState(q=np.eye(3), pi=np.zeros((3, 3)))
-        qdot, pidot = euler_poisson_rhs(spec, state)
+        ydot = euler_poisson_rhs(spec, np.vstack([np.eye(3), np.zeros((3, 3))]))
+        assert ydot.shape == (6, 3)
+        qdot, pidot = ydot[:3], ydot[3:]
         assert np.linalg.norm(qdot) == 0.0
         assert np.linalg.norm(pidot) == 0.0
 
     def test_relative_equilibrium(self):
         spec = standard_spec()
-        state = BodyState(q=np.eye(3), pi=hat([1.0, 0.0, 0.0]))
-        qdot, pidot = euler_poisson_rhs(spec, state)
+        ydot = euler_poisson_rhs(spec, np.vstack([np.eye(3), hat([1.0, 0.0, 0.0])]))
+        qdot, pidot = ydot[:3], ydot[3:]
         np.testing.assert_allclose(qdot, hat([1.0 / 5.0, 0.0, 0.0]), atol=1e-15)
         assert np.linalg.norm(pidot) == 0.0
 
@@ -160,9 +160,9 @@ class TestEulerPoisson:
         spec = standard_spec()
         rng = np.random.default_rng(4)
         for _ in range(20):
-            state = BodyState(q=np.eye(3), pi=random_skew(3, rng))
-            _, pidot = euler_poisson_rhs(spec, state)
-            np.testing.assert_array_equal(pidot, euler_rhs(spec, state.pi))
+            pi = random_skew(3, rng)
+            pidot = euler_poisson_rhs(spec, np.vstack([np.eye(3), pi]))[3:]
+            np.testing.assert_array_equal(pidot, euler_rhs(spec, pi))
 
 
 class TestFieldsKeepTheirChecks:
@@ -174,9 +174,15 @@ class TestFieldsKeepTheirChecks:
             euler_rhs(standard_spec(), bad)
 
     def test_euler_poisson_rhs_dimension(self):
-        state = BodyState(q=np.eye(4), pi=np.zeros((4, 4)))
+        # an (8, 4) stack is a 4-body [Q; pi], the spec a 3-body one
         with pytest.raises(DimensionError):
-            euler_poisson_rhs(standard_spec(), state)
+            euler_poisson_rhs(standard_spec(), np.vstack([np.eye(4), np.zeros((4, 4))]))
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros((6, 4)), np.zeros((2, 6, 3)),
+                                     np.zeros(18)])
+    def test_euler_poisson_rhs_shapes(self, bad):
+        with pytest.raises(DimensionError):
+            euler_poisson_rhs(standard_spec(), bad)
 
 
 class TestHatVee:

@@ -6,7 +6,7 @@ import pytest
 from helpers import BLOCK_CROSSING, invariant_battery_reference
 from nrigid.cli import load_config, load_trajectory_csv, main, write_trajectory_csv
 from nrigid.matcore import expm, skew_defect
-from nrigid.body import BodyState, InertiaSpec, hat
+from nrigid.body import InertiaSpec, hat
 from nrigid.integrate import (
     IntegratorConfig,
     integrate_euler,
@@ -356,7 +356,7 @@ class TestTrajectoryCsvFormat:
             return integrate_euler(spec, pi0, cfg)
         if kind == "symrep":
             return integrate_symrep(spec, solve_lift(q0, pi0), cfg)
-        return integrate_euler_poisson(spec, BodyState(q=q0, pi=pi0), cfg)
+        return integrate_euler_poisson(spec, np.vstack([q0, pi0]), cfg)
 
     @staticmethod
     def reference_text(traj):

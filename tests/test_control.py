@@ -3,7 +3,7 @@ import pytest
 
 from helpers import scaled_skew, shoot_reference, standard_pi0, standard_spec
 from nrigid import control
-from nrigid.body import BodyState, InertiaSpec, hat, inertia_inverse, reduced_hamiltonian
+from nrigid.body import InertiaSpec, hat, inertia_inverse, reduced_hamiltonian
 from nrigid.control import BvpProblem, BvpSolution, shoot, trajectory_cost
 from nrigid.errors import ConvergenceError, DivergenceError
 from nrigid.integrate import (
@@ -81,7 +81,7 @@ class TestTrajectoryCost:
         spec, q0, pi0 = standard_spec(), np.eye(3), standard_pi0()
         cfg = IntegratorConfig("rk4", 1e-3, 2.0)
         symrep = trajectory_cost(spec, integrate_symrep(spec, solve_lift(q0, pi0), cfg))
-        body = trajectory_cost(spec, integrate_euler_poisson(spec, BodyState(q0, pi0), cfg))
+        body = trajectory_cost(spec, integrate_euler_poisson(spec, np.vstack([q0, pi0]), cfg))
         euler = trajectory_cost(spec, integrate_euler(spec, pi0, cfg))
         assert abs(body - symrep) <= 1e-12
         assert euler == body
@@ -201,7 +201,7 @@ class TestShoot:
         assert sol.terminal_error <= 1e-6
         assert spectral_norm(sol.pi0) > 2.0
         body = integrate_euler_poisson(
-            problem.spec, BodyState(q=np.eye(3), pi=sol.pi0), problem.cfg
+            problem.spec, np.vstack([np.eye(3), sol.pi0]), problem.cfg
         )
         assert np.linalg.norm(body.states[-1, :3] - problem.q_target) <= 1e-6
 
@@ -236,7 +236,7 @@ class TestShoot:
             assert abs(norm - 2.0) <= 1e-5
         traj = sol.trajectory
         assert traj.kind == "euler-poisson"
-        flow = integrate_euler_poisson(problem.spec, BodyState(problem.q0, sol.pi0), problem.cfg)
+        flow = integrate_euler_poisson(problem.spec, np.vstack([problem.q0, sol.pi0]), problem.cfg)
         np.testing.assert_array_equal(traj.states, flow.states)
         assert sol.terminal_error == np.linalg.norm(traj.states[-1, :3] - problem.q_target)
         assert sol.terminal_error <= tol

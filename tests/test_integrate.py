@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import random_phase, scaled_skew, standard_pi0, standard_spec
-from nrigid.body import BodyState, InertiaSpec, euler_poisson_rhs, euler_rhs, hat, inertia_inverse
-from nrigid.errors import ConvergenceError, DivergenceError, RankLossError
+from nrigid.body import InertiaSpec, euler_poisson_rhs, euler_rhs, hat, inertia_inverse
+from nrigid.errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
 from nrigid import integrate
 from nrigid.integrate import (
     _AUDIT_BLOCK,
@@ -49,8 +49,8 @@ def order_ratio(kind, scheme, steps):
         z0 = solve_lift(np.eye(3), pi0)
         args = lambda cfg: (spec, z0, cfg)
     else:
-        s0 = BodyState(q=np.eye(3), pi=pi0)
-        args = lambda cfg: (spec, s0, cfg)
+        y0 = np.vstack([np.eye(3), pi0])
+        args = lambda cfg: (spec, y0, cfg)
     finals = [
         final_state(kind, *args(IntegratorConfig(scheme, h, 1.0))) for h in steps
     ]
@@ -104,9 +104,9 @@ class TestEuler:
     def test_divergence_reported_with_step_index(self):
         # the attitude factor blows up doubly exponentially at huge steps
         spec = standard_spec()
-        s0 = BodyState(q=np.eye(3), pi=10.0 * standard_pi0())
+        y0 = np.vstack([np.eye(3), 10.0 * standard_pi0()])
         with pytest.raises(DivergenceError) as err:
-            integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", 5.0, 500.0))
+            integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", 5.0, 500.0))
         assert err.value.step_index >= 1
 
 
@@ -157,19 +157,38 @@ class TestSymrep:
 
 
 class TestEulerPoisson:
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 4), (7, 4), (8, 4), (2, 6, 3), (18,)])
+    def test_stack_shape_checked(self, shape):
+        # (8, 4) is a 4-body [Q; pi] against the 3-body spec; the rows
+        # below row 3 of a (7, 4) stack are a square, skew block
+        y0 = np.zeros(shape)
+        with pytest.raises(DimensionError):
+            integrate_euler_poisson(standard_spec(), y0, IntegratorConfig("rk4", 1e-2, 1.0))
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    def test_restarts_from_any_state(self, scheme, project_attitude):
+        # a state of one run is the initial stack of its continuation
+        spec, h = standard_spec(), 0.01
+        y0 = np.vstack([expm(hat([0.1, -0.2, 0.3])), 1.8 * standard_pi0()])
+        traj = integrate_euler_poisson(spec, y0, IntegratorConfig(scheme, h, 1.0, project_attitude))
+        for k in (1, 37, 99):
+            cfg = IntegratorConfig(scheme, h, (100 - k) * h, project_attitude)
+            rest = integrate_euler_poisson(spec, traj.states[k], cfg)
+            np.testing.assert_array_equal(rest.states, traj.states[k:])
+
     def test_zero_momentum_freezes_attitude(self):
         spec = standard_spec()
-        s0 = BodyState(q=expm(hat([0.1, 0.2, 0.3])), pi=np.zeros((3, 3)))
-        traj = integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", 1e-2, 1.0))
-        assert max(np.linalg.norm(y[:3] - s0.q) for y in traj.states) == 0.0
+        q0 = expm(hat([0.1, 0.2, 0.3]))
+        traj = integrate_euler_poisson(spec, np.vstack([q0, np.zeros((3, 3))]),
+                                       IntegratorConfig("rk4", 1e-2, 1.0))
+        assert max(np.linalg.norm(y[:3] - q0) for y in traj.states) == 0.0
 
     @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
     def test_momentum_matches_standalone_euler(self, scheme):
         spec = standard_spec()
         cfg = IntegratorConfig(scheme, 1e-2, 1.0)
-        both = integrate_euler_poisson(
-            spec, BodyState(q=np.eye(3), pi=standard_pi0()), cfg
-        )
+        both = integrate_euler_poisson(spec, np.vstack([np.eye(3), standard_pi0()]), cfg)
         alone = integrate_euler(spec, standard_pi0(), cfg)
         worst = max(
             np.linalg.norm(y[3:] - pi) for y, pi in zip(both.states, alone.states)
@@ -179,7 +198,7 @@ class TestEulerPoisson:
     def test_attitude_defect_rk4(self):
         traj = integrate_euler_poisson(
             standard_spec(),
-            BodyState(q=np.eye(3), pi=standard_pi0()),
+            np.vstack([np.eye(3), standard_pi0()]),
             IntegratorConfig("rk4", 1e-3, 10.0),
         )
         assert np.max(traj.audits["orthogonality_defect"]) <= 1e-8
@@ -187,7 +206,7 @@ class TestEulerPoisson:
     def test_attitude_defect_rkmk4(self):
         traj = integrate_euler_poisson(
             standard_spec(),
-            BodyState(q=np.eye(3), pi=standard_pi0()),
+            np.vstack([np.eye(3), standard_pi0()]),
             IntegratorConfig("rkmk4", 1e-3, 10.0),
         )
         assert np.max(traj.audits["orthogonality_defect"]) <= 1e-12
@@ -197,14 +216,14 @@ class TestEulerPoisson:
         pi0 = hat([0.5, 0.6, 0.7]) + 0.3 * np.eye(3)
         cfg = IntegratorConfig("rk4", 1e-2, 1.0)
         with pytest.raises(ValueError, match="not skew-symmetric"):
-            integrate_euler_poisson(standard_spec(), BodyState(q=np.eye(3), pi=pi0), cfg)
+            integrate_euler_poisson(standard_spec(), np.vstack([np.eye(3), pi0]), cfg)
         with pytest.raises(ValueError, match="not skew-symmetric"):
             integrate_euler(standard_spec(), pi0, cfg)
 
     def test_projection_repairs_attitude(self):
         traj = integrate_euler_poisson(
             standard_spec(),
-            BodyState(q=np.eye(3), pi=1.8 * standard_pi0()),
+            np.vstack([np.eye(3), 1.8 * standard_pi0()]),
             IntegratorConfig("rk4", 1e-2, 10.0, project_attitude=True),
         )
         assert np.max(traj.audits["orthogonality_defect"]) <= 1e-13
@@ -277,15 +296,11 @@ class TestPublicFields:
 
     def test_euler_poisson_steps_euler_poisson_rhs(self):
         spec = standard_spec()
-        s0 = BodyState(q=expm(hat([0.1, -0.2, 0.3])), pi=standard_pi0())
-
-        def field(y):
-            return np.vstack(euler_poisson_rhs(spec, BodyState(q=y[:3], pi=y[3:])))
-
-        traj = integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", self.H, 2 * self.H))
-        y = np.vstack([s0.q, s0.pi])
+        y0 = np.vstack([expm(hat([0.1, -0.2, 0.3])), standard_pi0()])
+        traj = integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", self.H, 2 * self.H))
+        y = y0
         for i in (1, 2):
-            y = rk4_step(field, y, self.H)
+            y = rk4_step(lambda y: euler_poisson_rhs(spec, y), y, self.H)
             np.testing.assert_array_equal(traj.states[i], y)
 
     @pytest.mark.parametrize("n", [3, 16])
@@ -294,15 +309,15 @@ class TestPublicFields:
         # of the two blocks written out separately
         rng = np.random.default_rng(n)
         spec = InertiaSpec(rng.uniform(0.5, 2.0, n))
-        s0 = BodyState(q=random_rotation(n, rng), pi=scaled_skew(n, rng, 1.5))
+        y0 = np.vstack([random_rotation(n, rng), scaled_skew(n, rng, 1.5)])
 
         def field(y):
             q, pi = y[:n], y[n:]
             om = inertia_inverse(spec, pi)
             return np.vstack([q @ om, pi @ om - om @ pi])
 
-        traj = integrate_euler_poisson(spec, s0, IntegratorConfig("rk4", self.H, 50 * self.H))
-        y = np.vstack([s0.q, s0.pi])
+        traj = integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", self.H, 50 * self.H))
+        y = y0
         for state in traj.states[1:]:
             y = rk4_step(field, y, self.H)
             np.testing.assert_array_equal(state, y)
@@ -312,8 +327,7 @@ class TestPublicFields:
         # tolerance, because its stopping test also sees the attitude
         spec, pi0 = standard_spec(), standard_pi0()
         cfg = IntegratorConfig("rkmk4", 0.01, 0.5)
-        s0 = BodyState(q=np.eye(3), pi=pi0)
-        coupled = integrate_euler_poisson(spec, s0, cfg)
+        coupled = integrate_euler_poisson(spec, np.vstack([np.eye(3), pi0]), cfg)
         alone = integrate_euler(spec, pi0, cfg)
         np.testing.assert_array_equal(coupled.states[:, 3:], alone.states)
 
@@ -332,6 +346,22 @@ class TestNonFiniteInitialState:
         pi0[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             integrate_euler(standard_spec(), pi0, IntegratorConfig("rk4", 0.01, 0.1))
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_euler_poisson_attitude(self, scheme, bad, project_attitude):
+        y0 = np.vstack([np.eye(3), standard_pi0()])
+        y0[1, 2] = bad
+        cfg = IntegratorConfig(scheme, 0.01, 0.1, project_attitude=project_attitude)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_euler_poisson(standard_spec(), y0, cfg)
+
+    def test_euler_poisson_momentum(self):
+        y0 = np.vstack([np.eye(3), standard_pi0()])
+        y0[4, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_euler_poisson(standard_spec(), y0, IntegratorConfig("rk4", 0.01, 0.1))
 
 
 class TestProjectionNeedsRotationBlocks:
@@ -370,9 +400,9 @@ class TestProjectionNeedsRotationBlocks:
         assert np.linalg.norm(traj.audits["on_momentum"][0] - pi0) <= 1e-10
 
     def test_euler_poisson_attitude_named(self):
-        s0 = BodyState(q=2.0 * np.eye(3), pi=standard_pi0())
-        with pytest.raises(ValueError, match="attitude s0.q: matrix is not a rotation"):
-            integrate_euler_poisson(standard_spec(), s0,
+        y0 = np.vstack([2.0 * np.eye(3), standard_pi0()])
+        with pytest.raises(ValueError, match="attitude block of y0: matrix is not a rotation"):
+            integrate_euler_poisson(standard_spec(), y0,
                                     IntegratorConfig("rk4", 0.01, 0.1, project_attitude=True))
 
 
@@ -384,10 +414,8 @@ class TestProjectedSteps:
 
     @staticmethod
     def integrate(kind, spec, y, cfg):
-        if kind == "symrep":
-            return integrate_symrep(spec, y, cfg)
-        n = spec.n
-        return integrate_euler_poisson(spec, BodyState(q=y[:n], pi=y[n:]), cfg)
+        integrator = integrate_symrep if kind == "symrep" else integrate_euler_poisson
+        return integrator(spec, y, cfg)
 
     @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
     @pytest.mark.parametrize("kind, blocks", [("symrep", 2), ("euler-poisson", 1)])

@@ -11,6 +11,7 @@ from nrigid.body import hat
 from nrigid.errors import DimensionError, OutOfRangeError
 from nrigid.matcore import (
     _expm,
+    _expm_stack,
     commutator,
     expm,
     inner,
@@ -181,9 +182,9 @@ class TestExpm:
         # already agree with the kernel's degree-12 sum to round-off, which
         # bounds what summing the full series moves at small arguments.
         a = with_one_norm(np.random.default_rng(m).uniform(-1.0, 1.0, (4, 4)), norm)
-        np.testing.assert_array_equal(_expm(a), taylor(a, 12))
+        np.testing.assert_array_equal(_expm_stack(a), taylor(a, 12))
         degree = m if norm <= TAYLOR_THETA[m - 1] else m + 1
-        assert np.abs(_expm(a) - taylor(a, degree)).max() <= 2.0 ** -52
+        assert np.abs(_expm_stack(a) - taylor(a, degree)).max() <= 2.0 ** -52
 
     @pytest.mark.parametrize("m, norm", NEAR_THETA)
     def test_small_skew_matches_rodrigues(self, m, norm):
@@ -242,7 +243,8 @@ class TestExpmKernel:
             a *= norm / np.linalg.norm(a, 1)
             want, count = reference_expm(a)
             assert count == squarings
-            np.testing.assert_array_equal(_expm(a), want)
+            np.testing.assert_array_equal(_expm(a, count), want)
+            np.testing.assert_array_equal(_expm_stack(a), want)
             np.testing.assert_array_equal(expm(a), want)
 
     def test_squarings_follow_the_one_norm(self):
@@ -252,19 +254,22 @@ class TestExpmKernel:
         a[:, 0] = 0.3
         want, count = reference_expm(a)
         assert count == 1
-        np.testing.assert_array_equal(_expm(a), want)
+        np.testing.assert_array_equal(_expm_stack(a), want)
+        np.testing.assert_array_equal(_expm(a, count), want)
 
     def test_cached_identity_is_not_modified(self):
         a = random_skew(3, 5)
-        first = _expm(a)
-        _expm(np.zeros((3, 3)))[0, 0] = 7.0  # the result is the caller's own array
-        np.testing.assert_array_equal(_expm(np.zeros((3, 3))), np.eye(3))
-        np.testing.assert_array_equal(_expm(a), first)
+        _, count = reference_expm(a)
+        first = _expm(a, count)
+        _expm(np.zeros((3, 3)), 0)[0, 0] = 7.0  # the result is the caller's own array
+        np.testing.assert_array_equal(_expm(np.zeros((3, 3)), 0), np.eye(3))
+        np.testing.assert_array_equal(_expm(a, count), first)
+        np.testing.assert_array_equal(_expm_stack(a), first)
 
     def test_kernel_gives_nan_for_a_non_finite_norm(self):
         a = np.eye(3)
         a[0, 1] = np.inf
-        assert np.isnan(_expm(a)).all()
+        assert np.isnan(_expm_stack(a)).all()
         with pytest.raises(ValueError, match="non-finite"):
             expm(a)
 

@@ -22,7 +22,9 @@ integrator takes its initial state in the layout of its states (a momentum,
 a phase point, a stack ``[Q; pi]``), so a run can restart from any state of
 another.  Inputs are checked once, at the boundary, and the step loop calls
 the unchecked kernels behind those functions; rkmk4 adds one n x n inverse
-per stage.
+per stage.  It calls LAPACK's inverse directly, not through the per-call
+wrapper of ``np.linalg.inv``, so a stage that overflows gives a non-finite
+state and ends in `DivergenceError`, as under the other schemes.
 
 Every accepted step is written into one stacked array.  The invariant
 audits, the rank margin of the phase points among them, are computed from
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.linalg._umath_linalg import inv as _inv
 
 from .body import InertiaSpec, reduced_hamiltonian
 from .body import _attitude_momentum_velocity, _euler_poisson_rhs, _euler_rhs, _inertia_inverse
@@ -144,9 +147,15 @@ def _cayley(a):
     # The Cayley chart at theta = 2a, over the last two axes: cay(theta),
     # and the exact inverse of its left-trivialised tangent, which pulls a
     # body velocity omega at cay(theta) back to theta' = (I + a) omega (I - a).
+    # The inverse is the d->d gufunc that np.linalg.inv wraps: the same
+    # LAPACK call without the wrapper's checks and errstate, which are about
+    # two thirds of a 3 x 3 inverse's cost.  It needs m float64 and square,
+    # one matrix or a (B, n, n) stack.  A member LAPACK finds singular comes
+    # out NaN without raising, and a non-finite a gives a non-finite g anyway;
+    # _step's finiteness check raises DivergenceError on either.
     eye = _identity(a.shape[-1])
     p, m = eye + a, eye - a
-    return p @ np.linalg.inv(m), lambda omega: p @ omega @ m
+    return p @ _inv(m, signature="d->d"), lambda omega: p @ omega @ m
 
 
 def _rkmk4_step(omega_of, act, y, h):

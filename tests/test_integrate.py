@@ -109,6 +109,18 @@ class TestEuler:
             integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", 5.0, 500.0))
         assert err.value.step_index >= 1
 
+    @pytest.mark.parametrize("kind", ["euler", "euler-poisson"])
+    def test_rkmk4_overflowing_stage_is_divergence(self, kind):
+        # a stage argument overflows at step 10, so I - a is no longer
+        # invertible: the chart gives NaN, and the run ends in a divergence
+        # named with its step, not in a singular-matrix error
+        pi0 = hat([500.0, 600.0, 700.0])
+        y0 = pi0 if kind == "euler" else np.vstack([np.eye(3), pi0])
+        cfg = IntegratorConfig("rkmk4", 2.0, 400.0)
+        with pytest.raises(DivergenceError, match="non-finite state at step 10") as err:
+            final_state(kind, standard_spec(), y0, cfg)
+        assert err.value.step_index == 10
+
 
 class TestSymrep:
     def test_stationary_when_blocks_equal(self):

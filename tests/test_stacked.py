@@ -3,6 +3,7 @@ computed from the stacked states, and the reduction comparison over the
 stacks, each checked against a loop of 2-D calls."""
 
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -362,6 +363,26 @@ class TestStackedCayley:
             np.testing.assert_array_equal(g[k], (eye + a[k]) @ np.linalg.inv(eye - a[k]))
             np.testing.assert_array_equal(pulled[k], one_pull_back(omega[k]))
 
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_failing_members_only(self, n):
+        # Member 1 is non-finite, and member 3 makes I - a singular, which
+        # LAPACK reports as a zero pivot.  Under the errstate that _run steps
+        # in, the chart marks both with NaN and raises and warns nothing; the
+        # other members are their single results.
+        rng = np.random.default_rng(n)
+        a = np.stack([0.5 * random_skew(n, rng) for _ in range(5)])
+        a[1, 0, 1] = np.nan
+        a[3] = np.eye(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                g, _ = _cayley(a)
+        assert np.isnan(g[[1, 3]]).all()
+        eye = np.eye(n)
+        for k in (0, 2, 4):
+            np.testing.assert_array_equal(g[k], _cayley(a[k])[0])
+            np.testing.assert_array_equal(g[k], (eye + a[k]) @ np.linalg.inv(eye - a[k]))
+
 
 class TestBatchedRun:
     """`_run` over a batch ``(B, rows, n)`` against each member's own run,
@@ -485,8 +506,12 @@ class TestBatchedRun:
             _, one, _, _ = self.run("euler-poisson", spec, y0[b], cfg, [])
             np.testing.assert_array_equal(last[b], one[-1])
 
+    # Under rkmk4, member 1 overflows at step 1 with norm 1e4 and at step 11
+    # with norm 3e3.
     @pytest.mark.parametrize("scheme, failing, expected", [
         ("rk4", 1000.0, DivergenceError),
+        ("rkmk4", 1e4, DivergenceError),
+        ("rkmk4", 3e3, DivergenceError),
         ("midpoint", 300.0, ConvergenceError),
     ])
     def test_batch_stops_at_first_failing_step(self, scheme, failing, expected):

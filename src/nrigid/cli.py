@@ -269,13 +269,13 @@ def cmd_verify_reduction(args) -> int:
     report_path = _out_path(args, config, "report", "reduction_report.txt")
     entries = {}
     failed = []
-    for key in ("e_equiv", "level_set_defect", "energy_match", "casimir_drift"):
+    for key in _DEFAULT_TOLERANCES:
         entries[key] = report[key]
         entries[f"{key}_tolerance"] = float(tolerances[key])
         if report[key] > tolerances[key]:
             failed.append(key)
     write_report(report_path, entries)
-    for key in ("e_equiv", "level_set_defect", "energy_match", "casimir_drift"):
+    for key in _DEFAULT_TOLERANCES:
         print(f"{key} = {_fmt(report[key])}")
     if failed:
         print(f"tolerance exceeded: {', '.join(failed)}", file=sys.stderr)

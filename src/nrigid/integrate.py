@@ -28,13 +28,16 @@ state and ends in `DivergenceError`, as under the other schemes.
 
 Every accepted step is written into one stacked array.  The invariant
 audits, the rank margin of the phase points among them, are computed from
-the stack after the run, over blocks of states.  The step loop also takes
-a batch of initial states along a leading axis, whose members step as
-their own runs bit for bit; it stores the states of the first member and
-the last state of each.  `shoot` runs its candidates with their
-forward-difference probes that way.  `RankLossError` names the
-first state below full rank, also when a later step failed first.  No
-step-size adaptivity: runs are reproducible and admit clean order checks.
+the stack after the run, over blocks of states.  Each scheme's kernel
+also steps a batch of initial states along a leading axis, whose members
+step as their own runs bit for bit (under midpoint each stops at its own
+fixed-point count); the loop stores the states of the first member and the
+last state of each.  `shoot` runs its candidates with their
+forward-difference probes that way.  A non-finite state, or a projected
+block with no nearby rotation, ends a run in `DivergenceError` with its
+step.  `RankLossError` names the first state below full rank, also when a
+later step failed first.  No step-size adaptivity: runs are reproducible
+and admit clean order checks.
 """
 
 from __future__ import annotations
@@ -173,36 +176,29 @@ def _rkmk4_step(omega_of, act, y, h):
 
 
 def _midpoint_step(rhs, y, h, tol, max_iter):
+    # The implicit midpoint rule by fixed-point iteration on one state (rows,
+    # n) or a batch (B, rows, n).  The test is a Python bool for one state,
+    # one bool per member of a batch, each that of its own run bit for bit
+    # (`_frobenius`).  A member that passes is frozen into `out` and no longer
+    # evaluated; arrays are re-indexed only when some, not all, members pass.
+    out = active = None
     m = y + (0.5 * h) * rhs(y)
     for _ in range(max_iter):
         m_next = y + (0.5 * h) * rhs(m)
-        delta = float(np.linalg.norm(m_next - m))
+        done = _frobenius(m_next - m) <= tol
         m = m_next
-        if delta <= tol:
-            return 2.0 * m - y
-    raise ConvergenceError(
-        f"implicit midpoint fixed point did not reach {tol:g} in {max_iter} iterations"
-    )
-
-
-def _midpoint_batch_step(rhs, y, h, tol, max_iter):
-    # `_midpoint_step` on each member of a batch (B, ...), which stops at its
-    # own iteration count: a member whose test passes is frozen, and only the
-    # members still iterating are evaluated.  The test takes the norm of each
-    # member alone, as the single step does; a norm over the stack's last two
-    # axes sums in another order and can differ in the last bit.
-    out = np.empty_like(y)
-    active = np.arange(len(y))
-    m = y + (0.5 * h) * rhs(y)
-    for _ in range(max_iter):
-        y_active = y[active]
-        m_next = y_active + (0.5 * h) * rhs(m)
-        d = m_next - m
-        done = np.array([float(np.linalg.norm(d[k])) <= tol for k in range(len(active))])
-        out[active[done]] = 2.0 * m_next[done] - y_active[done]
-        active, m = active[~done], m_next[~done]
-        if not active.size:
+        if done is False:
+            continue
+        if done is True or done.all():
+            if out is None:
+                return 2.0 * m - y
+            out[active] = 2.0 * m - y
             return out
+        if done.any():
+            if out is None:
+                out, active = np.empty_like(y), np.arange(len(y))
+            out[active[done]] = 2.0 * m[done] - y[done]
+            active, m, y = active[~done], m[~done], y[~done]
     raise ConvergenceError(
         f"implicit midpoint fixed point did not reach {tol:g} in {max_iter} iterations"
     )
@@ -252,19 +248,24 @@ def _step(advance, project, y, i):
     y = advance(y)
     if not np.isfinite(y).all():
         raise DivergenceError(f"non-finite state at step {i}", step_index=i)
-    return y if project is None else project(y)
+    if project is None:
+        return y
+    try:
+        return project(y)
+    except ValueError as exc:  # _projection checked the start, so the step threw it off
+        raise DivergenceError(f"projection failed at step {i}: {exc}", step_index=i) from exc
 
 
 def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
     """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4.
 
-    y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` of states
-    whose members step together; each member's states are those of its own
-    run bit for bit.  Returns the times, the stored states ``(N+1, rows,
-    n)``, the last of them for every member and the failure of the step
-    that failed, or None.  A batch stores the states of its first member
-    only, so it holds one run's history whatever B is.  A failed run
-    returns what it stored before that step, and its failure is that
+    y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` whose
+    members step through the same kernels; each member's states are those
+    of its own run bit for bit.  Returns the times, the stored states
+    ``(N+1, rows, n)``, the last state (of every member) and the failure
+    of the step that failed, or None.  A batch stores its first member's
+    states only, so it holds one run's history whatever B is.  A failed
+    run returns what it stored before that step, and its failure is that
     step's exception; a batch stops at the first step at which any member
     fails, and which member failed is left to the caller.
     """
@@ -274,17 +275,15 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
     y = np.array(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
-    batch = y.ndim == 3
     if cfg.scheme == "rk4":
         advance = lambda y: _rk4_step(field, y, h)
     elif cfg.scheme == "rkmk4":
         advance = lambda y: _rkmk4_step(velocity, act, y, h)
-    elif batch:
-        advance = lambda y: _midpoint_batch_step(field, y, h, tol, max_iter)
     else:
         advance = lambda y: _midpoint_step(field, y, h, tol, max_iter)
+    first = (0,) * (y.ndim - 2)
     states = np.empty((steps + 1,) + y.shape[-2:])
-    states[0] = y[0] if batch else y
+    states[0] = y[first]
     times = np.arange(steps + 1) * h
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(1, steps + 1):
@@ -292,7 +291,7 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
                 y = _step(advance, project, y, i)
             except (ConvergenceError, DivergenceError, ValueError) as exc:
                 return times[:i], states[:i], y, exc
-            states[i] = y[0] if batch else y
+            states[i] = y[first]
     return times, states, y, None
 
 

@@ -109,17 +109,23 @@ class TestEuler:
             integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", 5.0, 500.0))
         assert err.value.step_index >= 1
 
-    @pytest.mark.parametrize("kind", ["euler", "euler-poisson"])
-    def test_rkmk4_overflowing_stage_is_divergence(self, kind):
+    @pytest.mark.parametrize("kind, project_attitude, message, step", [
+        ("euler", False, "non-finite state at step 10", 10),
+        ("euler-poisson", False, "non-finite state at step 10", 10),
+        ("euler-poisson", True, "projection failed at step 2: negative determinant", 2),
+    ], ids=["euler", "euler-poisson", "euler-poisson-projected"])
+    def test_rkmk4_overflowing_stage_is_divergence(self, kind, project_attitude, message, step):
         # a stage argument overflows at step 10, so I - a is no longer
         # invertible: the chart gives NaN, and the run ends in a divergence
-        # named with its step, not in a singular-matrix error
+        # named with its step, not in a singular-matrix error.  Projected,
+        # the attitude of step 2 already has no nearby rotation: the same
+        # divergence, seen eight steps earlier.
         pi0 = hat([500.0, 600.0, 700.0])
         y0 = pi0 if kind == "euler" else np.vstack([np.eye(3), pi0])
-        cfg = IntegratorConfig("rkmk4", 2.0, 400.0)
-        with pytest.raises(DivergenceError, match="non-finite state at step 10") as err:
+        cfg = IntegratorConfig("rkmk4", 2.0, 400.0, project_attitude=project_attitude)
+        with pytest.raises(DivergenceError, match=message) as err:
             final_state(kind, standard_spec(), y0, cfg)
-        assert err.value.step_index == 10
+        assert err.value.step_index == step
 
 
 class TestSymrep:

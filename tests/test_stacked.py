@@ -390,7 +390,8 @@ class TestBatchedRun:
     the Euler field."""
 
     # Momenta of spectral norm 0.02, 0.5 and 2.5 take different numbers of
-    # midpoint fixed-point iterations over a run.
+    # midpoint fixed-point iterations over a run.  A batch is made of some
+    # of them, picked by index.
     NORMS = (0.02, 0.5, 2.5)
     STEPS = 40
 
@@ -409,26 +410,31 @@ class TestBatchedRun:
         return _run(spec, y0, cfg, c(_euler_poisson_rhs), c(_attitude_momentum_velocity),
                     _translate_and_conjugate, project=_projection(cfg, y0, ("attitude",)))
 
-    def members(self, kind, n):
+    def members(self, kind, n, picks=(0, 1, 2)):
         rng = np.random.default_rng(n)
         out = []
         for norm in self.NORMS:
             pi0 = scaled_skew(n, rng, norm)
             out.append(pi0 if kind == "euler" else np.vstack([random_rotation(n, rng), pi0]))
-        return np.stack(out)
+        return np.stack(out)[list(picks)]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 16])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("kind, project_attitude", [
-        ("euler-poisson", False), ("euler-poisson", True), ("euler", False),
-    ])
-    def test_members_are_their_single_runs(self, kind, project_attitude, scheme, n):
+    @pytest.mark.parametrize("kind, project_attitude, picks", [
+        ("euler-poisson", False, (0, 1, 2)), ("euler-poisson", True, (0, 1, 2)),
+        ("euler", False, (0, 1, 2)),
+        # A batch of one, and two identical members, which finish on the
+        # same midpoint iteration: neither is ever re-indexed.
+        ("euler-poisson", True, (1,)), ("euler-poisson", True, (1, 1)),
+    ], ids=["euler-poisson-False", "euler-poisson-True", "euler-False",
+            "euler-poisson-True-one", "euler-poisson-True-twins"])
+    def test_members_are_their_single_runs(self, kind, project_attitude, picks, scheme, n):
         # A batch stores its first member's states: the batch is run once
         # with each member first, and that member's states and every
         # member's last state must equal their single runs.
         spec = InertiaSpec(np.linspace(0.5, 2.0, n))
         cfg = IntegratorConfig(scheme, 0.025, 0.025 * self.STEPS, project_attitude=project_attitude)
-        y0 = self.members(kind, n)
+        y0 = self.members(kind, n, picks)
         singles, single_counts = [], []
         for b in range(len(y0)):
             counts = []
@@ -452,10 +458,12 @@ class TestBatchedRun:
             # midpoint a member whose fixed point has converged is not
             # iterated further.
             assert sum(batch_counts) == sum(single_counts)
-        if scheme == "midpoint":
-            assert len(set(single_counts)) == len(single_counts), single_counts
-        else:
+            if len(set(picks)) == 1:
+                assert set(batch_counts) == {len(y0)}, batch_counts
+        if scheme != "midpoint":
             assert single_counts == [4 * self.STEPS] * len(y0)
+        elif len(set(picks)) == len(picks):
+            assert len(set(single_counts)) == len(single_counts), single_counts
 
     def test_batch_holds_one_runs_history(self):
         # n = 8 and 28 probes, as `shoot` batches them, over 1000 steps: the
@@ -507,19 +515,22 @@ class TestBatchedRun:
             np.testing.assert_array_equal(last[b], one[-1])
 
     # Under rkmk4, member 1 overflows at step 1 with norm 1e4 and at step 11
-    # with norm 3e3.
-    @pytest.mark.parametrize("scheme, failing, expected", [
-        ("rk4", 1000.0, DivergenceError),
-        ("rkmk4", 1e4, DivergenceError),
-        ("rkmk4", 3e3, DivergenceError),
-        ("midpoint", 300.0, ConvergenceError),
-    ])
-    def test_batch_stops_at_first_failing_step(self, scheme, failing, expected):
+    # with norm 3e3; projected, its attitude at step 8 has no nearby rotation.
+    @pytest.mark.parametrize("scheme, failing, project_attitude, expected", [
+        ("rk4", 1000.0, False, DivergenceError),
+        ("rkmk4", 1e4, False, DivergenceError),
+        ("rkmk4", 3e3, False, DivergenceError),
+        ("rkmk4", 3e3, True, DivergenceError),
+        ("midpoint", 300.0, False, ConvergenceError),
+    ], ids=["rk4-1000.0-DivergenceError", "rkmk4-10000.0-DivergenceError",
+            "rkmk4-3000.0-DivergenceError", "rkmk4-3000.0-projected-DivergenceError",
+            "midpoint-300.0-ConvergenceError"])
+    def test_batch_stops_at_first_failing_step(self, scheme, failing, project_attitude, expected):
         # Member 1 fails; the batch stops at the step at which that member's
         # own run fails, with that run's exception, and holds what member 0
         # and every member reached before it.
         spec = InertiaSpec([1.0, 2.0, 3.0])
-        cfg = IntegratorConfig(scheme, 0.05, 2.0)
+        cfg = IntegratorConfig(scheme, 0.05, 2.0, project_attitude=project_attitude)
         rng = np.random.default_rng(0)
         q0 = random_rotation(3, rng)
         y0 = np.stack([np.vstack([q0, scaled_skew(3, rng, norm)])

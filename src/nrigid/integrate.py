@@ -33,7 +33,10 @@ also steps a batch of initial states along a leading axis, whose members
 step as their own runs bit for bit (under midpoint each stops at its own
 fixed-point count); the loop stores the states of the first member and the
 last state of each.  `shoot` runs its candidates with their
-forward-difference probes that way.  A non-finite state, or a projected
+forward-difference probes that way.  With ``project_attitude`` the loop
+checks the rotation blocks of the start (both blocks of a phase point, the
+attitude of ``[Q; pi]``) and polar-projects all of them, of every member,
+in one stacked call after each step.  A non-finite state, or a projected
 block with no nearby rotation, ends a run in `DivergenceError` with its
 step.  `RankLossError` names the first state below full rank, also when a
 later step failed first.  No step-size adaptivity: runs are reproducible
@@ -80,6 +83,13 @@ _AUDIT_BLOCK = 128
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """``scheme`` (rk4, rkmk4 or midpoint), ``step``, ``t_final`` (a whole
+    number of steps), ``project_attitude``, and midpoint's fixed-point
+    ``midpoint_tol`` and ``midpoint_max_iter``.  ``project_attitude``
+    polar-projects the rotation blocks after every step, which repairs the
+    drift of rk4 and midpoint; under rkmk4 it only adds round-off.
+    """
+
     scheme: str
     step: float
     t_final: float
@@ -155,7 +165,7 @@ def _cayley(a):
     # two thirds of a 3 x 3 inverse's cost.  It needs m float64 and square,
     # one matrix or a (B, n, n) stack.  A member LAPACK finds singular comes
     # out NaN without raising, and a non-finite a gives a non-finite g anyway;
-    # _step's finiteness check raises DivergenceError on either.
+    # _run's finiteness check raises DivergenceError on either.
     eye = _identity(a.shape[-1])
     p, m = eye + a, eye - a
     return p @ _inv(m, signature="d->d"), lambda omega: p @ omega @ m
@@ -218,45 +228,7 @@ def _translate_and_conjugate(g, y):
     return np.concatenate([_translate(g, y[..., :n, :]), _conjugate(g, y[..., n:, :])], axis=-2)
 
 
-def _project_rotations(blocks, y):
-    # In place on a step's fresh result, whose shape and finiteness _run has checked.
-    n = y.shape[-1]
-    for k in range(0, blocks * n, n):
-        y[..., k:k + n, :] = _polar_project(y[..., k:k + n, :])
-    return y
-
-
-def _projection(cfg, y0, names):
-    # With project_attitude, the projection after each step of the leading
-    # blocks that `names` names, which must be rotations in y0 (in each
-    # member of a batch): projection repairs drift; from any other block it
-    # changes the flow, or fails.  rkmk4 keeps rotations to round-off, so
-    # there it only adds round-off.
-    if not cfg.project_attitude:
-        return None
-    n = y0.shape[-1]
-    for member in y0.reshape((-1,) + y0.shape[-2:]):
-        for k, what in enumerate(names):
-            try:
-                require_rotation(member[k * n:(k + 1) * n])
-            except ValueError as exc:
-                raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
-    return partial(_project_rotations, len(names))
-
-
-def _step(advance, project, y, i):
-    y = advance(y)
-    if not np.isfinite(y).all():
-        raise DivergenceError(f"non-finite state at step {i}", step_index=i)
-    if project is None:
-        return y
-    try:
-        return project(y)
-    except ValueError as exc:  # _projection checked the start, so the step threw it off
-        raise DivergenceError(f"projection failed at step {i}: {exc}", step_index=i) from exc
-
-
-def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
+def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
     """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4.
 
     y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` whose
@@ -268,11 +240,25 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
     run returns what it stored before that step, and its failure is that
     step's exception; a batch stops at the first step at which any member
     fails, and which member failed is left to the caller.
+
+    ``rotations`` names the leading n x n blocks that are rotations.  With
+    ``cfg.project_attitude`` they must be rotations in every member of y0
+    (ValueError), and after each finite step all of them are polar-projected
+    in one stacked call; one with no nearby rotation is a divergence.
     """
+    y = np.array(y0, dtype=float)
+    lead, n = y.shape[:-2], y.shape[-1]
+    blocks = len(rotations) if cfg.project_attitude else 0
+    rows, first = blocks * n, (0,) * len(lead)
+    for j, block in enumerate(y[..., :rows, :].reshape(-1, n, n)):  # member by member
+        try:
+            require_rotation(block)
+        except ValueError as exc:
+            what = rotations[j % blocks]
+            raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
     steps = cfg.step_count()
     h, tol, max_iter = cfg.step, cfg.midpoint_tol, cfg.midpoint_max_iter
     field, velocity = partial(rhs, spec), partial(omega_of, spec)
-    y = np.array(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
     if cfg.scheme == "rk4":
@@ -281,16 +267,25 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, project=None):
         advance = lambda y: _rkmk4_step(velocity, act, y, h)
     else:
         advance = lambda y: _midpoint_step(field, y, h, tol, max_iter)
-    first = (0,) * (y.ndim - 2)
     states = np.empty((steps + 1,) + y.shape[-2:])
     states[0] = y[first]
     times = np.arange(steps + 1) * h
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(1, steps + 1):
             try:
-                y = _step(advance, project, y, i)
-            except (ConvergenceError, DivergenceError, ValueError) as exc:
+                y_next = advance(y)
+                if not np.isfinite(y_next).all():
+                    raise DivergenceError(f"non-finite state at step {i}", step_index=i)
+                if blocks:
+                    try:
+                        r = _polar_project(y_next[..., :rows, :].reshape(lead + (blocks, n, n)))
+                    except ValueError as exc:  # the start was checked, so the step threw it off
+                        raise DivergenceError(f"projection failed at step {i}: {exc}",
+                                              step_index=i) from exc
+                    y_next[..., :rows, :] = r.reshape(lead + (rows, n))
+            except (ConvergenceError, DivergenceError) as exc:
                 return times[:i], states[:i], y, exc
+            y = y_next
             states[i] = y[first]
     return times, states, y, None
 
@@ -355,9 +350,8 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     n = spec.n
     if z0.shape != (2 * n, n):
         raise DimensionError(f"phase point has shape {z0.shape}, expected {(2 * n, n)}")
-    times, states, _, failure = _run(
-        spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
-        project=_projection(cfg, z0, ("Q block of z0", "P block of z0")))
+    times, states, _, failure = _run(spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
+                                     rotations=("Q block of z0", "P block of z0"))
     # The rank alone first: its loss wins over a later failure, and other audits may overflow.
     margin = _audit(states, {"rank_margin": min_singular_value})["rank_margin"]
     lost = np.flatnonzero(margin < FULL_RANK_TOL)
@@ -392,7 +386,7 @@ def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
     """
     times, states, last, failure = _run(spec, y0, cfg, _euler_poisson_rhs,
                                         _attitude_momentum_velocity, _translate_and_conjugate,
-                                        project=_projection(cfg, y0, ("the attitude block of y0",)))
+                                        rotations=("the attitude block of y0",))
     if failure is not None:
         return None, None, failure
     n = spec.n

@@ -188,15 +188,18 @@ def skew_asinh(p) -> np.ndarray:
 
 
 def _polar_project(m) -> np.ndarray:
-    # Over the last two axes; a stack fails on its first member that fails.
+    # Over the last two axes; a stack fails on its first member (in C
+    # order) that fails either test.
     u, s, vt = np.linalg.svd(m)
-    singular = s[..., -1] <= 1e-14 * np.maximum(1.0, s[..., 0])
-    if np.count_nonzero(singular):
-        raise OutOfRangeError(
-            f"singular input: smallest singular value {s[..., -1][singular].flat[0]:.3g}"
-        )
     r = u @ vt
-    if np.count_nonzero(np.linalg.det(r) < 0.0):
+    singular = s[..., -1] <= 1e-14 * np.maximum(1.0, s[..., 0])
+    failed = singular | (np.linalg.det(r) < 0.0)
+    if np.count_nonzero(failed):
+        k = np.flatnonzero(failed)[0]
+        if singular.flat[k]:
+            smin, smax = s.reshape(-1, s.shape[-1])[k, [-1, 0]]
+            raise OutOfRangeError(f"singular input: smallest singular value {smin:.3g} "
+                                  f"<= 1e-14 * max(1, largest {smax:.3g})")
         raise OutOfRangeError("negative determinant: no nearby rotation")
     return r
 

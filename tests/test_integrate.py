@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,21 @@ class TestEuler:
         with pytest.raises(DivergenceError, match=message) as err:
             final_state(kind, standard_spec(), y0, cfg)
         assert err.value.step_index == step
+
+    def test_rk4_projected_overflow_states_relative_test(self):
+        # rk4 from the same start overflows its attitude at step 1 into a
+        # relatively singular matrix whose smallest singular value is still
+        # large; the message gives the largest too, so it reads as the test.
+        pi0 = hat([500.0, 600.0, 700.0])
+        cfg = IntegratorConfig("rk4", 2.0, 400.0, project_attitude=True)
+        with pytest.raises(DivergenceError) as err:
+            integrate_euler_poisson(standard_spec(), np.vstack([np.eye(3), pi0]), cfg)
+        assert err.value.step_index == 1
+        found = re.fullmatch(r"projection failed at step 1: singular input: smallest singular "
+                             r"value (\S+) <= 1e-14 \* max\(1, largest (\S+)\)", str(err.value))
+        assert found, str(err.value)
+        smin, smax = map(float, found.groups())
+        assert 1.0 < smin <= 1e-14 * smax
 
 
 class TestSymrep:

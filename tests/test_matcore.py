@@ -12,6 +12,7 @@ from nrigid.errors import DimensionError, OutOfRangeError
 from nrigid.matcore import (
     _expm,
     _expm_stack,
+    _polar_project,
     commutator,
     expm,
     inner,
@@ -361,6 +362,25 @@ class TestPolarProject:
     def test_negative_det(self):
         with pytest.raises(OutOfRangeError):
             polar_project(np.diag([1.0, 1.0, -1.0]))
+
+    def test_singular_message_states_relative_test(self):
+        with pytest.raises(OutOfRangeError, match=r"^singular input: smallest singular value "
+                           r"1e-15 <= 1e-14 \* max\(1, largest 2\)$"):
+            polar_project(np.diag([2.0, 1.0, 1e-15]))
+
+    @pytest.mark.parametrize("lead", [(3,), (1, 3), (3, 1)], ids=["3", "1x3", "3x1"])
+    @pytest.mark.parametrize("first, message", [
+        ("flipped", "negative determinant"), ("singular", "singular input"),
+    ], ids=["flipped-first", "singular-first"])
+    def test_stack_fails_on_its_first_failing_member(self, first, message, lead):
+        # Either test may find the first failure: a stack of a flipped and a
+        # singular member, in either order, then a rotation, reports its
+        # first member's failure, whatever leading axes hold the stack.
+        bad = {"flipped": np.diag([1.0, 1.0, -1.0]), "singular": np.diag([1.0, 1.0, 0.0])}
+        second = "singular" if first == "flipped" else "flipped"
+        m = np.stack([bad[first], bad[second], np.eye(3)]).reshape(lead + (3, 3))
+        with pytest.raises(OutOfRangeError, match=f"^{message}"):
+            _polar_project(m)
 
 
 class TestSymplecticMatrix:

@@ -27,7 +27,6 @@ from nrigid.integrate import (
     _cayley,
     _conjugate,
     _euler_poisson,
-    _projection,
     _run,
     _translate_and_conjugate,
     integrate_euler,
@@ -408,7 +407,7 @@ class TestBatchedRun:
         if kind == "euler":
             return _run(spec, y0, cfg, c(_euler_rhs), c(_inertia_inverse), _conjugate)
         return _run(spec, y0, cfg, c(_euler_poisson_rhs), c(_attitude_momentum_velocity),
-                    _translate_and_conjugate, project=_projection(cfg, y0, ("attitude",)))
+                    _translate_and_conjugate, rotations=("attitude",))
 
     def members(self, kind, n, picks=(0, 1, 2)):
         rng = np.random.default_rng(n)
@@ -464,6 +463,23 @@ class TestBatchedRun:
             assert single_counts == [4 * self.STEPS] * len(y0)
         elif len(set(picks)) == len(picks):
             assert len(set(single_counts)) == len(single_counts), single_counts
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_start_check_covers_every_member(self, scheme):
+        # Member 2's attitude is 2I: projection needs a rotation there, so
+        # the batch is refused before its first step evaluates any field.
+        spec = InertiaSpec(np.linspace(0.5, 2.0, 3))
+        cfg = IntegratorConfig(scheme, 0.025, 0.025 * self.STEPS, project_attitude=True)
+        y0 = self.members("euler-poisson", 3)
+        y0[2, :3] = 2.0 * np.eye(3)
+        counts = []
+        with pytest.raises(ValueError, match="project_attitude needs rotation blocks; "
+                                             "attitude: matrix is not a rotation"):
+            self.run("euler-poisson", spec, y0, cfg, counts)
+        assert counts == []
+        # without projection the same batch steps
+        unprojected = IntegratorConfig(scheme, cfg.step, cfg.t_final)
+        assert self.run("euler-poisson", spec, y0, unprojected, counts)[3] is None
 
     def test_batch_holds_one_runs_history(self):
         # n = 8 and 28 probes, as `shoot` batches them, over 1000 steps: the

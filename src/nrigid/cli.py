@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lift = sub.add_parser("lift", help="construct the phase point for (q0, pi0)")
     p_lift.add_argument("--config", required=True)
-    p_lift.add_argument("--out", default=None)
     p_lift.set_defaults(func=cmd_lift)
 
     p_bvp = sub.add_parser("solve-bvp", help="shoot for the attitude boundary value problem")

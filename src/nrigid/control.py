@@ -11,12 +11,13 @@ each candidate pi0 is integrated on the flow of `integrate_euler_poisson`
 from (Q0, pi0) under the problem's config and scored by its terminal
 attitude mismatch, on rows :n of the last state [Q; pi].  A damped
 Gauss-Newton iteration with a forward-difference Jacobian runs over the
-d = n(n-1)/2 free momentum entries.  The full step of each line search
-runs with its d probes as one batch of 1 + d runs, each bit for bit its
-own run, so when it is accepted it brings its Jacobian with it; a damped
-candidate runs alone.  The symmetric representation of
-an answer is one `solve_lift` and `integrate_symrep` away wherever the
-lift bound allows.
+d = n(n-1)/2 free momentum entries.  The flow runs in two shapes: a lone
+point, or a point with its d probes as one batch of 1 + d runs, each bit
+for bit its own run, and every Jacobian comes from such a batch.  The
+full step of each line search runs in one, so when it is accepted it
+brings its Jacobian with it; a damped candidate runs alone.  The
+symmetric representation of an answer is one `solve_lift` and
+`integrate_symrep` away wherever the lift bound allows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import InertiaSpec
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, DivergenceError
 from .integrate import IntegratorConfig, Trajectory, _euler_poisson
 from .matcore import require_rotation
 
@@ -117,17 +118,20 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     ``project_attitude`` its attitude stays a rotation.  ``seed`` drives
     the random restarts tried when the line search stalls.
 
-    The full Gauss-Newton step x, the first candidate of each line search
-    and usually the one accepted, runs in one batch with its d
-    forward-difference probes x + _FD_STEP e_j, and takes its Jacobian from
-    that batch when accepted.  A damped candidate runs alone, so a line
-    search that backtracks pays one batch, not one per candidate; the
-    probes of an iterate it reaches run as one batch of d when its Jacobian
-    is needed.  Every member of a batch is its own run bit for bit, so the
-    iterates are those of scoring each point alone.  If a member of a batch
-    fails, the candidate is scored alone and its probes run alone when its
-    Jacobian is needed: a probe's failure then raises as it does there, and
-    one at a candidate the line search rejects does not.  Raises
+    The flow runs in two shapes: a lone point, or a point x with its d
+    forward-difference probes x + _FD_STEP e_j as one batch of 1 + d runs,
+    each member bit for bit its own run, so the iterates are those of
+    scoring each point alone.  The full Gauss-Newton step, the first
+    candidate of each line search, runs with its probes and brings its
+    Jacobian when accepted; a damped candidate runs alone, and an iterate
+    it reaches re-runs as member 0 of its own batch when its Jacobian is
+    needed.  If a batch fails, its point is scored alone; where its
+    Jacobian is needed, the probes then run alone, so a probe's failure
+    raises as it does there, and one at a rejected candidate does not.
+
+    The flow's failures pass through: `DivergenceError` (a non-finite state
+    or a failed projection) and ConvergenceError with reason "fixed_point"
+    (a midpoint step that did not converge).  The search raises
     ConvergenceError carrying the best iterate:
 
     * reason "max_iter" when the iteration budget is exhausted.
@@ -149,43 +153,30 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         y0[..., n:, :] = _skew_from_params(xs, upper, n)
         return _euler_poisson(spec, y0, cfg)
 
-    def differences(mismatch, r):
-        # The forward-difference Jacobian from the probes' terminal mismatches,
-        # in C order as the column loop of `jacobian` builds it.
-        return np.ascontiguousarray(((mismatch.reshape(d, -1) - r) / _FD_STEP).T)
-
     def alone(x):
         # The residual, its square norm and trajectory at x, and no Jacobian.
-        traj, last, failure = flow(x)
-        if failure is not None:
-            raise failure
+        traj, last = flow(x)
         r = (last[:n] - problem.q_target).ravel()
         return r, float(r @ r), traj, None
 
-    def with_probes(x):
-        # As `alone`, with the Jacobian at x from the probes of x's batch, or
-        # None when a member of the batch failed and x was scored alone.
+    def batch(x):
+        # x and its d forward-difference probes x + _FD_STEP e_j.
         xs = np.repeat(x[None], 1 + d, axis=0)
         xs[1 + probes, probes] += _FD_STEP
-        traj, last, failure = flow(xs)
-        if failure is not None:
+        return xs
+
+    def with_probes(x):
+        # As `alone`, with the Jacobian at x from the probes of x's batch, in
+        # C order as a column loop builds it, or None when a member of the
+        # batch failed and x was scored alone.
+        try:
+            traj, last = flow(batch(x))
+        except (ConvergenceError, DivergenceError):
             return alone(x)
         mismatch = last[:, :n] - problem.q_target
         r = mismatch[0].ravel()
-        return r, float(r @ r), traj, differences(mismatch[1:], r)
-
-    def jacobian(x, r):
-        # The probes of x as one batch; if a member fails, one by one, so
-        # that the first failing probe raises as it does alone.
-        xs = np.repeat(x[None], d, axis=0)
-        xs[probes, probes] += _FD_STEP
-        _, last, failure = flow(xs)
-        if failure is None:
-            return differences(last[:, :n] - problem.q_target, r)
-        jac = np.empty((r.size, d))
-        for j in range(d):
-            jac[:, j] = (alone(xs[j])[0] - r) / _FD_STEP
-        return jac
+        jac = np.ascontiguousarray(((mismatch[1:].reshape(d, -1) - r) / _FD_STEP).T)
+        return r, float(r @ r), traj, jac
 
     x = np.zeros(d)
     r, fval, traj, jac = with_probes(x)
@@ -197,7 +188,11 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         if np.sqrt(fval) <= tol:
             break
         if jac is None:
-            jac = jacobian(x, r)
+            # x re-runs as member 0 of its own batch, bit for bit its lone run;
+            # if that fails again, the first probe that fails alone raises.
+            jac = with_probes(x)[3]
+            if jac is None:
+                jac = np.column_stack([(alone(xj)[0] - r) / _FD_STEP for xj in batch(x)[1:]])
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0

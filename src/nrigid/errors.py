@@ -14,14 +14,17 @@ class ConvergenceError(RuntimeError):
 
     Attributes:
         best: best iterate found so far, when the solver tracks one.
-        reason: short tag, one of "max_iter" (iteration budget exhausted)
-            or "line_search" (the line search stalled with no restart left).
+        reason: short tag, one of "max_iter" (iteration budget exhausted),
+            "line_search" (the line search stalled with no restart left) or
+            "fixed_point" (an implicit midpoint step did not converge).
+        step_index: the integration step that failed, for "fixed_point".
     """
 
-    def __init__(self, message, best=None, reason="max_iter"):
+    def __init__(self, message, best=None, reason="max_iter", step_index=None):
         super().__init__(message)
         self.best = best
         self.reason = reason
+        self.step_index = step_index
 
 
 class DivergenceError(RuntimeError):

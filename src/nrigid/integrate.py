@@ -32,15 +32,16 @@ the stack after the run, over blocks of states.  Each scheme's kernel
 also steps a batch of initial states along a leading axis, whose members
 step as their own runs bit for bit (under midpoint each stops at its own
 fixed-point count); the loop stores the states of the first member and the
-last state of each.  `shoot` runs its candidates with their
-forward-difference probes that way.  With ``project_attitude`` the loop
-checks the rotation blocks of the start (both blocks of a phase point, the
-attitude of ``[Q; pi]``) and polar-projects all of them, of every member,
-in one stacked call after each step.  A non-finite state, or a projected
-block with no nearby rotation, ends a run in `DivergenceError` with its
-step.  `RankLossError` names the first state below full rank, also when a
-later step failed first.  No step-size adaptivity: runs are reproducible
-and admit clean order checks.
+last state of each.  `shoot` runs a point with its forward-difference
+probes that way.  With ``project_attitude`` the loop checks the rotation
+blocks of the start (both blocks of a phase point, the attitude of
+``[Q; pi]``) and polar-projects all of them, of every member, in one
+stacked call after each step.  A non-finite state or a projected block
+with no nearby rotation ends a run in `DivergenceError`, and a midpoint
+step that does not converge in `ConvergenceError`, each naming its step.
+`RankLossError` names the first state below full rank, also when a later
+step failed first.  No step-size adaptivity: runs are reproducible and
+admit clean order checks.
 """
 
 from __future__ import annotations
@@ -237,9 +238,9 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
     ``(N+1, rows, n)``, the last state (of every member) and the failure
     of the step that failed, or None.  A batch stores its first member's
     states only, so it holds one run's history whatever B is.  A failed
-    run returns what it stored before that step, and its failure is that
-    step's exception; a batch stops at the first step at which any member
-    fails, and which member failed is left to the caller.
+    run (a batch at the first step any member fails) returns what it stored
+    before that step and a DivergenceError, or a ConvergenceError (reason
+    "fixed_point") where midpoint's iteration did not converge, at that step.
 
     ``rotations`` names the leading n x n blocks that are rotations.  With
     ``cfg.project_attitude`` they must be rotations in every member of y0
@@ -283,8 +284,11 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
                         raise DivergenceError(f"projection failed at step {i}: {exc}",
                                               step_index=i) from exc
                     y_next[..., :rows, :] = r.reshape(lead + (rows, n))
-            except (ConvergenceError, DivergenceError) as exc:
+            except DivergenceError as exc:
                 return times[:i], states[:i], y, exc
+            except ConvergenceError as exc:  # midpoint's fixed point, which knows no step
+                return times[:i], states[:i], y, ConvergenceError(
+                    f"{exc} at step {i}", reason="fixed_point", step_index=i)
             y = y_next
             states[i] = y[first]
     return times, states, y, None
@@ -380,22 +384,21 @@ def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
     """The attitude-momentum run behind `integrate_euler_poisson` and `shoot`.
 
     y0 is one stack ``[Q; pi]``, or a batch ``(B, 2n, n)`` of them that
-    steps as B runs.  Returns the audited trajectory of the first member,
-    the last state of every member and None; or None, None and the
-    failure of `_run`.
+    steps as B runs.  Returns the audited trajectory of the first member
+    and the last state of every member, or raises the failure of `_run`.
     """
     times, states, last, failure = _run(spec, y0, cfg, _euler_poisson_rhs,
                                         _attitude_momentum_velocity, _translate_and_conjugate,
                                         rotations=("the attitude block of y0",))
     if failure is not None:
-        return None, None, failure
+        raise failure
     n = spec.n
     audits = _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
         "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),
         "orthogonality_defect": lambda b: orthogonality_defect(b[:, :n]),
     })
-    return Trajectory("euler-poisson", times, states, audits), last, None
+    return Trajectory("euler-poisson", times, states, audits), last
 
 
 def integrate_euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig) -> Trajectory:
@@ -418,7 +421,4 @@ def integrate_euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig) -> Tra
     if y0.shape != (2 * n, n):
         raise DimensionError(f"attitude-momentum stack has shape {y0.shape}, expected {(2 * n, n)}")
     require_skew(y0[n:])
-    traj, _, failure = _euler_poisson(spec, y0, cfg)
-    if failure is not None:
-        raise failure
-    return traj
+    return _euler_poisson(spec, y0, cfg)[0]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import BLOCK_CROSSING, invariant_battery_reference
+from nrigid import cli
 from nrigid.cli import load_config, load_trajectory_csv, main, write_trajectory_csv
+from nrigid.errors import CertificationError
 from nrigid.matcore import expm, skew_defect
 from nrigid.body import InertiaSpec, hat
 from nrigid.integrate import (
@@ -29,6 +31,11 @@ def write_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config))
     return path
+
+
+def with_out(command, path):
+    # `lift` prints and writes no file, so it takes no --out
+    return command if command == ["lift"] else command + ["--out", str(path)]
 
 
 class TestSimulate:
@@ -107,8 +114,15 @@ class TestSimulate:
         # these runs have no random input, so they take no --seed
         cfg = write_config(tmp_path / "cfg.json")
         with pytest.raises(SystemExit) as exc:
-            main(command + ["--config", str(cfg), "--out", str(tmp_path), "--seed", "1"])
+            main(with_out(command, tmp_path) + ["--config", str(cfg), "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_lift_rejects_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["lift", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 class TestVerifyReduction:
@@ -229,6 +243,43 @@ class TestCheckInvariants:
         assert captured.err == ""
 
 
+def refuse(*args):
+    raise CertificationError("lift certification failed")
+
+
+class TestFailureExits:
+    """Exit 4 for a failed check, exit 2 for a config missing a section the
+    command needs."""
+
+    @pytest.mark.parametrize("command, name, replacement, message", [
+        (["check-invariants", "--trials", "5"], "invariant_battery",
+         lambda seed, trials: {"momentum_identity_sp": trials - 1}, "invariant battery failed"),
+        (["lift"], "solve_lift", refuse, "error: lift certification failed"),
+    ], ids=["failing-battery", "certification"])
+    def test_failed_check_exit_4(self, tmp_path, capsys, monkeypatch, command, name,
+                                 replacement, message):
+        monkeypatch.setattr(cli, name, replacement)
+        if command == ["lift"]:
+            command = command + ["--config", str(write_config(tmp_path / "cfg.json"))]
+        assert main(command) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, drop", [
+        (["simulate", "euler"], "integrator"),
+        (["verify-reduction"], "integrator"),
+        (["solve-bvp"], "bvp"),
+    ])
+    def test_missing_section_exit_2(self, tmp_path, capsys, command, drop):
+        cfg = write_config(tmp_path / "cfg.json", bvp={"q_target": "identity"})
+        raw = json.loads(cfg.read_text())
+        del raw[drop]
+        cfg.write_text(json.dumps(raw))
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config must provide") and f"'{drop}'" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
 class TestConfigTypes:
     INTEGRATOR = {"scheme": "rk4", "step": 0.01, "t_final": 2.0}
 
@@ -318,7 +369,7 @@ class TestNonFiniteConfig:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_pi0_vector_exit_2(self, tmp_path, capfd, command, bad):
         cfg = write_config(tmp_path / "cfg.json", pi0=[bad, 0.0, 0.0])
-        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(with_out(command, tmp_path) + ["--config", str(cfg)]) == 2
         err = capfd.readouterr().err
         assert "pi0" in err and "non-finite" in err
         assert "DLASCL" not in err
@@ -337,7 +388,7 @@ class TestNonFiniteConfig:
         q0 = np.eye(3).tolist()
         q0[1][1] = bad
         cfg = write_config(tmp_path / "cfg.json", q0=q0)
-        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(with_out(command, tmp_path) + ["--config", str(cfg)]) == 2
         err = capfd.readouterr().err
         assert "q0" in err and "non-finite" in err
         assert "DLASCL" not in err

@@ -5,9 +5,10 @@ from helpers import scaled_skew, shoot_reference, standard_pi0, standard_spec
 from nrigid import control
 from nrigid.body import InertiaSpec, hat, inertia_inverse, reduced_hamiltonian
 from nrigid.control import BvpProblem, BvpSolution, shoot, trajectory_cost
-from nrigid.errors import ConvergenceError, DivergenceError
+from nrigid.errors import ConvergenceError, DimensionError, DivergenceError
 from nrigid.integrate import (
     IntegratorConfig,
+    Trajectory,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
@@ -92,6 +93,27 @@ class TestTrajectoryCost:
         traj = integrate_symrep(spec, z0, IntegratorConfig("rk4", 1.0, 1.0))
         with pytest.raises(ValueError):
             trajectory_cost(spec, traj)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0 + 1e-6]])
+    def test_nonuniform_step_rejected(self, times):
+        traj = Trajectory("euler", np.array(times), np.zeros((4, 3, 3)),
+                          {"hamiltonian": np.zeros(4)})
+        with pytest.raises(ValueError, match="^cost quadrature needs a uniform step$"):
+            trajectory_cost(standard_spec(), traj)
+
+
+class TestBvpProblem:
+    @pytest.mark.parametrize("change, error, message", [
+        ({"q0": np.eye(4)}, DimensionError, "attitudes must be n x n for the given inertia"),
+        ({"q_target": np.eye(2)}, DimensionError, "attitudes must be n x n for the given inertia"),
+        ({"t_final": 2.0}, ValueError, "t_final must equal cfg.t_final"),
+        ({"t_final": 1.0 + 1e-9}, ValueError, "t_final must equal cfg.t_final"),
+    ])
+    def test_fields_checked(self, change, error, message):
+        fields = dict(spec=standard_spec(), q0=np.eye(3), q_target=np.eye(3), t_final=1.0,
+                      cfg=IntegratorConfig("rk4", 0.1, 1.0))
+        with pytest.raises(error, match=f"^{message}$"):
+            BvpProblem(**{**fields, **change})
 
 
 class TestShoot:
@@ -243,6 +265,13 @@ class TestShoot:
         if project_attitude:
             assert np.max(traj.audits["orthogonality_defect"]) <= 1e-10
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    def test_tol_must_be_positive(self, tol, monkeypatch):
+        # refused before any run
+        monkeypatch.setattr(control, "_euler_poisson", None)
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            shoot(spherical_problem(), tol=tol)
+
     def test_line_search_stall_is_named(self, monkeypatch):
         # no damping is admissible, so every line search stalls at once
         monkeypatch.setattr(control, "_MIN_DAMPING", 2.0)
@@ -304,24 +333,41 @@ def assert_same_outcome(got, want):
 
 class RunSpy:
     """Records every run that `shoot` makes: its member count, whether it
-    failed, and for a failed batch whether its first member fails alone."""
+    failed, and for a failed batch whether its first member fails alone;
+    and in `starts` the start of each run's first member."""
 
     def __init__(self, monkeypatch):
-        self.runs = []
+        self.runs, self.starts = [], []
         run = control._euler_poisson
 
+        def fails(spec, y0, cfg):
+            try:
+                run(spec, y0, cfg)
+            except (ConvergenceError, DivergenceError):
+                return True
+            return False
+
         def spy(spec, y0, cfg):
-            out = run(spec, y0, cfg)
             members = 1 if y0.ndim == 2 else len(y0)
-            failed = out[2] is not None
-            first_fails = failed and (members == 1 or run(spec, y0[0], cfg)[2] is not None)
-            self.runs.append((members, failed, first_fails))
+            self.starts.append(y0.reshape((-1,) + y0.shape[-2:])[0].copy())
+            try:
+                out = run(spec, y0, cfg)
+            except (ConvergenceError, DivergenceError):
+                self.runs.append((members, True, members == 1 or fails(spec, y0[0], cfg)))
+                raise
+            self.runs.append((members, False, False))
             return out
 
         monkeypatch.setattr(control, "_euler_poisson", spy)
 
     def failed(self, members):
         return [first_fails for m, failed, first_fails in self.runs if m == members and failed]
+
+    def reruns(self):
+        # The batches that start where the lone run just before them did.
+        return [k for k in range(1, len(self.runs))
+                if self.runs[k][0] > 1 and self.runs[k - 1][0] == 1
+                and np.array_equal(self.starts[k], self.starts[k - 1])]
 
 
 class TestBatchedProbes:
@@ -362,7 +408,8 @@ class TestBatchedProbes:
         # A target the search cannot reach in time 1: the line search
         # backtracks often.  Each line search runs its full step with the
         # d = 3 probes, one batch of 4; a damped candidate runs alone, and
-        # the Jacobian at an iterate it reached is one batch of its 3 probes.
+        # an iterate it reached re-runs as the first member of a batch of 4
+        # for its Jacobian.  No run has any other shape.
         cfg = IntegratorConfig("rk4", 0.05, 1.0)
         problem = BvpProblem(standard_spec(), np.eye(3), expm(1.5 * hat([0.6, -0.48, 0.64])),
                              1.0, cfg)
@@ -372,9 +419,10 @@ class TestBatchedProbes:
         assert isinstance(got, ConvergenceError) and got.reason == "max_iter"
         members = [m for m, _, _ in spy.runs]
         assert not any(failed for _, failed, _ in spy.runs)
-        assert members.count(4) == 1 + kwargs["max_iter"]
-        assert members.count(1) > 0 and members.count(3) > 0
-        assert set(members) == {1, 3, 4}
+        assert set(members) == {1, 4} and members.count(1) > 0
+        reruns = spy.reruns()
+        assert len(reruns) > 0
+        assert members.count(4) == 1 + kwargs["max_iter"] + len(reruns)
         assert_same_outcome(got, outcome(shoot_reference, problem, **kwargs))
 
     def test_probe_failing_at_rejected_candidate_does_not_raise(self, monkeypatch):
@@ -403,15 +451,18 @@ class TestBatchedProbes:
         spy = RunSpy(monkeypatch)
         got = outcome(shoot, problem, tol=1e-6, max_iter=60, seed=0)
         assert isinstance(got, DivergenceError)
-        # The iterates before it ran their batches whole.  The last batch
-        # of 4 failed in a probe, its candidate was accepted alone, and the
-        # batch of its 3 probes failed; the probes then ran alone.
+        # Every run is a lone point or a batch of 4, and the iterates before
+        # it ran their batches whole.  The first failed batch failed in a
+        # probe and its candidate was accepted alone; for its Jacobian that
+        # batch ran again, failed again, the iterate was scored alone again,
+        # and its probes ran alone until one raised.
+        assert {m for m, _, _ in spy.runs} == {1, 4}
         assert spy.runs[0] == (4, False, False)
-        last_batch = max(i for i, run in enumerate(spy.runs) if run[0] == 4)
-        assert spy.runs[last_batch] == (4, True, False)
-        assert spy.runs[last_batch + 1] == (1, False, False)
-        assert spy.runs[last_batch + 2][:2] == (3, True)
-        assert spy.runs[-1] == (1, True, True)
+        k = next(i for i, run in enumerate(spy.runs) if run[1])
+        assert spy.runs[k:k + 4] == [(4, True, False), (1, False, False)] * 2
+        assert spy.reruns() == [k + 2]
+        assert all(run == (1, False, False) for run in spy.runs[k + 4:-1])
+        assert spy.runs[-1] == (1, True, True) and len(spy.runs) - (k + 4) <= 3
         want = outcome(shoot_reference, problem, tol=1e-6, max_iter=60, seed=0)
         assert_same_outcome(got, want)
         assert got.step_index == want.step_index == 5

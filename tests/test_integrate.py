@@ -79,6 +79,39 @@ class TestConfig:
         with pytest.raises(ValueError):
             Trajectory("euler", np.array([0.0, 1.0]), [np.eye(3)], {})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("step", 0.0, "step must be positive and finite"),
+        ("step", np.inf, "step must be positive and finite"),
+        ("t_final", -1.0, "t_final must be positive and finite"),
+        ("t_final", np.nan, "t_final must be positive and finite"),
+        ("midpoint_tol", 0.0, "midpoint_tol must be positive"),
+        ("midpoint_max_iter", 0, "midpoint_max_iter must be at least 1"),
+    ])
+    def test_fields_checked(self, field, value, message):
+        fields = {"scheme": "midpoint", "step": 0.1, "t_final": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IntegratorConfig(**fields)
+
+    @pytest.mark.parametrize("times, audits, message", [
+        ([0.0, 0.0, 1.0], {}, "times must be strictly increasing"),
+        ([0.0, 2.0, 1.0], {}, "times must be strictly increasing"),
+        ([0.0, 0.5, 1.0], {"hamiltonian": np.zeros(2)},
+         "audit channel 'hamiltonian' has inconsistent length"),
+    ])
+    def test_trajectory_checked(self, times, audits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Trajectory("euler", np.array(times), np.zeros((3, 3, 3)), audits)
+
+    @pytest.mark.parametrize("integrate, shape, message", [
+        (integrate_euler, (4, 4), r"momentum has shape \(4, 4\), expected \(3, 3\)"),
+        (integrate_euler, (2, 2), r"momentum has shape \(2, 2\), expected \(3, 3\)"),
+        (integrate_symrep, (6, 4), r"phase point has shape \(6, 4\), expected \(6, 3\)"),
+        (integrate_symrep, (3, 3), r"phase point has shape \(3, 3\), expected \(6, 3\)"),
+    ], ids=["euler-4x4", "euler-2x2", "symrep-6x4", "symrep-3x3"])
+    def test_start_shape_checked(self, integrate, shape, message):
+        with pytest.raises(DimensionError, match=message):
+            integrate(standard_spec(), np.zeros(shape), IntegratorConfig("rk4", 0.1, 1.0))
+
 
 class TestEuler:
     def test_relative_equilibrium_constant(self):
@@ -291,11 +324,16 @@ class TestMidpoint:
         assert np.max(traj.audits["j_drift"]) <= bound
 
     def test_nonconvergent_iteration_raises(self):
-        from nrigid.errors import ConvergenceError
-
+        # The failure names its step, and its tag is not that of an
+        # exhausted Gauss-Newton budget.
         cfg = IntegratorConfig("midpoint", 0.5, 1.0, midpoint_max_iter=2)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             integrate_euler(ORDER_SPEC, ORDER_PI0, cfg)
+        assert str(err.value) == ("implicit midpoint fixed point did not reach 1e-13 "
+                                  "in 2 iterations at step 1")
+        assert err.value.step_index == 1
+        assert err.value.reason == "fixed_point"
+        assert err.value.best is None
 
 
 def rk4_step(field, y, h):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .matcore import _as_square, _commutator, inner
+from .matcore import _as_square, _commutator, _mm, inner
 
 __all__ = [
     "InertiaSpec",
@@ -124,8 +124,8 @@ def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
 def _euler_poisson_rhs(spec: InertiaSpec, y) -> np.ndarray:
     # Over the last two axes, so a batch (B, 2n, n) of stacks steps too.
     om = _attitude_momentum_velocity(spec, y)
-    ydot = y @ om
-    ydot[..., spec.n:, :] -= om @ y[..., spec.n:, :]
+    ydot = _mm(y, om)
+    ydot[..., spec.n:, :] -= _mm(om, y[..., spec.n:, :])
     return ydot
 
 

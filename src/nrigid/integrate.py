@@ -24,7 +24,12 @@ another.  Inputs are checked once, at the boundary, and the step loop calls
 the unchecked kernels behind those functions; rkmk4 adds one n x n inverse
 per stage.  It calls LAPACK's inverse directly, not through the per-call
 wrapper of ``np.linalg.inv``, so a stage that overflows gives a non-finite
-state and ends in `DivergenceError`, as under the other schemes.
+state and ends in `DivergenceError`, as under the other schemes.  At n = 3
+the loop costs numpy's per-call overhead more than arithmetic, so a product
+of two matrices goes through ``ndarray.dot`` (`matcore._mm`: matmul's BLAS
+call without its gufunc dispatch), a stack through matmul, which
+broadcasts, and the stage coefficients are 0-d arrays built once per run,
+all to the bits of ``@`` and Python floats.
 
 Every accepted step is written into one stacked array.  The invariant
 audits, the rank margin of the phase points among them, are computed from
@@ -58,6 +63,7 @@ from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossE
 from .matcore import (
     _frobenius,
     _identity,
+    _mm,
     _polar_project,
     orthogonality_defect,
     require_rotation,
@@ -75,6 +81,9 @@ __all__ = [
 ]
 
 _SCHEMES = ("rk4", "rkmk4", "midpoint")
+
+# The divisors d of each scheme's stage coefficients h/d.
+_DIVISORS = {"rk4": (2.0, 1.0, 6.0), "rkmk4": (4.0, 2.0, 12.0), "midpoint": (2.0,)}
 
 # States per block of the audit pass.  It bounds the temporaries of the
 # audits, the 2n x 2n symplectic momentum values above all, whatever the
@@ -109,7 +118,12 @@ class IntegratorConfig:
             raise ValueError("step must not exceed t_final")
         if not (self.midpoint_tol > 0.0):
             raise ValueError("midpoint_tol must be positive")
-        if self.midpoint_max_iter < 1:
+        if not isinstance(self.project_attitude, (bool, np.bool_)):
+            raise ValueError(f"project_attitude must be a bool, got {self.project_attitude!r}")
+        max_iter = self.midpoint_max_iter
+        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+            raise ValueError(f"midpoint_max_iter must be an integer, got {max_iter!r}")
+        if max_iter < 1:
             raise ValueError("midpoint_max_iter must be at least 1")
 
     def step_count(self) -> int:
@@ -149,12 +163,13 @@ class Trajectory:
         return len(self.times)
 
 
-def _rk4_step(rhs, y, h):
+def _rk4_step(rhs, y, c):
+    half, whole, sixth = c
     k1 = rhs(y)
-    k2 = rhs(y + (0.5 * h) * k1)
-    k3 = rhs(y + (0.5 * h) * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(y + half * k1)
+    k3 = rhs(y + half * k2)
+    k4 = rhs(y + whole * k3)
+    return y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 def _cayley(a):
@@ -169,46 +184,48 @@ def _cayley(a):
     # _run's finiteness check raises DivergenceError on either.
     eye = _identity(a.shape[-1])
     p, m = eye + a, eye - a
-    return p @ _inv(m, signature="d->d"), lambda omega: p @ omega @ m
+    return _mm(p, _inv(m, signature="d->d")), lambda omega: _mm(_mm(p, omega), m)
 
 
-def _rkmk4_step(omega_of, act, y, h):
-    # Classical RK4 on the chart variable theta from 0 at y; a = theta/2.
+def _rkmk4_step(omega_of, act, y, c):
+    # Classical RK4 on the chart variable theta from 0 at y; a = theta/2,
+    # so c holds h/4, h/2 and h/12.
     def stage(a):
         g, pull_back = _cayley(a)
         return pull_back(omega_of(act(g, y)))
 
+    quarter, half, twelfth = c
     k1 = omega_of(y)
-    k2 = stage((0.25 * h) * k1)
-    k3 = stage((0.25 * h) * k2)
-    k4 = stage((0.5 * h) * k3)
-    g, _ = _cayley((h / 12.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    k2 = stage(quarter * k1)
+    k3 = stage(quarter * k2)
+    k4 = stage(half * k3)
+    g, _ = _cayley(twelfth * (k1 + (k2 + k2) + (k3 + k3) + k4))
     return act(g, y)
 
 
-def _midpoint_step(rhs, y, h, tol, max_iter):
+def _midpoint_step(rhs, y, half, tol, max_iter):
     # The implicit midpoint rule by fixed-point iteration on one state (rows,
     # n) or a batch (B, rows, n).  The test is a Python bool for one state,
     # one bool per member of a batch, each that of its own run bit for bit
     # (`_frobenius`).  A member that passes is frozen into `out` and no longer
     # evaluated; arrays are re-indexed only when some, not all, members pass.
     out = active = None
-    m = y + (0.5 * h) * rhs(y)
+    m = y + half * rhs(y)
     for _ in range(max_iter):
-        m_next = y + (0.5 * h) * rhs(m)
+        m_next = y + half * rhs(m)
         done = _frobenius(m_next - m) <= tol
         m = m_next
         if done is False:
             continue
         if done is True or done.all():
             if out is None:
-                return 2.0 * m - y
-            out[active] = 2.0 * m - y
+                return (m + m) - y
+            out[active] = (m + m) - y
             return out
         if done.any():
             if out is None:
                 out, active = np.empty_like(y), np.arange(len(y))
-            out[active[done]] = 2.0 * m[done] - y[done]
+            out[active[done]] = (m + m)[done] - y[done]
             active, m, y = active[~done], m[~done], y[~done]
     raise ConvergenceError(
         f"implicit midpoint fixed point did not reach {tol:g} in {max_iter} iterations"
@@ -216,11 +233,11 @@ def _midpoint_step(rhs, y, h, tol, max_iter):
 
 
 def _conjugate(g, pi):
-    return g.swapaxes(-2, -1) @ pi @ g
+    return _mm(_mm(g.swapaxes(-2, -1), pi), g)
 
 
 def _translate(g, z):
-    return z @ g
+    return _mm(z, g)
 
 
 def _translate_and_conjugate(g, y):
@@ -262,12 +279,15 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
     field, velocity = partial(rhs, spec), partial(omega_of, spec)
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
+    # The stage coefficients h/d, built once as 0-d arrays: numpy multiplies
+    # an array by a 0-d array faster than by a Python float, to the same bits.
+    c = tuple(np.array(h / d) for d in _DIVISORS[cfg.scheme])
     if cfg.scheme == "rk4":
-        advance = lambda y: _rk4_step(field, y, h)
+        advance = lambda y: _rk4_step(field, y, c)
     elif cfg.scheme == "rkmk4":
-        advance = lambda y: _rkmk4_step(velocity, act, y, h)
+        advance = lambda y: _rkmk4_step(velocity, act, y, c)
     else:
-        advance = lambda y: _midpoint_step(field, y, h, tol, max_iter)
+        advance = lambda y: _midpoint_step(field, y, c[0], tol, max_iter)
     states = np.empty((steps + 1,) + y.shape[-2:])
     states[0] = y[first]
     times = np.arange(steps + 1) * h

@@ -63,10 +63,11 @@ def _flat_dot(a, b):
     A float for two matrices, one value per leading index for stacks.
     Every pair of matrices, alone or in a stack, reduces through the same
     BLAS dot of its row-major entries (the one ``np.linalg.norm`` and
-    ``np.tensordot`` use), so a stack agrees bitwise with a loop over it.
+    ``np.tensordot`` use on C-contiguous input), so a stack agrees bitwise
+    with a loop over it.
     """
     if a.ndim == 2:
-        return float(a.ravel() @ b.ravel())
+        return float(a.ravel().dot(b.ravel()))
     return (a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0]
 
 
@@ -89,8 +90,18 @@ def inner(a, b):
     return 0.5 * _flat_dot(a, b)
 
 
+def _mm(a, b) -> np.ndarray:
+    """``a @ b``, through ``ndarray.dot`` when both are matrices.
+
+    ``dot`` makes the same BLAS call as matmul, bit for bit, but skips
+    matmul's gufunc dispatch, about half the cost of a 3 x 3 ``@``; a
+    stack keeps matmul, which broadcasts where ``dot`` does not.
+    """
+    return a.dot(b) if a.ndim == b.ndim == 2 else a @ b
+
+
 def _commutator(a, b) -> np.ndarray:
-    return a @ b - b @ a
+    return _mm(a, b) - _mm(b, a)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .body import InertiaSpec, _inertia_inverse, inertia_apply, reduced_hamiltonian
 from .errors import DimensionError
-from .matcore import _flat_dot, _jmat, inner
+from .matcore import _flat_dot, _jmat, _mm, inner
 
 __all__ = [
     "FULL_RANK_TOL",
@@ -115,9 +115,10 @@ def _phase_point_of(spec: InertiaSpec, z, stacked=False) -> np.ndarray:
 
 
 def _optimal_control(spec: InertiaSpec, z) -> np.ndarray:
+    # Over the last two axes, so a batch (B, 2n, n) of phase points steps too.
     n = spec.n
-    m = z[:n].T @ z[n:]
-    return _inertia_inverse(spec, m - m.T)
+    m = _mm(z[..., :n, :].swapaxes(-1, -2), z[..., n:, :])
+    return _inertia_inverse(spec, m - m.swapaxes(-1, -2))
 
 
 def optimal_control(spec: InertiaSpec, z) -> np.ndarray:
@@ -146,7 +147,7 @@ def hamiltonian(spec: InertiaSpec, z):
 
 
 def _symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
-    return z @ _optimal_control(spec, z)
+    return _mm(z, _optimal_control(spec, z))
 
 
 def symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:

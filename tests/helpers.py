@@ -4,7 +4,7 @@ import numpy as np
 
 from nrigid import InertiaSpec, hat
 from nrigid import control
-from nrigid.body import reduced_hamiltonian
+from nrigid.body import inertia_inverse, reduced_hamiltonian
 from nrigid.errors import ConvergenceError
 from nrigid.integrate import integrate_euler_poisson
 from nrigid.matcore import (
@@ -60,6 +60,81 @@ def standard_spec():
 
 def standard_pi0():
     return hat([0.5, 0.6, 0.7])
+
+
+# The step kernels and fields as a textbook writes them, for one state:
+# `@` products, Python-float coefficients and ``2.0 *``.  The package's
+# kernels must give their bits; a batch, member by member.
+
+def rk4_step_reference(field, y, h):
+    k1 = field(y)
+    k2 = field(y + (0.5 * h) * k1)
+    k3 = field(y + (0.5 * h) * k2)
+    k4 = field(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rkmk4_step_reference(velocity, act, y, h):
+    """The Munthe-Kaas scheme in the Cayley chart; every argument a is half the chart variable."""
+    def cay(a):
+        return (np.eye(len(a)) + a) @ np.linalg.inv(np.eye(len(a)) - a)
+
+    def stage(a):
+        return (np.eye(len(a)) + a) @ velocity(act(cay(a), y)) @ (np.eye(len(a)) - a)
+
+    k1 = velocity(y)
+    k2 = stage((0.25 * h) * k1)
+    k3 = stage((0.25 * h) * k2)
+    k4 = stage((0.5 * h) * k3)
+    return act(cay((h / 12.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), y)
+
+
+def midpoint_step_reference(field, y, h, tol=1e-13, max_iter=100):
+    m = y + (0.5 * h) * field(y)
+    for _ in range(max_iter):
+        m_next = y + (0.5 * h) * field(m)
+        delta = float(np.linalg.norm(m_next - m))
+        m = m_next
+        if delta <= tol:
+            return 2.0 * m - y
+    raise ConvergenceError(f"no fixed point in {max_iter} iterations")
+
+
+def fields_reference(kind, spec):
+    """The field, body velocity and group action of one ``kind`` of state."""
+    n = spec.n
+    if kind == "euler":
+        def velocity(pi):
+            return inertia_inverse(spec, pi)
+
+        def field(pi):
+            om = velocity(pi)
+            return pi @ om - om @ pi
+
+        def act(g, pi):
+            return g.T @ pi @ g
+    elif kind == "symrep":
+        def velocity(z):
+            m = z[:n].T @ z[n:]
+            return inertia_inverse(spec, m - m.T)
+
+        def field(z):
+            return z @ velocity(z)
+
+        def act(g, z):
+            return z @ g
+    else:
+        def velocity(y):
+            return inertia_inverse(spec, y[n:])
+
+        def field(y):
+            q, pi = y[:n], y[n:]
+            om = velocity(y)
+            return np.vstack([q @ om, pi @ om - om @ pi])
+
+        def act(g, y):
+            return np.vstack([y[:n] @ g, g.T @ y[n:] @ g])
+    return field, velocity, act
 
 
 def invariant_battery_reference(seed, trials):

@@ -3,8 +3,27 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_phase, scaled_skew, standard_pi0, standard_spec
-from nrigid.body import InertiaSpec, euler_poisson_rhs, euler_rhs, hat, inertia_inverse
+from helpers import (
+    fields_reference,
+    midpoint_step_reference,
+    random_phase,
+    rk4_step_reference,
+    rkmk4_step_reference,
+    scaled_skew,
+    standard_pi0,
+    standard_spec,
+)
+from nrigid.body import (
+    InertiaSpec,
+    _attitude_momentum_velocity,
+    _euler_poisson_rhs,
+    _euler_rhs,
+    _inertia_inverse,
+    euler_poisson_rhs,
+    euler_rhs,
+    hat,
+    inertia_inverse,
+)
 from nrigid.errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
 from nrigid import integrate
 from nrigid.integrate import (
@@ -12,7 +31,10 @@ from nrigid.integrate import (
     IntegratorConfig,
     Trajectory,
     _cayley,
+    _conjugate,
     _run,
+    _translate,
+    _translate_and_conjugate,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
@@ -21,6 +43,8 @@ from nrigid.lift import solve_lift
 from nrigid.matcore import expm, polar_project, random_rotation, random_skew, rotation_defect
 from nrigid.symrep import (
     FULL_RANK_TOL,
+    _optimal_control,
+    _symrep_rhs,
     min_singular_value,
     optimal_control,
     phase_point,
@@ -86,6 +110,10 @@ class TestConfig:
         ("t_final", np.nan, "t_final must be positive and finite"),
         ("midpoint_tol", 0.0, "midpoint_tol must be positive"),
         ("midpoint_max_iter", 0, "midpoint_max_iter must be at least 1"),
+        # Each of these built and then failed mid-run, or projected a truthy string.
+        ("midpoint_max_iter", 2.5, "midpoint_max_iter must be an integer, got 2.5"),
+        ("midpoint_max_iter", True, "midpoint_max_iter must be an integer, got True"),
+        ("project_attitude", "false", "project_attitude must be a bool, got 'false'"),
     ])
     def test_fields_checked(self, field, value, message):
         fields = {"scheme": "midpoint", "step": 0.1, "t_final": 1.0, field: value}
@@ -336,15 +364,6 @@ class TestMidpoint:
         assert err.value.best is None
 
 
-def rk4_step(field, y, h):
-    # the classical scheme, written out as the integrators evaluate it
-    k1 = field(y)
-    k2 = field(y + (0.5 * h) * k1)
-    k3 = field(y + (0.5 * h) * k2)
-    k4 = field(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 class TestPublicFields:
     """The integrators step the package's own vector fields, bit for bit."""
 
@@ -355,7 +374,7 @@ class TestPublicFields:
         traj = integrate_euler(spec, pi0, IntegratorConfig("rk4", self.H, 2 * self.H))
         y = pi0
         for i in (1, 2):
-            y = rk4_step(lambda pi: euler_rhs(spec, pi), y, self.H)
+            y = rk4_step_reference(lambda pi: euler_rhs(spec, pi), y, self.H)
             np.testing.assert_array_equal(traj.states[i], y)
 
     def test_symrep_steps_symrep_rhs(self):
@@ -364,7 +383,7 @@ class TestPublicFields:
         traj = integrate_symrep(spec, z0, IntegratorConfig("rk4", self.H, 2 * self.H))
         y = z0
         for i in (1, 2):
-            y = rk4_step(lambda z: symrep_rhs(spec, z), y, self.H)
+            y = rk4_step_reference(lambda z: symrep_rhs(spec, z), y, self.H)
             np.testing.assert_array_equal(traj.states[i], y)
 
     def test_euler_poisson_steps_euler_poisson_rhs(self):
@@ -373,7 +392,7 @@ class TestPublicFields:
         traj = integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", self.H, 2 * self.H))
         y = y0
         for i in (1, 2):
-            y = rk4_step(lambda y: euler_poisson_rhs(spec, y), y, self.H)
+            y = rk4_step_reference(lambda y: euler_poisson_rhs(spec, y), y, self.H)
             np.testing.assert_array_equal(traj.states[i], y)
 
     @pytest.mark.parametrize("n", [3, 16])
@@ -392,7 +411,7 @@ class TestPublicFields:
         traj = integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", self.H, 50 * self.H))
         y = y0
         for state in traj.states[1:]:
-            y = rk4_step(field, y, self.H)
+            y = rk4_step_reference(field, y, self.H)
             np.testing.assert_array_equal(state, y)
 
     def test_rkmk4_momentum_block_matches_euler(self):
@@ -508,22 +527,6 @@ class TestProjectedSteps:
         assert moved
 
 
-def rkmk4_step(velocity, act, y, h):
-    # the Munthe-Kaas scheme in the Cayley chart, written out from public
-    # pieces; every argument a is half the chart variable theta
-    def cay(a):
-        return (np.eye(len(a)) + a) @ np.linalg.inv(np.eye(len(a)) - a)
-
-    def stage(a):
-        return (np.eye(len(a)) + a) @ velocity(act(cay(a), y)) @ (np.eye(len(a)) - a)
-
-    k1 = velocity(y)
-    k2 = stage((0.25 * h) * k1)
-    k3 = stage((0.25 * h) * k2)
-    k4 = stage((0.5 * h) * k3)
-    return act(cay((h / 12.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), y)
-
-
 class TestKernelsAgainstPublicFunctions:
     """The step loop's unchecked kernels give the public functions' bits."""
 
@@ -535,7 +538,8 @@ class TestKernelsAgainstPublicFunctions:
         traj = integrate_symrep(spec, z0, IntegratorConfig("rkmk4", self.H, 2 * self.H))
         y = z0
         for i in (1, 2):
-            y = rkmk4_step(lambda z: optimal_control(spec, z), lambda g, z: z @ g, y, self.H)
+            y = rkmk4_step_reference(lambda z: optimal_control(spec, z), lambda g, z: z @ g,
+                                     y, self.H)
             np.testing.assert_array_equal(traj.states[i], y)
 
     def test_rkmk4_euler(self):
@@ -543,8 +547,8 @@ class TestKernelsAgainstPublicFunctions:
         traj = integrate_euler(spec, pi0, IntegratorConfig("rkmk4", self.H, 2 * self.H))
         y = pi0
         for i in (1, 2):
-            y = rkmk4_step(lambda pi: inertia_inverse(spec, pi), lambda g, pi: g.T @ pi @ g,
-                           y, self.H)
+            y = rkmk4_step_reference(lambda pi: inertia_inverse(spec, pi),
+                                     lambda g, pi: g.T @ pi @ g, y, self.H)
             np.testing.assert_array_equal(traj.states[i], y)
 
     def test_midpoint_symrep(self):
@@ -552,14 +556,9 @@ class TestKernelsAgainstPublicFunctions:
         z0 = solve_lift(np.eye(3), standard_pi0())
         cfg = IntegratorConfig("midpoint", self.H, self.H)
         traj = integrate_symrep(spec, z0, cfg)
-        m = z0 + (0.5 * self.H) * symrep_rhs(spec, z0)
-        for _ in range(cfg.midpoint_max_iter):
-            m_next = z0 + (0.5 * self.H) * symrep_rhs(spec, m)
-            delta = float(np.linalg.norm(m_next - m))
-            m = m_next
-            if delta <= cfg.midpoint_tol:
-                break
-        np.testing.assert_array_equal(traj.states[1], 2.0 * m - z0)
+        expected = midpoint_step_reference(lambda z: symrep_rhs(spec, z), z0, self.H,
+                                           cfg.midpoint_tol, cfg.midpoint_max_iter)
+        np.testing.assert_array_equal(traj.states[1], expected)
 
     def test_rkmk4_overflow_is_divergence(self):
         # the unchecked chart turns a non-finite stage into a non-finite
@@ -568,6 +567,58 @@ class TestKernelsAgainstPublicFunctions:
         with pytest.raises(DivergenceError) as err:
             integrate_symrep(standard_spec(), z0, IntegratorConfig("rkmk4", 0.01, 0.1))
         assert err.value.step_index == 1
+
+
+class TestReferenceSteps:
+    """`_run`'s kernels give the bits of the textbook steps in `helpers`, on
+    each kind of state, for lone states and for a batch, whose members are
+    stepped one by one."""
+
+    H, STEPS = 0.01, 8
+    KERNELS = {
+        "euler": (_euler_rhs, _inertia_inverse, _conjugate),
+        "symrep": (_symrep_rhs, _optimal_control, _translate),
+        "euler-poisson": (_euler_poisson_rhs, _attitude_momentum_velocity,
+                          _translate_and_conjugate),
+    }
+
+    def starts(self, kind, n):
+        # Momenta of spectral norm 0.02, 0.5 and 1.5 take different numbers
+        # of midpoint fixed-point iterations, so the batch re-indexes.
+        rng = np.random.default_rng(n)
+        out = []
+        for norm in (0.02, 0.5, 1.5):
+            pi0, q0 = scaled_skew(n, rng, norm), random_rotation(n, rng)
+            out.append({"euler": pi0, "symrep": solve_lift(q0, pi0),
+                        "euler-poisson": np.vstack([q0, pi0])}[kind])
+        return np.stack(out)
+
+    @pytest.mark.parametrize("n", [3, 4, 16])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    @pytest.mark.parametrize("kind", ["euler", "symrep", "euler-poisson"])
+    def test_kernels_match_textbook_steps(self, kind, scheme, n):
+        spec = InertiaSpec(np.linspace(0.5, 2.0, n))
+        cfg = IntegratorConfig(scheme, self.H, self.STEPS * self.H)
+        field, velocity, act = fields_reference(kind, spec)
+        step = {"rk4": lambda y: rk4_step_reference(field, y, self.H),
+                "rkmk4": lambda y: rkmk4_step_reference(velocity, act, y, self.H),
+                "midpoint": lambda y: midpoint_step_reference(field, y, self.H)}[scheme]
+        y0 = self.starts(kind, n)
+        expected = []
+        for y in y0:
+            states = [y]
+            for _ in range(self.STEPS):
+                states.append(step(states[-1]))
+            expected.append(np.stack(states))
+        for b in range(len(y0)):
+            _, states, _, failure = _run(spec, y0[b], cfg, *self.KERNELS[kind])
+            assert failure is None
+            np.testing.assert_array_equal(states, expected[b])
+        _, states, last, failure = _run(spec, y0, cfg, *self.KERNELS[kind])
+        assert failure is None
+        np.testing.assert_array_equal(states, expected[0])
+        for b in range(len(y0)):
+            np.testing.assert_array_equal(last[b], expected[b][-1])
 
 
 class TestCayleyChart:

@@ -12,6 +12,8 @@ from nrigid.errors import DimensionError, OutOfRangeError
 from nrigid.matcore import (
     _expm,
     _expm_stack,
+    _flat_dot,
+    _mm,
     _polar_project,
     commutator,
     expm,
@@ -129,6 +131,39 @@ def test_commutator_of_skew_is_skew_hypothesis(x):
     a = 0.5 * (x - x.T)
     b = hat([1.0, -2.0, 0.5])
     assert skew_defect(commutator(a, b)) <= 1e-12
+
+
+class TestMm:
+    """`_mm` gives the bits of ``@`` on the operand layouts the step kernels pass."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    def test_matches_matmul(self, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.standard_normal((2, n, n))
+        z = rng.standard_normal((2 * n, n))  # a phase point, or a stack [Q; pi]
+        xs, zs = rng.standard_normal((5, n, n)), rng.standard_normal((5, 2 * n, n))
+        pairs = [
+            (x, y),  # contiguous
+            (x.T, y), (x, y.T), (x.swapaxes(-1, -2), y), (x.T, y.T),  # transposed views
+            (z, x), (x, z[n:]), (z[:n].T, z[n:]), (z[n:].swapaxes(-1, -2), z[:n]),  # row slices
+            (x.T, x), (x, x.T), (z[:n].T, z[:n]),  # one buffer on both sides
+            # stacks: matmul, member by member, with a matrix or another stack
+            (xs, x), (x, xs), (xs.swapaxes(-1, -2), xs), (zs, xs),
+            (zs[:, :n].swapaxes(-1, -2), zs[:, n:]),
+        ]
+        for a, b in pairs:
+            got, want = _mm(a, b), a @ b
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_flat_dot_of_two_matrices(self, n):
+        # its 2-D branch takes ndarray.dot of the row-major entries
+        rng = np.random.default_rng(n)
+        x, y = rng.standard_normal((2, n, n))
+        z = rng.standard_normal((2 * n, n))
+        for a, b in [(x, y), (x.T, y), (z[:n], z[n:]), (z[:n].T, z[n:].T), (z, z)]:
+            assert _flat_dot(a, b) == float(a.ravel() @ b.ravel())
 
 
 class TestExpm:

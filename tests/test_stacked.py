@@ -28,6 +28,7 @@ from nrigid.integrate import (
     _conjugate,
     _euler_poisson,
     _run,
+    _translate,
     _translate_and_conjugate,
     integrate_euler,
     integrate_euler_poisson,
@@ -61,6 +62,8 @@ from nrigid.moment import (
     sp_momentum,
 )
 from nrigid.symrep import (
+    _optimal_control,
+    _symrep_rhs,
     hamiltonian,
     min_singular_value,
     one_form,
@@ -385,12 +388,13 @@ class TestStackedCayley:
 
 class TestBatchedRun:
     """`_run` over a batch ``(B, rows, n)`` against each member's own run,
-    bit for bit, on the attitude-momentum field that `shoot` batches and on
-    the Euler field."""
+    bit for bit, on the attitude-momentum field that `shoot` batches, on
+    the Euler field and on the symmetric representation's field."""
 
     # Momenta of spectral norm 0.02, 0.5 and 2.5 take different numbers of
     # midpoint fixed-point iterations over a run.  A batch is made of some
-    # of them, picked by index.
+    # of them, picked by index.  A phase point is lifted from its momentum,
+    # which needs a norm below 2, so the last one has norm 1.5 there.
     NORMS = (0.02, 0.5, 2.5)
     STEPS = 40
 
@@ -406,6 +410,9 @@ class TestBatchedRun:
         c = partial(self.counted, counts=counts)
         if kind == "euler":
             return _run(spec, y0, cfg, c(_euler_rhs), c(_inertia_inverse), _conjugate)
+        if kind == "symrep":
+            return _run(spec, y0, cfg, c(_symrep_rhs), c(_optimal_control), _translate,
+                        rotations=("Q", "P"))
         return _run(spec, y0, cfg, c(_euler_poisson_rhs), c(_attitude_momentum_velocity),
                     _translate_and_conjugate, rotations=("attitude",))
 
@@ -413,8 +420,12 @@ class TestBatchedRun:
         rng = np.random.default_rng(n)
         out = []
         for norm in self.NORMS:
-            pi0 = scaled_skew(n, rng, norm)
-            out.append(pi0 if kind == "euler" else np.vstack([random_rotation(n, rng), pi0]))
+            pi0 = scaled_skew(n, rng, min(norm, 1.5) if kind == "symrep" else norm)
+            if kind == "euler":
+                out.append(pi0)
+            else:
+                q0 = random_rotation(n, rng)
+                out.append(solve_lift(q0, pi0) if kind == "symrep" else np.vstack([q0, pi0]))
         return np.stack(out)[list(picks)]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 16])
@@ -425,8 +436,9 @@ class TestBatchedRun:
         # A batch of one, and two identical members, which finish on the
         # same midpoint iteration: neither is ever re-indexed.
         ("euler-poisson", True, (1,)), ("euler-poisson", True, (1, 1)),
+        ("symrep", False, (0, 1, 2)), ("symrep", True, (0, 1, 2)),
     ], ids=["euler-poisson-False", "euler-poisson-True", "euler-False",
-            "euler-poisson-True-one", "euler-poisson-True-twins"])
+            "euler-poisson-True-one", "euler-poisson-True-twins", "symrep-False", "symrep-True"])
     def test_members_are_their_single_runs(self, kind, project_attitude, picks, scheme, n):
         # A batch stores its first member's states: the batch is run once
         # with each member first, and that member's states and every

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .matcore import _as_square, _commutator, _mm, inner
+from .matcore import _as_square, _commutator, _halves, _mm, inner
 
 __all__ = [
     "InertiaSpec",
@@ -61,10 +61,7 @@ class InertiaSpec:
         sums.flags.writeable = False
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "_pair_sums", sums)
-
-    @property
-    def n(self) -> int:
-        return self.lam.shape[-1]
+        object.__setattr__(self, "n", lam.shape[-1])  # read in every step: set once, not a property
 
 
 def _check_n_by_n(spec: InertiaSpec, m) -> np.ndarray:
@@ -118,14 +115,15 @@ def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
 
     Over the last two axes, so a batch ``(B, 2n, n)`` of stacks passes too.
     """
-    return _inertia_inverse(spec, y[..., spec.n:, :])
+    return _inertia_inverse(spec, y[_halves(spec.n)[1]])
 
 
 def _euler_poisson_rhs(spec: InertiaSpec, y) -> np.ndarray:
     # Over the last two axes, so a batch (B, 2n, n) of stacks steps too.
+    momentum = _halves(spec.n)[1]
     om = _attitude_momentum_velocity(spec, y)
     ydot = _mm(y, om)
-    ydot[..., spec.n:, :] -= _mm(om, y[..., spec.n:, :])
+    ydot[momentum] -= _mm(om, y[momentum])
     return ydot
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .body import InertiaSpec
 from .errors import ConvergenceError, DimensionError, DivergenceError
-from .integrate import IntegratorConfig, Trajectory, _euler_poisson
+from .integrate import IntegratorConfig, Trajectory, _euler_poisson, _euler_poisson_trajectory
 from .matcore import require_rotation
 
 __all__ = ["BvpProblem", "BvpSolution", "shoot", "trajectory_cost"]
@@ -154,10 +154,10 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         return _euler_poisson(spec, y0, cfg)
 
     def alone(x):
-        # The residual, its square norm and trajectory at x, and no Jacobian.
-        traj, last = flow(x)
+        # The residual, its square norm and run (times, states) at x, and no Jacobian.
+        *run, last = flow(x)
         r = (last[:n] - problem.q_target).ravel()
-        return r, float(r @ r), traj, None
+        return r, float(r @ r), run, None
 
     def batch(x):
         # x and its d forward-difference probes x + _FD_STEP e_j.
@@ -170,17 +170,17 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         # C order as a column loop builds it, or None when a member of the
         # batch failed and x was scored alone.
         try:
-            traj, last = flow(batch(x))
+            *run, last = flow(batch(x))
         except (ConvergenceError, DivergenceError):
             return alone(x)
         mismatch = last[:, :n] - problem.q_target
         r = mismatch[0].ravel()
         jac = np.ascontiguousarray(((mismatch[1:].reshape(d, -1) - r) / _FD_STEP).T)
-        return r, float(r @ r), traj, jac
+        return r, float(r @ r), run, jac
 
     x = np.zeros(d)
-    r, fval, traj, jac = with_probes(x)
-    best = (x.copy(), np.sqrt(fval), traj)
+    r, fval, run, jac = with_probes(x)
+    best = (x.copy(), np.sqrt(fval), run)
     iterations = 0
     restarts = 0
 
@@ -201,20 +201,20 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             candidate = x + alpha * direction
             # The full step runs with its probes; a damped one alone.
             score = with_probes if alpha == 1.0 else alone
-            r_new, f_new, traj_new, jac_new = score(candidate)
+            r_new, f_new, run_new, jac_new = score(candidate)
             if f_new <= fval + _ARMIJO * alpha * slope:
-                x, r, fval, traj, jac = candidate, r_new, f_new, traj_new, jac_new
+                x, r, fval, run, jac = candidate, r_new, f_new, run_new, jac_new
                 stepped = True
                 break
             alpha *= 0.5
         iterations += 1
         if np.sqrt(fval) < best[1]:
-            best = (x.copy(), np.sqrt(fval), traj)
+            best = (x.copy(), np.sqrt(fval), run)
         if not stepped:
             if restarts < _MAX_RESTARTS:
                 restarts += 1
                 x = 0.3 * restarts * rng.uniform(-1.0, 1.0, d)
-                r, fval, traj, jac = with_probes(x)
+                r, fval, run, jac = with_probes(x)
                 continue
             raise ConvergenceError(
                 f"line search stalled after {restarts} restarts; "
@@ -230,10 +230,11 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             best=_solution(problem, upper, *best),
             reason="max_iter",
         )
-    return _solution(problem, upper, x, np.sqrt(fval), traj, iterations)
+    return _solution(problem, upper, x, np.sqrt(fval), run, iterations)
 
 
-def _solution(problem: BvpProblem, upper, x, terminal_error, traj, iterations=0) -> BvpSolution:
+def _solution(problem: BvpProblem, upper, x, terminal_error, run, iterations=0) -> BvpSolution:
+    traj = _euler_poisson_trajectory(problem.spec, *run)
     return BvpSolution(
         pi0=_skew_from_params(x, upper, problem.spec.n),
         terminal_error=float(terminal_error),

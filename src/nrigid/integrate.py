@@ -15,38 +15,36 @@ Three schemes are provided:
   the simplest symplectic scheme on the flat phase space.  It conserves
   the quadratic first integrals of the flow to fixed-point tolerance.
 
-The schemes step the package's own fields (`euler_rhs`, `symrep_rhs`, the
-attitude-momentum field of `euler_poisson_rhs`) and body velocities, so
+The schemes step the package's own fields and body velocities, so
 `verify_reduction` compares the flows the package publishes.  Each
-integrator takes its initial state in the layout of its states (a momentum,
-a phase point, a stack ``[Q; pi]``), so a run can restart from any state of
-another.  Inputs are checked once, at the boundary, and the step loop calls
-the unchecked kernels behind those functions; rkmk4 adds one n x n inverse
-per stage.  It calls LAPACK's inverse directly, not through the per-call
-wrapper of ``np.linalg.inv``, so a stage that overflows gives a non-finite
-state and ends in `DivergenceError`, as under the other schemes.  At n = 3
-the loop costs numpy's per-call overhead more than arithmetic, so a product
-of two matrices goes through ``ndarray.dot`` (`matcore._mm`: matmul's BLAS
-call without its gufunc dispatch), a stack through matmul, which
-broadcasts, and the stage coefficients are 0-d arrays built once per run,
-all to the bits of ``@`` and Python floats.
-
-Every accepted step is written into one stacked array.  The invariant
-audits, the rank margin of the phase points among them, are computed from
-the stack after the run, over blocks of states.  Each scheme's kernel
-also steps a batch of initial states along a leading axis, whose members
-step as their own runs bit for bit (under midpoint each stops at its own
-fixed-point count); the loop stores the states of the first member and the
-last state of each.  `shoot` runs a point with its forward-difference
-probes that way.  With ``project_attitude`` the loop checks the rotation
-blocks of the start (both blocks of a phase point, the attitude of
-``[Q; pi]``) and polar-projects all of them, of every member, in one
-stacked call after each step.  A non-finite state or a projected block
-with no nearby rotation ends a run in `DivergenceError`, and a midpoint
-step that does not converge in `ConvergenceError`, each naming its step.
-`RankLossError` names the first state below full rank, also when a later
-step failed first.  No step-size adaptivity: runs are reproducible and
-admit clean order checks.
+integrator takes its initial state in the layout of its states (a
+momentum, a phase point, a stack ``[Q; pi]``), so a run can restart from
+any state of another.  A run is stepped, then audited.  Stepping
+(`_euler`, `_symrep`, `_euler_poisson`) checks the inputs once, writes
+every accepted step into one stacked array and raises the run's failure;
+the audits are per-state checks computed from that stack, over blocks of
+states.  The `integrate_*` functions join the two, and `verify_reduction`
+and `shoot` audit only what they read.  At n = 3 the loop costs numpy's
+per-call overhead more than arithmetic, so it takes numpy's short paths,
+to the bits of the plain forms: ``ndarray.dot`` for a product of two
+matrices (`matcore._mm`) and matmul for a stack; stage coefficients as 0-d
+arrays built once per run; the blocks of a state ``(..., 2n, n)`` by index
+tuples built once per n (`matcore._halves`); LAPACK's inverse gufunc
+without the wrapper of ``np.linalg.inv``, one per rkmk4 stage; and as the
+finiteness test ``d.dot(d) == 0`` for ``d = (y - y).ravel()``, since x - x
+is +0 for finite x and NaN for an infinity or NaN.  A kernel also steps a
+batch of initial states along a leading axis, each member its own run bit
+for bit (under midpoint each stops at its own fixed-point count); the loop
+stores the states of the first member and the last state of each.  `shoot`
+runs a point with its forward-difference probes that way.  With
+``project_attitude`` the loop checks the rotation blocks of the start and
+polar-projects all of them, of every member, in one stacked call after
+each step.  A non-finite state (a singular rkmk4 inverse among them) or a
+projected block with no nearby rotation ends a run in `DivergenceError`,
+and a midpoint step that does not converge in `ConvergenceError`, each
+naming its step.  `RankLossError` names the first state below full rank,
+also when a later step failed.  No step-size adaptivity: runs are
+reproducible and admit clean order checks.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ from .body import _attitude_momentum_velocity, _euler_poisson_rhs, _euler_rhs, _
 from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
 from .matcore import (
     _frobenius,
+    _halves,
     _identity,
     _mm,
     _polar_project,
@@ -173,34 +172,27 @@ def _rk4_step(rhs, y, c):
 
 
 def _cayley(a):
-    # The Cayley chart at theta = 2a, over the last two axes: cay(theta),
-    # and the exact inverse of its left-trivialised tangent, which pulls a
-    # body velocity omega at cay(theta) back to theta' = (I + a) omega (I - a).
-    # The inverse is the d->d gufunc that np.linalg.inv wraps: the same
-    # LAPACK call without the wrapper's checks and errstate, which are about
-    # two thirds of a 3 x 3 inverse's cost.  It needs m float64 and square,
-    # one matrix or a (B, n, n) stack.  A member LAPACK finds singular comes
-    # out NaN without raising, and a non-finite a gives a non-finite g anyway;
-    # _run's finiteness check raises DivergenceError on either.
+    # The Cayley chart at theta = 2a over the last two axes: cay(theta), and p = I + a
+    # and m = I - a, which pull a body velocity omega at cay(theta) back to theta' = p
+    # omega m.  The inverse is np.linalg.inv's gufunc without its wrapper (two thirds
+    # of a 3 x 3 inverse's cost); a singular member comes out NaN, a divergence in _run.
     eye = _identity(a.shape[-1])
     p, m = eye + a, eye - a
-    return _mm(p, _inv(m, signature="d->d")), lambda omega: _mm(_mm(p, omega), m)
+    return _mm(p, _inv(m, signature="d->d")), p, m
 
 
 def _rkmk4_step(omega_of, act, y, c):
     # Classical RK4 on the chart variable theta from 0 at y; a = theta/2,
     # so c holds h/4, h/2 and h/12.
-    def stage(a):
-        g, pull_back = _cayley(a)
-        return pull_back(omega_of(act(g, y)))
-
     quarter, half, twelfth = c
     k1 = omega_of(y)
-    k2 = stage(quarter * k1)
-    k3 = stage(quarter * k2)
-    k4 = stage(half * k3)
-    g, _ = _cayley(twelfth * (k1 + (k2 + k2) + (k3 + k3) + k4))
-    return act(g, y)
+    g, p, m = _cayley(quarter * k1)
+    k2 = _mm(_mm(p, omega_of(act(g, y))), m)
+    g, p, m = _cayley(quarter * k2)
+    k3 = _mm(_mm(p, omega_of(act(g, y))), m)
+    g, p, m = _cayley(half * k3)
+    k4 = _mm(_mm(p, omega_of(act(g, y))), m)
+    return act(_cayley(twelfth * (k1 + (k2 + k2) + (k3 + k3) + k4))[0], y)
 
 
 def _midpoint_step(rhs, y, half, tol, max_iter):
@@ -242,22 +234,20 @@ def _translate(g, z):
 
 def _translate_and_conjugate(g, y):
     # Attitude translated, momentum conjugated, on stacks [Q; pi] over the last two axes.
-    n = y.shape[-1]
-    return np.concatenate([_translate(g, y[..., :n, :]), _conjugate(g, y[..., n:, :])], axis=-2)
+    attitude, momentum = _halves(y.shape[-1])
+    return np.concatenate([_translate(g, y[attitude]), _conjugate(g, y[momentum])], axis=-2)
 
 
 def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
     """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4.
 
-    y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` whose
-    members step through the same kernels; each member's states are those
-    of its own run bit for bit.  Returns the times, the stored states
-    ``(N+1, rows, n)``, the last state (of every member) and the failure
-    of the step that failed, or None.  A batch stores its first member's
-    states only, so it holds one run's history whatever B is.  A failed
-    run (a batch at the first step any member fails) returns what it stored
-    before that step and a DivergenceError, or a ConvergenceError (reason
-    "fixed_point") where midpoint's iteration did not converge, at that step.
+    y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` whose members
+    step as their own runs bit for bit.  Returns the times, the stored states
+    ``(N+1, rows, n)`` (of the first member only, whatever B is), the last
+    state of every member and the failure of the step that failed, or None:
+    a DivergenceError, or a ConvergenceError (reason "fixed_point") where
+    midpoint's iteration did not converge.  A failed run (a batch at the
+    first step any member fails) returns what it stored before that step.
 
     ``rotations`` names the leading n x n blocks that are rotations.  With
     ``cfg.project_attitude`` they must be rotations in every member of y0
@@ -282,12 +272,9 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
     # The stage coefficients h/d, built once as 0-d arrays: numpy multiplies
     # an array by a 0-d array faster than by a Python float, to the same bits.
     c = tuple(np.array(h / d) for d in _DIVISORS[cfg.scheme])
-    if cfg.scheme == "rk4":
-        advance = lambda y: _rk4_step(field, y, c)
-    elif cfg.scheme == "rkmk4":
-        advance = lambda y: _rkmk4_step(velocity, act, y, c)
-    else:
-        advance = lambda y: _midpoint_step(field, y, c[0], tol, max_iter)
+    advance = {"rk4": lambda y: _rk4_step(field, y, c),
+               "rkmk4": lambda y: _rkmk4_step(velocity, act, y, c),
+               "midpoint": lambda y: _midpoint_step(field, y, c[0], tol, max_iter)}[cfg.scheme]
     states = np.empty((steps + 1,) + y.shape[-2:])
     states[0] = y[first]
     times = np.arange(steps + 1) * h
@@ -295,7 +282,8 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
         for i in range(1, steps + 1):
             try:
                 y_next = advance(y)
-                if not np.isfinite(y_next).all():
+                d = (y_next - y_next).ravel()  # +0 where finite, NaN at inf or NaN
+                if not d.dot(d) == 0.0:
                     raise DivergenceError(f"non-finite state at step {i}", step_index=i)
                 if blocks:
                     try:
@@ -320,20 +308,25 @@ def _audit(states, channels) -> dict:
     ``channels`` maps each name to a function of a block of states that
     returns one value (or row) per state.
     """
-    audits = {}
-    for start in range(0, len(states), _AUDIT_BLOCK):
-        block = states[start:start + _AUDIT_BLOCK]
-        for name, channel in channels.items():
-            values = channel(block)
-            if name not in audits:
-                audits[name] = np.empty((len(states),) + values.shape[1:])
-            audits[name][start:start + len(block)] = values
-    return audits
+    blocks = [states[k:k + _AUDIT_BLOCK] for k in range(0, len(states), _AUDIT_BLOCK)]
+    return {name: np.concatenate([channel(b) for b in blocks]) for name, channel in channels.items()}
 
 
 def _one_body(spec: InertiaSpec) -> None:
     if spec.lam.ndim != 1:
         raise DimensionError(f"the integrators step one body, got lambda of shape {spec.lam.shape}")
+
+
+def _euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig):
+    # integrate_euler's checks and run: its times and states, or its failure raised.
+    _one_body(spec)
+    pi0 = require_skew(np.asarray(pi0, dtype=float))
+    if pi0.shape != (spec.n, spec.n):
+        raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
+    times, states, _, failure = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
+    if failure is not None:
+        raise failure
+    return times, states
 
 
 def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory:
@@ -342,33 +335,15 @@ def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory
     Audits: the reduced energy and the singular-value spectrum of the
     momentum (constant on the coadjoint orbit).
     """
-    _one_body(spec)
-    pi0 = require_skew(np.asarray(pi0, dtype=float))
-    if pi0.shape != (spec.n, spec.n):
-        raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
-    times, states, _, failure = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
-    if failure is not None:
-        raise failure
-    audits = _audit(states, {
+    times, states = _euler(spec, pi0, cfg)
+    return Trajectory("euler", times, states, _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b),
         "casimir_spectrum": casimir_spectrum,
-    })
-    return Trajectory("euler", times, states, audits)
+    }))
 
 
-def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the symmetric representation from a full-rank phase point.
-
-    Audits: the phase-space energy, the drift of the conserved symplectic
-    momentum value, the orthogonality defect of the two blocks, the
-    singular-value spectrum of the orthogonal momentum value, and the rank
-    margin `min_singular_value`, whose first value below `FULL_RANK_TOL`
-    raises `RankLossError`, also when a later step failed.
-
-    With ``project_attitude`` both blocks are polar-projected after every
-    step, and both blocks of ``z0`` must be rotations, as they are for
-    points constructed by `solve_lift`; any other start raises ValueError.
-    """
+def _symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig):
+    # integrate_symrep's checks and run: its times, states and rank margin, or its failure raised.
     _one_body(spec)
     z0 = np.asarray(z0, dtype=float)
     n = spec.n
@@ -386,7 +361,24 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
                             step_index=i, min_singular_value=s)
     if failure is not None:
         raise failure
-    j0 = sp_momentum(states[0])
+    return times, states, margin
+
+
+def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate the symmetric representation from a full-rank phase point.
+
+    Audits: the phase-space energy, the drift of the conserved symplectic
+    momentum value, the orthogonality defect of the two blocks, the
+    singular-value spectrum of the orthogonal momentum value, and the rank
+    margin `min_singular_value`, whose first value below `FULL_RANK_TOL`
+    raises `RankLossError`, also when a later step failed.
+
+    With ``project_attitude`` both blocks are polar-projected after every
+    step, and both blocks of ``z0`` must be rotations, as they are for
+    points constructed by `solve_lift`; any other start raises ValueError.
+    """
+    times, states, margin = _symrep(spec, z0, cfg)
+    n, j0 = spec.n, sp_momentum(states[0])
     audits = _audit(states, {
         "j_drift": lambda b: _frobenius(sp_momentum(b) - j0),
         "orthogonality_defect": lambda b: np.maximum(
@@ -401,24 +393,24 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
 
 
 def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
-    """The attitude-momentum run behind `integrate_euler_poisson` and `shoot`.
-
-    y0 is one stack ``[Q; pi]``, or a batch ``(B, 2n, n)`` of them that
-    steps as B runs.  Returns the audited trajectory of the first member
-    and the last state of every member, or raises the failure of `_run`.
-    """
+    # The attitude-momentum run behind integrate_euler_poisson and shoot, of one
+    # stack [Q; pi] or a batch (B, 2n, n): the first member's times and states
+    # and every member's last state, unaudited, or the run's failure raised.
     times, states, last, failure = _run(spec, y0, cfg, _euler_poisson_rhs,
                                         _attitude_momentum_velocity, _translate_and_conjugate,
                                         rotations=("the attitude block of y0",))
     if failure is not None:
         raise failure
+    return times, states, last
+
+
+def _euler_poisson_trajectory(spec: InertiaSpec, times, states) -> Trajectory:
     n = spec.n
-    audits = _audit(states, {
+    return Trajectory("euler-poisson", times, states, _audit(states, {
         "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
         "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),
         "orthogonality_defect": lambda b: orthogonality_defect(b[:, :n]),
-    })
-    return Trajectory("euler-poisson", times, states, audits), last
+    }))
 
 
 def integrate_euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig) -> Trajectory:
@@ -441,4 +433,4 @@ def integrate_euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig) -> Tra
     if y0.shape != (2 * n, n):
         raise DimensionError(f"attitude-momentum stack has shape {y0.shape}, expected {(2 * n, n)}")
     require_skew(y0[n:])
-    return _euler_poisson(spec, y0, cfg)[0]
+    return _euler_poisson_trajectory(spec, *_euler_poisson(spec, y0, cfg)[:2])

@@ -120,6 +120,12 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+@lru_cache(maxsize=None)
+def _halves(n: int):
+    # Index tuples of the top and bottom n rows of (..., 2n, n), faster than literals.
+    return (..., slice(n), slice(None)), (..., slice(n, None), slice(None))
+
+
 def _expm(a, squarings) -> np.ndarray:
     # The Taylor and squaring loop of `_expm_stack`, for a matrix or a
     # stack of members that share their squaring count.

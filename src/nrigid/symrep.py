@@ -8,7 +8,7 @@ import numpy as np
 
 from .body import InertiaSpec, _inertia_inverse, inertia_apply, reduced_hamiltonian
 from .errors import DimensionError
-from .matcore import _flat_dot, _jmat, _mm, inner
+from .matcore import _flat_dot, _halves, _jmat, _mm, inner
 
 __all__ = [
     "FULL_RANK_TOL",
@@ -116,8 +116,8 @@ def _phase_point_of(spec: InertiaSpec, z, stacked=False) -> np.ndarray:
 
 def _optimal_control(spec: InertiaSpec, z) -> np.ndarray:
     # Over the last two axes, so a batch (B, 2n, n) of phase points steps too.
-    n = spec.n
-    m = _mm(z[..., :n, :].swapaxes(-1, -2), z[..., n:, :])
+    q, p = _halves(spec.n)
+    m = _mm(z[q].swapaxes(-1, -2), z[p])
     return _inertia_inverse(spec, m - m.swapaxes(-1, -2))
 
 

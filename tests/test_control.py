@@ -331,6 +331,45 @@ def assert_same_outcome(got, want):
         assert_same_solution(got.best, want.best)
 
 
+class TestAuditedAnswer:
+    """`shoot` audits only the trajectory it returns.  That trajectory, the
+    best one a failed search carries, their audits and cost are those of
+    `integrate_euler_poisson` from (q0, pi0), bit for bit."""
+
+    @staticmethod
+    def assert_public_run(problem, sol):
+        flow = integrate_euler_poisson(problem.spec, np.vstack([problem.q0, sol.pi0]), problem.cfg)
+        assert sol.trajectory.kind == flow.kind
+        np.testing.assert_array_equal(sol.trajectory.times, flow.times)
+        np.testing.assert_array_equal(sol.trajectory.states, flow.states)
+        assert list(sol.trajectory.audits) == list(flow.audits)
+        for name, values in flow.audits.items():
+            np.testing.assert_array_equal(sol.trajectory.audits[name], values)
+        assert sol.cost == trajectory_cost(problem.spec, flow)
+
+    @staticmethod
+    def problem(scheme, project_attitude):
+        cfg = IntegratorConfig(scheme, 0.01, 1.0, project_attitude=project_attitude)
+        target = expm(0.37 * hat([0.6, -0.48, 0.64]))
+        return BvpProblem(standard_spec(), np.eye(3), target, 1.0, cfg)
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    def test_solution(self, scheme, project_attitude):
+        problem = self.problem(scheme, project_attitude)
+        self.assert_public_run(problem, shoot(problem))
+
+    @pytest.mark.parametrize("reason", ["max_iter", "line_search"])
+    def test_best_of_a_failed_search(self, monkeypatch, reason):
+        if reason == "line_search":
+            monkeypatch.setattr(control, "_MIN_DAMPING", 2.0)
+        problem = self.problem("rk4", False)
+        with pytest.raises(ConvergenceError) as err:
+            shoot(problem, tol=1e-12, max_iter=1 if reason == "max_iter" else 30)
+        assert err.value.reason == reason
+        self.assert_public_run(problem, err.value.best)
+
+
 class RunSpy:
     """Records every run that `shoot` makes: its member count, whether it
     failed, and for a failed batch whether its first member fails alone;

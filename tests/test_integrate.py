@@ -633,10 +633,10 @@ class TestCayleyChart:
         rng = np.random.default_rng(n)
         for _ in range(5):
             theta, omega = random_skew(n, rng), random_skew(n, rng)
-            g, pull_back = _cayley(0.5 * theta)
-            tangent = pull_back(omega)
-            plus, _ = _cayley(0.5 * (theta + self.DT * tangent))
-            minus, _ = _cayley(0.5 * (theta - self.DT * tangent))
+            g, p, m = _cayley(0.5 * theta)
+            tangent = p @ omega @ m
+            plus = _cayley(0.5 * (theta + self.DT * tangent))[0]
+            minus = _cayley(0.5 * (theta - self.DT * tangent))[0]
             got = np.linalg.inv(g) @ (plus - minus) / (2.0 * self.DT)
             assert np.abs(got - omega).max() <= 1e-8
 
@@ -645,7 +645,7 @@ class TestCayleyChart:
         rng = np.random.default_rng(10 + n)
         for scale in (1e-3, 1.0, 30.0):
             theta = scale * random_skew(n, rng)
-            g, _ = _cayley(0.5 * theta)
+            g = _cayley(0.5 * theta)[0]
             assert rotation_defect(g) <= 1e-14 * n
 
 
@@ -735,3 +735,57 @@ class TestBlockedRankCheck:
         np.testing.assert_array_equal(
             traj.audits["rank_margin"], [min_singular_value(z) for z in traj.states]
         )
+
+
+class TestFinitenessTest:
+    """`_run` tests a step for finiteness by ``d.dot(d) == 0`` with
+    ``d = (y - y).ravel()``, where x - x is +0 for finite x and NaN for an
+    infinity or NaN.  It must end a run where ``np.isfinite`` would, with the
+    same message, and pass a huge finite entry.  The field puts one entry
+    into the fourth stage of step K, which rk4 with h = 6 adds to the state
+    unscaled."""
+
+    K, STEPS = 3, 5
+    CALLS = 4 * K
+
+    def field(self, value, at):
+        calls = [0]
+
+        def rhs(spec, y):
+            calls[0] += 1
+            out = np.zeros_like(y)
+            if calls[0] == self.CALLS:
+                out[at] = value
+            return out
+
+        return rhs
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e308])
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_fails_where_isfinite_fails(self, value, lead):
+        rng = np.random.default_rng(3)
+        y0 = rng.uniform(-1.0, 1.0, lead + (6, 3))
+        at = tuple(k - 1 for k in lead) + (4, 2)  # the last member of a batch
+        cfg = IntegratorConfig("rk4", 6.0, 6.0 * self.STEPS)
+        field = self.field(value, at)
+        times, states, last, failure = _run(None, y0, cfg, field, field, None)
+        if np.isfinite(value):
+            assert failure is None
+            assert len(states) == self.STEPS + 1 and last[at] == value
+            return
+        assert isinstance(failure, DivergenceError)
+        assert str(failure) == f"non-finite state at step {self.K}"
+        assert failure.step_index == self.K
+        assert len(times) == len(states) == self.K
+        assert np.isfinite(states).all() and np.isfinite(last).all()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 3), (4, 6, 3), (32, 16)])
+    def test_agrees_with_isfinite(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for value in (np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 0.0):
+            y = rng.uniform(-1.0, 1.0, shape)
+            y.flat[rng.integers(y.size)] = value
+            with np.errstate(invalid="ignore"):
+                d = (y - y).ravel()
+                finite = d.dot(d) == 0.0
+            assert finite == np.isfinite(y).all(), value

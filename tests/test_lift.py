@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
 
-from helpers import rodrigues, scaled_skew, standard_pi0, standard_spec
-from nrigid.body import hat
-from nrigid.errors import CertificationError, DimensionError, OutOfRangeError
+from helpers import (
+    rodrigues,
+    scaled_skew,
+    standard_pi0,
+    standard_spec,
+    verify_reduction_reference,
+)
+from nrigid import integrate
+from nrigid.body import InertiaSpec, hat
+from nrigid.errors import (
+    CertificationError,
+    ConvergenceError,
+    DimensionError,
+    DivergenceError,
+    OutOfRangeError,
+    RankLossError,
+)
 from nrigid.integrate import IntegratorConfig, integrate_symrep
 from nrigid.lift import mu0_of, solve_lift, verify_reduction
 from nrigid.matcore import random_rotation, rotation_defect
 from nrigid.moment import level_set_defect, on_momentum, sp_momentum
-from nrigid.symrep import is_full_rank, phase_point
+from nrigid.symrep import FULL_RANK_TOL, is_full_rank, phase_point
 
 E3 = hat([0, 0, 1])
 
@@ -134,6 +148,88 @@ class TestVerifyReduction:
         mu0 = mu0_of(z0)
         traj = integrate_symrep(spec, z0, IntegratorConfig("rk4", 1e-3, 10.0))
         assert max(level_set_defect(z, mu0) for z in traj.states) <= 1e-8
+
+
+class TestVerifyReductionReference:
+    """`verify_reduction` audits only the channels its keys read.  Its report
+    and its errors are those of `helpers.verify_reduction_reference`, which
+    integrates both pictures with every audit channel, bit for bit."""
+
+    @staticmethod
+    def case(n):
+        rng = np.random.default_rng(n)
+        spec = InertiaSpec(np.linspace(0.5, 2.0, n))
+        return spec, random_rotation(n, rng), scaled_skew(n, rng, 1.2)
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    def test_report_is_the_reference(self, scheme, n, project_attitude):
+        # 200 steps: one full audit block and a partial one
+        spec, q0, pi0 = self.case(n)
+        cfg = IntegratorConfig(scheme, 0.01, 2.0, project_attitude=project_attitude)
+        report = verify_reduction(spec, q0, pi0, cfg)
+        reference = verify_reduction_reference(spec, q0, pi0, cfg)
+        assert list(report) == list(reference)
+        for key, value in reference.items():
+            assert np.float64(report[key]).tobytes() == np.float64(value).tobytes(), key
+
+    @staticmethod
+    def same_error(spec, q0, pi0, cfg):
+        errors = []
+        for verify in (verify_reduction, verify_reduction_reference):
+            with pytest.raises(Exception) as err:
+                verify(spec, q0, pi0, cfg)
+            errors.append(err.value)
+        got, want = errors
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        for name in ("step_index", "min_singular_value", "reason"):
+            assert getattr(got, name, None) == getattr(want, name, None)
+        return got
+
+    @pytest.mark.parametrize("scheme, later", [("rk4", DivergenceError),
+                                               ("midpoint", ConvergenceError)])
+    def test_rank_loss_beats_a_later_failure(self, monkeypatch, scheme, later):
+        # z' = -c z takes the lift's smallest singular value, sqrt(2), below
+        # FULL_RANK_TOL near step 40; the field turns non-finite once the
+        # Frobenius norm, sqrt(3) times larger, is below 1e-12, steps later.
+        # The body run, which comes after the phase run, fails at step 1.
+        rate = np.log(np.sqrt(2.0) / FULL_RANK_TOL) / 39.5
+
+        def field(spec, z):
+            return -rate * z if np.linalg.norm(z) > 1e-12 else np.full_like(z, np.inf)
+
+        cfg = IntegratorConfig(scheme, 1.0, 80.0)
+        z0 = solve_lift(np.eye(3), standard_pi0())
+        failure = integrate._run(None, z0, cfg, field, field, None)[3]
+        assert isinstance(failure, later)
+        monkeypatch.setattr(integrate, "_symrep_rhs", field)
+        monkeypatch.setattr(integrate, "_euler_rhs", lambda spec, pi: np.full_like(pi, np.inf))
+        err = self.same_error(standard_spec(), np.eye(3), standard_pi0(), cfg)
+        assert isinstance(err, RankLossError)
+        assert err.step_index < failure.step_index
+
+    def test_body_run_failure(self, monkeypatch):
+        monkeypatch.setattr(integrate, "_euler_rhs", lambda spec, pi: np.full_like(pi, np.inf))
+        err = self.same_error(standard_spec(), np.eye(3), standard_pi0(),
+                              IntegratorConfig("rk4", 0.01, 1.0))
+        assert isinstance(err, DivergenceError) and err.step_index == 1
+
+    def test_stacked_lambda(self):
+        spec = InertiaSpec([[1.0, 2.0, 3.0], [1.5, 2.0, 2.5]])
+        err = self.same_error(spec, np.eye(3), standard_pi0(), IntegratorConfig("rk4", 0.01, 1.0))
+        assert type(err) is DimensionError and "one body" in str(err)
+
+    def test_non_skew_momentum(self):
+        pi0 = standard_pi0() + 0.1 * np.eye(3)
+        err = self.same_error(standard_spec(), np.eye(3), pi0, IntegratorConfig("rk4", 0.01, 1.0))
+        assert type(err) is ValueError and "not skew-symmetric" in str(err)
+
+    def test_dimension_mismatch(self):
+        spec = InertiaSpec([1.0, 2.0, 3.0, 4.0])
+        err = self.same_error(spec, np.eye(3), standard_pi0(), IntegratorConfig("rk4", 0.01, 1.0))
+        assert type(err) is DimensionError
 
 
 class TestSolveLiftNonFinite:

@@ -7,7 +7,9 @@ Each root is a checkout with ``src/nrigid``.  Every command runs as
 on ``PYTHONPATH`` and BLAS pinned to one thread, in a fresh working
 directory.  The matrix is ``simulate`` (every kind), ``verify-reduction``,
 ``lift`` and ``solve-bvp`` on seven configs, each under every scheme with
-``project_attitude`` off and on:
+``project_attitude`` off and on, and ``check-invariants`` with CI's
+arguments (``--trials 20`` and ``--seed 42 --trials 193``) and with
+``--seed 0 --trials 3000``.  The configs are:
 
 * ``readme``: the README config (n = 3, lambda = (1, 2, 3), pi0 = (0.5, 0.6,
   0.7), h = 1e-3), T = 10, target the identity;
@@ -47,6 +49,9 @@ COMMANDS = {
     "lift": ["lift"],
     "solve-bvp": ["solve-bvp", "--out", "out"],
 }
+# The arguments of each check-invariants run, which takes no config.
+BATTERY = (("--trials", "20"), ("--seed", "42", "--trials", "193"),
+           ("--seed", "0", "--trials", "3000"))
 USAGE = "usage: python tools/bytecheck.py PARENT_ROOT CHANGE_ROOT"
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -105,6 +110,23 @@ def configs() -> dict:
     }
 
 
+def cases(work: Path):
+    """Each run's name and arguments, in order; writes the configs into work."""
+    for config_name, base in configs().items():
+        for scheme in SCHEMES:
+            for project in (False, True):
+                config = dict(base, integrator=dict(base["integrator"], scheme=scheme,
+                                                    project_attitude=project))
+                case = f"{config_name}/{scheme}/{'projected' if project else 'plain'}"
+                path = work / (case.replace("/", "-") + ".json")
+                path.write_text(json.dumps(config), encoding="utf-8")
+                for command, args in COMMANDS.items():
+                    yield f"{case}/{command}", [*args, "--config", str(path)]
+    for args in BATTERY:
+        name = "-".join(a.lstrip("-") for a in args)
+        yield f"check-invariants/{name}", ["check-invariants", *args]
+
+
 def _run(root: Path, argv, cwd: Path):
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in _THREAD_VARS})
@@ -154,27 +176,17 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="nrigid-bytecheck-"))
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for config_name, base in configs().items():
-                for scheme in SCHEMES:
-                    for project in (False, True):
-                        config = dict(base, integrator=dict(base["integrator"], scheme=scheme,
-                                                            project_attitude=project))
-                        case = f"{config_name}/{scheme}/{'projected' if project else 'plain'}"
-                        path = work / (case.replace("/", "-") + ".json")
-                        path.write_text(json.dumps(config), encoding="utf-8")
-                        for command, args in COMMANDS.items():
-                            name = f"{case}/{command}"
-                            sides = [pool.submit(_run, root, [*args, "--config", str(path)],
-                                                 work / side / name)
-                                     for side, root in zip(("parent", "change"), roots)]
-                            parent, change = (side.result() for side in sides)
-                            for line in compare(name, parent, change):
-                                print(line, flush=True)
-                                differences += 1
-                            runs += 1
-                            files += len(parent[3])
-                            shutil.rmtree(work / "parent")
-                            shutil.rmtree(work / "change")
+            for name, argv in cases(work):
+                sides = [pool.submit(_run, root, argv, work / side / name)
+                         for side, root in zip(("parent", "change"), roots)]
+                parent, change = (side.result() for side in sides)
+                for line in compare(name, parent, change):
+                    print(line, flush=True)
+                    differences += 1
+                runs += 1
+                files += len(parent[3])
+                shutil.rmtree(work / "parent")
+                shutil.rmtree(work / "change")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{runs} runs a side, {files} output files at the parent: "

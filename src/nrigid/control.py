@@ -11,11 +11,14 @@ each candidate pi0 is integrated on the flow of `integrate_euler_poisson`
 from (Q0, pi0) under the problem's config and scored by its terminal
 attitude mismatch, on rows :n of the last state [Q; pi].  A damped
 Gauss-Newton iteration with a forward-difference Jacobian runs over the
-d = n(n-1)/2 free momentum entries.  The flow runs in two shapes: a lone
-point, or a point with its d probes as one batch of 1 + d runs, each bit
-for bit its own run, and every Jacobian comes from such a batch.  The
-full step of each line search runs in one, so when it is accepted it
-brings its Jacobian with it; a damped candidate runs alone.  The
+d = n(n-1)/2 free momentum entries.  It starts at rest, pi0 = 0, where
+every scheme returns its state bit for bit, so the residual and the exact
+Jacobian there are known in closed form and the start runs only when it
+projects, alone.  Elsewhere the flow runs in two shapes: a lone point, or
+a point with its d probes as one batch of 1 + d runs, each bit for bit its
+own run, and every other Jacobian comes from such a batch.  The full step
+of each line search runs in one, so when it is accepted it brings its
+Jacobian with it; a damped candidate runs alone.  The
 symmetric representation of an answer is one `solve_lift` and
 `integrate_symrep` away wherever the lift bound allows.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import InertiaSpec
+from .body import InertiaSpec, _inertia_inverse
 from .errors import ConvergenceError, DimensionError, DivergenceError
 from .integrate import IntegratorConfig, Trajectory, _euler_poisson, _euler_poisson_trajectory
 from .matcore import require_rotation
@@ -75,6 +78,17 @@ def _skew_from_params(x, upper, n):
     return a - a.swapaxes(-2, -1)
 
 
+def _rest_jacobian(problem: BvpProblem, upper) -> np.ndarray:
+    # The Jacobian of shoot's residual at x = 0, the exact tangent of every
+    # scheme there: at rest the linearised flow dQ' = q0 I^-1(dpi), dpi' = 0 is
+    # stepped exactly, so column j is T vec(q0 I^-1(E_j)), E_j = pi0(e_j).  In C
+    # order, as `shoot`'s forward-difference Jacobians are.
+    spec, cfg = problem.spec, problem.cfg
+    basis = _skew_from_params(np.eye(len(upper[0])), upper, spec.n)
+    tangents = cfg.step_count() * cfg.step * np.matmul(problem.q0, _inertia_inverse(spec, basis))
+    return np.ascontiguousarray(tangents.reshape(len(basis), -1).T)
+
+
 def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
     """Composite Simpson quadrature of the control effort (1/2) <I u, u>.
 
@@ -118,10 +132,15 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     ``project_attitude`` its attitude stays a rotation.  ``seed`` drives
     the random restarts tried when the line search stalls.
 
-    The flow runs in two shapes: a lone point, or a point x with its d
-    forward-difference probes x + _FD_STEP e_j as one batch of 1 + d runs,
-    each member bit for bit its own run, so the iterates are those of
-    scoring each point alone.  The full Gauss-Newton step, the first
+    The search starts at x = 0, at rest, where every scheme returns its
+    state bit for bit: the residual is vec(q0 - q_target) with no run, and
+    the Jacobian is the exact tangent `_rest_jacobian`.  With
+    ``project_attitude`` the start runs alone, since the projection moves
+    the rest by round-off.  Elsewhere the flow runs in two shapes: a lone
+    point, or a point x with its d forward-difference probes
+    x + _FD_STEP e_j as one batch of 1 + d runs, each member bit for bit its
+    own run, so the iterates are those of scoring each point alone.  The
+    full Gauss-Newton step, the first
     candidate of each line search, runs with its probes and brings its
     Jacobian when accepted; a damped candidate runs alone, and an iterate
     it reaches re-runs as member 0 of its own batch when its Jacobian is
@@ -178,8 +197,18 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         jac = np.ascontiguousarray(((mismatch[1:].reshape(d, -1) - r) / _FD_STEP).T)
         return r, float(r @ r), run, jac
 
+    # The start x = 0 is at rest, where every stage velocity is 0 and each
+    # scheme returns its state bit for bit: it needs no run unless a
+    # projection moves it by round-off, and then it runs alone.
     x = np.zeros(d)
-    r, fval, run, jac = with_probes(x)
+    if cfg.project_attitude:
+        r, fval, run, _ = alone(x)
+    else:
+        times = np.arange(cfg.step_count() + 1) * cfg.step
+        rest = np.vstack([problem.q0, np.zeros((n, n))])
+        r = (problem.q0 - problem.q_target).ravel()
+        fval, run = float(r @ r), [times, np.repeat(rest[None], len(times), axis=0)]
+    jac = _rest_jacobian(problem, upper)
     best = (x.copy(), np.sqrt(fval), run)
     iterations = 0
     restarts = 0

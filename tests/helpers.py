@@ -220,7 +220,10 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
     This is the search `control.shoot` ran before it stepped each candidate
     with its forward-difference probes as one batch: the probes of an
     iterate run, one by one, at the top of the iteration that needs its
-    Jacobian.  The constants are read from `control` at call time, so a
+    Jacobian.  The start x = 0 is at rest, where the flow's tangent is
+    known: its Jacobian has column j equal to T vec(q0 I^-1(E_j)), with E_j
+    the skew basis matrix of entry j.  Its residual still comes from a
+    public run.  The constants are read from `control` at call time, so a
     monkeypatched constant acts on both.  Returns what `shoot` returns and
     raises what it raises.
     """
@@ -254,6 +257,10 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
         jac = np.empty((r.size, d))
         for j in range(d):
             xj = x.copy()
+            if iterations == 0:  # the start, at rest
+                tangent = problem.q0 @ inertia_inverse(problem.spec, skew(np.eye(d)[j]))
+                jac[:, j] = (traj.times[-1] * tangent).ravel()
+                continue
             xj[j] += control._FD_STEP
             rj, _, _ = objective(xj)
             jac[:, j] = (rj - r) / control._FD_STEP

@@ -9,12 +9,13 @@ from nrigid.errors import ConvergenceError, DimensionError, DivergenceError
 from nrigid.integrate import (
     IntegratorConfig,
     Trajectory,
+    _euler_poisson,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
 )
 from nrigid.lift import solve_lift
-from nrigid.matcore import expm, spectral_norm
+from nrigid.matcore import expm, random_rotation, spectral_norm
 from nrigid.symrep import q_block
 
 E1 = hat([1.0, 0.0, 0.0])
@@ -417,19 +418,26 @@ class TestBatchedProbes:
     @staticmethod
     def problem(which, scheme, project_attitude):
         cfg = IntegratorConfig(scheme, 5e-3, 1.0, project_attitude=project_attitude)
+        q0 = np.eye(3)
         if which == "spherical":
             spec, q_target, solve = InertiaSpec([1.0, 1.0, 1.0]), expm(0.3 * E3), (1e-7, 30, 11)
         elif which == "principal-axis":
             spec, q_target, solve = standard_spec(), expm(0.4 * E1), (1e-6, 60, 11)
+        elif which == "rotated-start":
+            # q0 = I cannot tell a projected lone run at rest from its closed
+            # form; a q0 away from I can
+            q0 = random_rotation(3, np.random.default_rng(21))
+            spec, solve = standard_spec(), (1e-9, 30, 0)
+            q_target = q0 @ expm(0.4 * hat([0.6, -0.48, 0.64]))
         else:
-            spec = InertiaSpec([1.0, 1.5, 2.0, 2.5])
+            spec, q0 = InertiaSpec([1.0, 1.5, 2.0, 2.5]), np.eye(4)
             q_target, solve = expm(scaled_skew(4, np.random.default_rng(4), 0.3)), (1e-10, 30, 0)
-        problem = BvpProblem(spec, np.eye(spec.n), q_target, 1.0, cfg)
+        problem = BvpProblem(spec, q0, q_target, 1.0, cfg)
         return problem, dict(zip(("tol", "max_iter", "seed"), solve))
 
     @pytest.mark.parametrize("project_attitude", [False, True])
     @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
-    @pytest.mark.parametrize("which", ["spherical", "principal-axis", "seeded-n4"])
+    @pytest.mark.parametrize("which", ["spherical", "principal-axis", "seeded-n4", "rotated-start"])
     def test_matches_loop_oracle(self, which, scheme, project_attitude):
         problem, kwargs = self.problem(which, scheme, project_attitude)
         sol = shoot(problem, **kwargs)
@@ -445,10 +453,11 @@ class TestBatchedProbes:
 
     def test_damped_candidates_run_alone(self, monkeypatch):
         # A target the search cannot reach in time 1: the line search
-        # backtracks often.  Each line search runs its full step with the
-        # d = 3 probes, one batch of 4; a damped candidate runs alone, and
-        # an iterate it reached re-runs as the first member of a batch of 4
-        # for its Jacobian.  No run has any other shape.
+        # backtracks often.  The start is at rest and makes no run.  Each
+        # line search runs its full step with the d = 3 probes, one batch of
+        # 4; a damped candidate runs alone, and an iterate it reached re-runs
+        # as the first member of a batch of 4 for its Jacobian.  No run has
+        # any other shape.
         cfg = IntegratorConfig("rk4", 0.05, 1.0)
         problem = BvpProblem(standard_spec(), np.eye(3), expm(1.5 * hat([0.6, -0.48, 0.64])),
                              1.0, cfg)
@@ -461,16 +470,16 @@ class TestBatchedProbes:
         assert set(members) == {1, 4} and members.count(1) > 0
         reruns = spy.reruns()
         assert len(reruns) > 0
-        assert members.count(4) == 1 + kwargs["max_iter"] + len(reruns)
+        assert members.count(4) == kwargs["max_iter"] + len(reruns)
         assert_same_outcome(got, outcome(shoot_reference, problem, **kwargs))
 
     def test_probe_failing_at_rejected_candidate_does_not_raise(self, monkeypatch):
         # With a coarse forward-difference step, probes of some rejected
-        # candidates leave the momenta at which 10 midpoint fixed-point
-        # iterations converge; the search goes on and ends as the oracle's
-        # does, in a stalled line search.
-        monkeypatch.setattr(control, "_FD_STEP", 3.0)
-        cfg = IntegratorConfig("midpoint", 0.1, 1.0, midpoint_max_iter=10)
+        # candidates leave the momenta at which 20 midpoint fixed-point
+        # iterations converge at h = 0.2; the search goes on and ends as the
+        # oracle's does, in a stalled line search.
+        monkeypatch.setattr(control, "_FD_STEP", 5.0)
+        cfg = IntegratorConfig("midpoint", 0.2, 1.0, midpoint_max_iter=20)
         problem = BvpProblem(standard_spec(), np.eye(3), expm(2.5 * hat([0.6, -0.48, 0.64])),
                              1.0, cfg)
         spy = RunSpy(monkeypatch)
@@ -490,18 +499,85 @@ class TestBatchedProbes:
         spy = RunSpy(monkeypatch)
         got = outcome(shoot, problem, tol=1e-6, max_iter=60, seed=0)
         assert isinstance(got, DivergenceError)
-        # Every run is a lone point or a batch of 4, and the iterates before
-        # it ran their batches whole.  The first failed batch failed in a
-        # probe and its candidate was accepted alone; for its Jacobian that
-        # batch ran again, failed again, the iterate was scored alone again,
-        # and its probes ran alone until one raised.
+        # Every run is a lone point or a batch of 4.  The start, at rest,
+        # makes no run, so the first run is the batch of the first full step.
+        # It failed in a probe and its candidate was accepted alone; for its
+        # Jacobian that batch ran again, failed again, the iterate was scored
+        # alone again, and its probes ran alone until one raised.
         assert {m for m, _, _ in spy.runs} == {1, 4}
-        assert spy.runs[0] == (4, False, False)
-        k = next(i for i, run in enumerate(spy.runs) if run[1])
-        assert spy.runs[k:k + 4] == [(4, True, False), (1, False, False)] * 2
-        assert spy.reruns() == [k + 2]
-        assert all(run == (1, False, False) for run in spy.runs[k + 4:-1])
-        assert spy.runs[-1] == (1, True, True) and len(spy.runs) - (k + 4) <= 3
+        assert spy.runs[:4] == [(4, True, False), (1, False, False)] * 2
+        assert spy.reruns() == [2]
+        assert all(run == (1, False, False) for run in spy.runs[4:-1])
+        assert spy.runs[-1] == (1, True, True) and len(spy.runs) - 4 <= 3
         want = outcome(shoot_reference, problem, tol=1e-6, max_iter=60, seed=0)
         assert_same_outcome(got, want)
-        assert got.step_index == want.step_index == 5
+        assert got.step_index == want.step_index == 4
+
+
+class TestStartAtRest:
+    """`shoot` starts at x = 0, at rest, where each scheme returns its state
+    bit for bit: the residual vec(q0 - q_target) needs no run, and the
+    Jacobian `control._rest_jacobian` is the flow's exact tangent there."""
+
+    @staticmethod
+    def rest_stack(n, seed):
+        return np.vstack([random_rotation(n, np.random.default_rng(seed)), np.zeros((n, n))])
+
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rest_is_a_bitwise_fixed_point(self, n, scheme):
+        spec = InertiaSpec(np.linspace(1.0, 2.0, n))
+        cfg = IntegratorConfig(scheme, 0.1, 1.0)
+        y0 = self.rest_stack(n, n)
+        rest = np.repeat(y0[None], 11, axis=0).tobytes()  # bytes, so that -0.0 != 0.0
+        times, states, last = _euler_poisson(spec, y0, cfg)
+        np.testing.assert_array_equal(times, np.arange(11) * 0.1)
+        assert states.tobytes() == rest and last.tobytes() == y0.tobytes()
+        batch = np.stack([y0, self.rest_stack(n, n + 100), y0])
+        _, states, last = _euler_poisson(spec, batch, cfg)
+        assert states.tobytes() == rest and last.tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rest_jacobian_matches_centred_difference(self, n, scheme, project_attitude):
+        spec = InertiaSpec(np.linspace(1.0, 2.5, n))
+        cfg = IntegratorConfig(scheme, 0.02, 1.0, project_attitude=project_attitude)
+        q0 = random_rotation(n, np.random.default_rng(30 + n))
+        problem = BvpProblem(spec, q0, np.eye(n), 1.0, cfg)
+        upper = np.triu_indices(n, 1)
+        jac = control._rest_jacobian(problem, upper)
+        eps = 1e-4
+
+        def attitude(x):
+            pi0 = np.zeros((n, n))
+            pi0[upper] = x
+            return integrate_euler_poisson(spec, np.vstack([q0, pi0 - pi0.T]), cfg).states[-1, :n]
+
+        basis = np.eye(len(upper[0]))
+        centred = np.column_stack([
+            ((attitude(eps * e) - attitude(-eps * e)) / (2 * eps)).ravel() for e in basis
+        ])
+        assert jac.shape == (n * n, len(basis))
+        assert np.linalg.norm(jac - centred) <= 1e-8 * np.linalg.norm(centred)
+
+    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
+    def test_target_at_the_start(self, monkeypatch, scheme, project_attitude):
+        # Without projection no run is made; with it, one lone run.
+        q0 = random_rotation(3, np.random.default_rng(22))
+        cfg = IntegratorConfig(scheme, 0.01, 1.0, project_attitude=project_attitude)
+        problem = BvpProblem(standard_spec(), q0, q0, 1.0, cfg)
+        spy = RunSpy(monkeypatch)
+        sol = shoot(problem, tol=1e-12)
+        assert spy.runs == ([(1, False, False)] if project_attitude else [])
+        np.testing.assert_array_equal(sol.pi0, np.zeros((3, 3)))
+        assert sol.iterations == 0 and sol.cost == 0.0
+        TestAuditedAnswer.assert_public_run(problem, sol)
+        assert sol.terminal_error == np.linalg.norm(sol.trajectory.states[-1, :3] - q0)
+        if project_attitude:
+            assert sol.terminal_error <= 1e-12
+        else:
+            assert sol.terminal_error == 0.0
+            np.testing.assert_array_equal(sol.trajectory.states, np.repeat(
+                np.vstack([q0, np.zeros((3, 3))])[None], 101, axis=0))

@@ -11,16 +11,12 @@ each candidate pi0 is integrated on the flow of `integrate_euler_poisson`
 from (Q0, pi0) under the problem's config and scored by its terminal
 attitude mismatch, on rows :n of the last state [Q; pi].  A damped
 Gauss-Newton iteration with a forward-difference Jacobian runs over the
-d = n(n-1)/2 free momentum entries.  It starts at rest, pi0 = 0, where
-every scheme returns its state bit for bit, so the residual and the exact
-Jacobian there are known in closed form and the start runs only when it
-projects, alone.  Elsewhere the flow runs in two shapes: a lone point, or
-a point with its d probes as one batch of 1 + d runs, each bit for bit its
-own run, and every other Jacobian comes from such a batch.  The full step
-of each line search runs in one, so when it is accepted it brings its
-Jacobian with it; a damped candidate runs alone.  The
-symmetric representation of an answer is one `solve_lift` and
-`integrate_symrep` away wherever the lift bound allows.
+d = n(n-1)/2 free momentum entries from rest, pi0 = 0, where the residual
+and the exact Jacobian are known in closed form.  A point is scored alone,
+or with its d probes as one batch of 1 + d runs, each bit for bit its own
+run, which brings its Jacobian.  The symmetric representation of an
+answer is one `solve_lift` and `integrate_symrep` away wherever the lift
+bound allows.
 """
 
 from __future__ import annotations
@@ -31,7 +27,8 @@ import numpy as np
 
 from .body import InertiaSpec, _inertia_inverse
 from .errors import ConvergenceError, DimensionError, DivergenceError
-from .integrate import IntegratorConfig, Trajectory, _euler_poisson, _euler_poisson_trajectory
+from .integrate import IntegratorConfig, Trajectory, _one_body
+from .integrate import _euler_poisson, _euler_poisson_trajectory
 from .matcore import require_rotation
 
 __all__ = ["BvpProblem", "BvpSolution", "shoot", "trajectory_cost"]
@@ -51,6 +48,7 @@ class BvpProblem:
     cfg: IntegratorConfig
 
     def __post_init__(self):
+        _one_body(self.spec)
         q0 = require_rotation(np.asarray(self.q0, dtype=float))
         qt = require_rotation(np.asarray(self.q_target, dtype=float))
         if q0.shape != (self.spec.n, self.spec.n) or qt.shape != q0.shape:
@@ -134,19 +132,15 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
 
     The search starts at x = 0, at rest, where every scheme returns its
     state bit for bit: the residual is vec(q0 - q_target) with no run, and
-    the Jacobian is the exact tangent `_rest_jacobian`.  With
+    the Jacobian is the exact tangent `_rest_jacobian` (with
     ``project_attitude`` the start runs alone, since the projection moves
-    the rest by round-off.  Elsewhere the flow runs in two shapes: a lone
-    point, or a point x with its d forward-difference probes
-    x + _FD_STEP e_j as one batch of 1 + d runs, each member bit for bit its
-    own run, so the iterates are those of scoring each point alone.  The
-    full Gauss-Newton step, the first
-    candidate of each line search, runs with its probes and brings its
-    Jacobian when accepted; a damped candidate runs alone, and an iterate
-    it reaches re-runs as member 0 of its own batch when its Jacobian is
-    needed.  If a batch fails, its point is scored alone; where its
-    Jacobian is needed, the probes then run alone, so a probe's failure
-    raises as it does there, and one at a rejected candidate does not.
+    the rest by round-off).  Elsewhere a point runs alone, or as one batch
+    with its d probes x + _FD_STEP e_j, each member bit for bit its own run,
+    so the iterates are those of scoring each point alone.  The full step of
+    each line search and each restart run as batches; a damped candidate
+    runs alone, and an iterate it reaches re-runs as member 0 of its batch.
+    When a batch fails, its point is scored alone, and the batch's failure,
+    the probes' earliest, is raised only where that Jacobian is needed.
 
     The flow's failures pass through: `DivergenceError` (a non-finite state
     or a failed projection) and ConvergenceError with reason "fixed_point"
@@ -162,39 +156,29 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     spec, cfg, n = problem.spec, problem.cfg, problem.spec.n
     d = n * (n - 1) // 2
     upper = np.triu_indices(n, 1)
-    probes = np.arange(d)
+    entries = np.arange(d)
     rng = np.random.default_rng(seed)
 
-    def flow(xs):
-        # The flow from (q0, pi0(x)) for x, or for each row x of xs as one batch.
+    def score(x, probes):
+        # The residual at x, its square norm, x's run (times, states) and the
+        # Jacobian: None for a lone run; with probes, from x's batch in C order
+        # as a column loop builds it, or, where the batch failed, its failure.
+        xs = x
+        if probes:
+            xs = np.repeat(x[None], 1 + d, axis=0)
+            xs[1 + entries, entries] += _FD_STEP
         y0 = np.empty(xs.shape[:-1] + (2 * n, n))
         y0[..., :n, :] = problem.q0
         y0[..., n:, :] = _skew_from_params(xs, upper, n)
-        return _euler_poisson(spec, y0, cfg)
-
-    def alone(x):
-        # The residual, its square norm and run (times, states) at x, and no Jacobian.
-        *run, last = flow(x)
-        r = (last[:n] - problem.q_target).ravel()
-        return r, float(r @ r), run, None
-
-    def batch(x):
-        # x and its d forward-difference probes x + _FD_STEP e_j.
-        xs = np.repeat(x[None], 1 + d, axis=0)
-        xs[1 + probes, probes] += _FD_STEP
-        return xs
-
-    def with_probes(x):
-        # As `alone`, with the Jacobian at x from the probes of x's batch, in
-        # C order as a column loop builds it, or None when a member of the
-        # batch failed and x was scored alone.
         try:
-            *run, last = flow(batch(x))
-        except (ConvergenceError, DivergenceError):
-            return alone(x)
-        mismatch = last[:, :n] - problem.q_target
-        r = mismatch[0].ravel()
-        jac = np.ascontiguousarray(((mismatch[1:].reshape(d, -1) - r) / _FD_STEP).T)
+            *run, last = _euler_poisson(spec, y0, cfg)
+        except (ConvergenceError, DivergenceError) as failure:
+            if not probes:
+                raise
+            return *score(x, False)[:3], failure
+        mismatch = (last[..., :n, :] - problem.q_target).reshape(-1, n * n)
+        r = mismatch[0]
+        jac = np.ascontiguousarray(((mismatch[1:] - r) / _FD_STEP).T) if probes else None
         return r, float(r @ r), run, jac
 
     # The start x = 0 is at rest, where every stage velocity is 0 and each
@@ -202,7 +186,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     # projection moves it by round-off, and then it runs alone.
     x = np.zeros(d)
     if cfg.project_attitude:
-        r, fval, run, _ = alone(x)
+        r, fval, run, _ = score(x, False)
     else:
         times = np.arange(cfg.step_count() + 1) * cfg.step
         rest = np.vstack([problem.q0, np.zeros((n, n))])
@@ -216,12 +200,10 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     while iterations < max_iter:
         if np.sqrt(fval) <= tol:
             break
-        if jac is None:
-            # x re-runs as member 0 of its own batch, bit for bit its lone run;
-            # if that fails again, the first probe that fails alone raises.
-            jac = with_probes(x)[3]
-            if jac is None:
-                jac = np.column_stack([(alone(xj)[0] - r) / _FD_STEP for xj in batch(x)[1:]])
+        if jac is None:  # x was reached by a damped step and ran alone
+            jac = score(x, True)[3]
+        if isinstance(jac, Exception):  # x's batch failed, and its Jacobian is needed
+            raise jac
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0
@@ -229,8 +211,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         while alpha >= _MIN_DAMPING:
             candidate = x + alpha * direction
             # The full step runs with its probes; a damped one alone.
-            score = with_probes if alpha == 1.0 else alone
-            r_new, f_new, run_new, jac_new = score(candidate)
+            r_new, f_new, run_new, jac_new = score(candidate, alpha == 1.0)
             if f_new <= fval + _ARMIJO * alpha * slope:
                 x, r, fval, run, jac = candidate, r_new, f_new, run_new, jac_new
                 stepped = True
@@ -243,7 +224,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             if restarts < _MAX_RESTARTS:
                 restarts += 1
                 x = 0.3 * restarts * rng.uniform(-1.0, 1.0, d)
-                r, fval, run, jac = with_probes(x)
+                r, fval, run, jac = score(x, True)
                 continue
             raise ConvergenceError(
                 f"line search stalled after {restarts} restarts; "

@@ -5,7 +5,7 @@ import numpy as np
 from nrigid import InertiaSpec, hat
 from nrigid import control
 from nrigid.body import inertia_inverse, reduced_hamiltonian
-from nrigid.errors import ConvergenceError
+from nrigid.errors import ConvergenceError, DivergenceError
 from nrigid.integrate import integrate_euler, integrate_euler_poisson, integrate_symrep
 from nrigid.lift import mu0_of, solve_lift
 from nrigid.matcore import (
@@ -220,10 +220,11 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
     This is the search `control.shoot` ran before it stepped each candidate
     with its forward-difference probes as one batch: the probes of an
     iterate run, one by one, at the top of the iteration that needs its
-    Jacobian.  The start x = 0 is at rest, where the flow's tangent is
-    known: its Jacobian has column j equal to T vec(q0 I^-1(E_j)), with E_j
-    the skew basis matrix of entry j.  Its residual still comes from a
-    public run.  The constants are read from `control` at call time, so a
+    Jacobian; if some fail, the failure at the earliest step raises, the
+    first probe's on a tie.  The start x = 0 is at rest, where the flow's
+    tangent is known: its Jacobian has column j equal to T vec(q0 I^-1(E_j)),
+    with E_j the skew basis matrix of entry j.  Its residual still comes
+    from a public run.  The constants are read from `control` at call time, so a
     monkeypatched constant acts on both.  Returns what `shoot` returns and
     raises what it raises.
     """
@@ -255,6 +256,7 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
         if np.sqrt(fval) <= tol:
             break
         jac = np.empty((r.size, d))
+        failures = []
         for j in range(d):
             xj = x.copy()
             if iterations == 0:  # the start, at rest
@@ -262,8 +264,14 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
                 jac[:, j] = (traj.times[-1] * tangent).ravel()
                 continue
             xj[j] += control._FD_STEP
-            rj, _, _ = objective(xj)
+            try:
+                rj, _, _ = objective(xj)
+            except (ConvergenceError, DivergenceError) as exc:
+                failures.append(exc)
+                continue
             jac[:, j] = (rj - r) / control._FD_STEP
+        if failures:  # the earliest step's, the first probe's on a tie
+            raise min(failures, key=lambda exc: exc.step_index)
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0

@@ -214,5 +214,10 @@ class TestHatVee:
         with pytest.raises(DimensionError):
             vee(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros(4), np.zeros((3, 3))])
+    def test_hat_wrong_size(self, bad):
+        with pytest.raises(DimensionError, match="^hat expects a 3-vector$"):
+            hat(bad)
+
     def test_hat_output_skew(self):
         assert skew_defect(hat([1.0, 2.0, 3.0])) == 0.0

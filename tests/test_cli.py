@@ -268,6 +268,8 @@ class TestFailureExits:
         (["simulate", "euler"], "integrator"),
         (["verify-reduction"], "integrator"),
         (["solve-bvp"], "bvp"),
+        (["simulate", "euler"], "n"),
+        (["verify-reduction"], "lambda"),
     ])
     def test_missing_section_exit_2(self, tmp_path, capsys, command, drop):
         cfg = write_config(tmp_path / "cfg.json", bvp={"q_target": "identity"})
@@ -327,6 +329,27 @@ class TestConfigTypes:
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"error: {key}: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"q0": np.eye(2).tolist()}, "q0 must be an 3x3 matrix of rows, got shape (2, 2)"),
+        ({"pi0": [0.5, 0.6]}, "pi0 must be an 3x3 matrix of rows, got shape (2,)"),
+        ({"lambda": [1.0, 2.0, 3.0, 4.0]}, "lambda has 4 entries, expected n = 3"),
+    ])
+    def test_wrong_shape_exit_2(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["simulate", "euler-poisson", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [["simulate", "euler-poisson"], ["verify-reduction"],
+                                         ["solve-bvp"]])
+    def test_stacked_lambda_exit_2(self, tmp_path, capsys, command):
+        # one body per row; the integrators, and so steering, take one body
+        cfg = write_config(tmp_path / "cfg.json", bvp={"q_target": "identity"},
+                           **{"lambda": [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]})
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the integrators step one body, got lambda of shape (2, 3)\n")
 
     def test_integral_floats_accepted_as_integers(self, tmp_path):
         cfg = load_config(write_config(

@@ -109,6 +109,8 @@ class TestBvpProblem:
         ({"q_target": np.eye(2)}, DimensionError, "attitudes must be n x n for the given inertia"),
         ({"t_final": 2.0}, ValueError, "t_final must equal cfg.t_final"),
         ({"t_final": 1.0 + 1e-9}, ValueError, "t_final must equal cfg.t_final"),
+        ({"spec": InertiaSpec([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])}, DimensionError,
+         r"the integrators step one body, got lambda of shape \(2, 3\)"),
     ])
     def test_fields_checked(self, change, error, message):
         fields = dict(spec=standard_spec(), q0=np.eye(3), q_target=np.eye(3), t_final=1.0,
@@ -374,10 +376,13 @@ class TestAuditedAnswer:
 class RunSpy:
     """Records every run that `shoot` makes: its member count, whether it
     failed, and for a failed batch whether its first member fails alone;
-    and in `starts` the start of each run's first member."""
+    in `starts` the start of each run's first member, and in `failed_batches`
+    the start of each failed batch.  Asserts that each run is a lone point
+    or a point with its d probes, 1 + d members, and that no probe runs
+    alone."""
 
     def __init__(self, monkeypatch):
-        self.runs, self.starts = [], []
+        self.runs, self.starts, self.failed_batches, probes = [], [], [], set()
         run = control._euler_poisson
 
         def fails(spec, y0, cfg):
@@ -389,11 +394,18 @@ class RunSpy:
 
         def spy(spec, y0, cfg):
             members = 1 if y0.ndim == 2 else len(y0)
+            assert members in (1, 1 + spec.n * (spec.n - 1) // 2)
+            if members == 1:
+                assert y0.tobytes() not in probes
+            else:
+                probes.update(member.tobytes() for member in y0[1:])
             self.starts.append(y0.reshape((-1,) + y0.shape[-2:])[0].copy())
             try:
                 out = run(spec, y0, cfg)
             except (ConvergenceError, DivergenceError):
                 self.runs.append((members, True, members == 1 or fails(spec, y0[0], cfg)))
+                if members > 1:
+                    self.failed_batches.append(y0.copy())
                 raise
             self.runs.append((members, False, False))
             return out
@@ -489,29 +501,42 @@ class TestBatchedProbes:
         assert isinstance(got, ConvergenceError) and got.reason == "line_search"
         assert_same_outcome(got, outcome(shoot_reference, problem, tol=1e-6, max_iter=30, seed=0))
 
-    def test_probe_failing_at_accepted_candidate_raises_as_alone(self, monkeypatch):
+    def test_probe_failing_at_accepted_candidate_raises_its_batch_failure(self, monkeypatch):
         # A coarse step puts a probe of an accepted iterate where rk4 at
-        # h = 0.2 diverges: shoot raises that probe's own DivergenceError,
-        # as the oracle does when it builds that iterate's Jacobian.
+        # h = 0.2 diverges: shoot raises its batch's DivergenceError when it
+        # needs that iterate's Jacobian, as the oracle raises the probe's own.
         monkeypatch.setattr(control, "_FD_STEP", 300.0)
         cfg = IntegratorConfig("rk4", 0.2, 1.0)
         problem = BvpProblem(standard_spec(), np.eye(3), expm(hat([0.6, -0.48, 0.64])), 1.0, cfg)
         spy = RunSpy(monkeypatch)
         got = outcome(shoot, problem, tol=1e-6, max_iter=60, seed=0)
         assert isinstance(got, DivergenceError)
-        # Every run is a lone point or a batch of 4.  The start, at rest,
-        # makes no run, so the first run is the batch of the first full step.
-        # It failed in a probe and its candidate was accepted alone; for its
-        # Jacobian that batch ran again, failed again, the iterate was scored
-        # alone again, and its probes ran alone until one raised.
-        assert {m for m, _, _ in spy.runs} == {1, 4}
-        assert spy.runs[:4] == [(4, True, False), (1, False, False)] * 2
-        assert spy.reruns() == [2]
-        assert all(run == (1, False, False) for run in spy.runs[4:-1])
-        assert spy.runs[-1] == (1, True, True) and len(spy.runs) - 4 <= 3
+        # The start, at rest, makes no run, so the first run is the batch of
+        # the first full step.  It failed in a probe and its candidate was
+        # accepted alone; the next iteration needs that Jacobian and raises
+        # the batch's failure, with no further run.
+        assert spy.runs == [(4, True, False), (1, False, False)]
         want = outcome(shoot_reference, problem, tol=1e-6, max_iter=60, seed=0)
         assert_same_outcome(got, want)
         assert got.step_index == want.step_index == 4
+
+    def test_probe_failures_raise_the_earliest_step(self, monkeypatch):
+        # Probes of one iterate that fail at different steps: the earliest
+        # step's failure raises, not that of the first failing probe in order.
+        monkeypatch.setattr(control, "_FD_STEP", 308.74)
+        cfg = IntegratorConfig("rk4", 0.1, 1.0)
+        q_target = expm(2.443 * hat([-0.645, -0.066, 0.761]))
+        problem = BvpProblem(standard_spec(), np.eye(3), q_target, 1.0, cfg)
+        spy = RunSpy(monkeypatch)
+        got = outcome(shoot, problem, tol=1e-6, max_iter=60, seed=0)
+        want = outcome(shoot_reference, problem, tol=1e-6, max_iter=60, seed=0)
+        assert isinstance(got, DivergenceError)
+        assert_same_outcome(got, want)
+        # the failing batch's probes, each run alone: the first fails at step 10
+        steps = [getattr(outcome(lambda y0: integrate_euler_poisson(problem.spec, y0, cfg), probe),
+                         "step_index", None) for probe in spy.failed_batches[-1][1:]]
+        assert steps == [10, 9, None]
+        assert got.step_index == 9
 
 
 class TestStartAtRest:

@@ -433,6 +433,16 @@ class TestSymplecticMatrix:
         s = random_sp_group(3, 7)
         np.testing.assert_allclose(sp_inverse(s) @ s, np.eye(6), atol=1e-12)
 
+    @pytest.mark.parametrize("function, argument, message", [
+        (symplectic_matrix, 0, "n must be at least 1"),
+        (sp_inverse, np.eye(3), "symplectic matrices have even size"),
+        (sp_algebra_defect, np.eye(5), r"sp\(2n\) elements have even size"),
+        (sp_group_defect, np.eye(3), r"Sp\(2n\) elements have even size"),
+    ])
+    def test_sizes_rejected(self, function, argument, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            function(argument)
+
 
 class TestRandomGenerators:
     def test_deterministic(self):
@@ -475,6 +485,13 @@ class TestValidatorsRejectNonFinite:
         m[2, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             require_rotation(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_polar_project(self, bad):
+        m = np.eye(3)
+        m[0, 2] = bad
+        with pytest.raises(ValueError, match="^polar projection of a non-finite matrix$"):
+            polar_project(m)
 
     def test_all_nan(self):
         m = np.full((3, 3), np.nan)

@@ -159,6 +159,12 @@ class TestCoadjoint:
                 on_momentum(on_action(z, r)) - on_coadjoint(r, on_momentum(z))
             ) <= 1e-12
 
+    @pytest.mark.parametrize("s", [np.eye(5), np.zeros((6, 4)), np.zeros(6)])
+    def test_sp_coadjoint_shape(self, s):
+        mu = sp_momentum(random_phase(3, np.random.default_rng(9)))
+        with pytest.raises(DimensionError, match=r"^expected a 2n x 2n matrix, got shape \("):
+            sp_coadjoint(s, mu)
+
 
 class TestInfinitesimalGenerator:
     def test_zero(self):
@@ -251,6 +257,11 @@ class TestOrbitTransporter:
         s = random_sp_group(3, rng)
         with pytest.raises(LevelSetError):
             orbit_transporter(z, sp_action(s, z))
+
+    def test_shape_mismatch(self):
+        z = random_phase(3, np.random.default_rng(24))
+        with pytest.raises(DimensionError, match=r"^shape mismatch: \(6, 3\) vs \(8, 4\)$"):
+            orbit_transporter(z, random_phase(4, np.random.default_rng(25)))
 
 
 class TestLevelSetDefect:

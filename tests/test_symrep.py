@@ -47,6 +47,13 @@ class TestPhasePoint:
         with pytest.raises(DimensionError):
             q_block(np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("q, p", [
+        (np.eye(3), np.eye(4)), (np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros(3), np.zeros(3)),
+    ])
+    def test_blocks_must_be_square_and_equal_size(self, q, p):
+        with pytest.raises(DimensionError, match="^blocks must be square and equal-size, got "):
+            phase_point(q, p)
+
     @pytest.mark.parametrize("field", [optimal_control, symrep_rhs])
     def test_fields_check_shape_and_dimension(self, field):
         with pytest.raises(DimensionError):
@@ -173,6 +180,12 @@ class TestControlHamiltonian:
     def test_zero_control(self):
         z = random_phase(3, np.random.default_rng(7))
         assert control_hamiltonian(standard_spec(), z, np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("u", [np.zeros((4, 4)), np.zeros(3)])
+    def test_control_shape(self, u):
+        z = random_phase(3, np.random.default_rng(7))
+        with pytest.raises(DimensionError, match=r"^control has shape .*, expected \(3, 3\)$"):
+            control_hamiltonian(standard_spec(), z, u)
 
     def test_maximum_value_is_hamiltonian(self):
         spec = standard_spec()

@@ -6,7 +6,7 @@ Each root is a checkout with ``src/nrigid``.  Every command runs as
 ``python -m nrigid`` in its own subprocess, with that tree's ``src`` alone
 on ``PYTHONPATH`` and BLAS pinned to one thread, in a fresh working
 directory.  The matrix is ``simulate`` (every kind), ``verify-reduction``,
-``lift`` and ``solve-bvp`` on seven configs, each under every scheme with
+``lift`` and ``solve-bvp`` on eight configs, each under every scheme with
 ``project_attitude`` off and on, and ``check-invariants`` with CI's
 arguments (``--trials 20`` and ``--seed 42 --trials 193``) and with
 ``--seed 0 --trials 3000``.  The configs are:
@@ -19,7 +19,12 @@ arguments (``--trials 20`` and ``--seed 42 --trials 193``) and with
   T = 500, the same target;
 * ``n5``: n = 5, h = 0.01, T = 2;
 * ``n16``: n = 16, h = 0.005, T = 0.5;
-* ``overflow``: pi0 = (500, 600, 700), h = 2, T = 400.
+* ``overflow``: pi0 = (500, 600, 700), h = 2, T = 400;
+* ``backtrack``: CI's backtracking config, h = 0.05, T = 1, a 1.5 rad
+  target about (0.6, -0.48, 0.64), tol 1e-8 and max_iter 8.  Its line
+  search backtracks, so ``solve-bvp`` runs damped candidates alone and
+  re-runs the iterates they reach with their probes: under rk4, plain, 9
+  lone runs and 10 batches, then exit 5.
 
 The exit codes, stdout, stderr and every output file of each run are
 compared.  Each difference is printed; the last line is a summary.  Exits
@@ -53,6 +58,12 @@ COMMANDS = {
 BATTERY = (("--trials", "20"), ("--seed", "42", "--trials", "193"),
            ("--seed", "0", "--trials", "3000"))
 USAGE = "usage: python tools/bytecheck.py PARENT_ROOT CHANGE_ROOT"
+# CI's backtracking target, expm(1.5 hat(0.6, -0.48, 0.64)) to the bits of
+# nrigid's expm.  Rodrigues' formula misses it by 1.3e-15, and under rk4 the
+# search then backtracks 4 times, not 9.
+_BACKTRACK_TARGET = [[0.4052718090673312, -0.9060244773462954, -0.12196067901034448],
+                     [0.37076910550689346, 0.28483935040346553, -0.8839665236101135],
+                     [0.8356345081295472, 0.31302746031475115, 0.45136324386461274]]
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -78,7 +89,7 @@ def _skew(n, seed, norm):
 
 
 def configs() -> dict:
-    """The seven base configs, by name; the integrator scheme is set per run."""
+    """The eight base configs, by name; the integrator scheme is set per run."""
     readme = {
         "n": 3, "lambda": [1.0, 2.0, 3.0], "q0": "identity", "pi0": [0.5, 0.6, 0.7],
         "integrator": {"step": 0.001, "t_final": 10.0}, "seed": 42,
@@ -107,6 +118,8 @@ def configs() -> dict:
         "n16": larger(16, 0.005, 0.5),
         "overflow": dict(readme, pi0=[500.0, 600.0, 700.0],
                          integrator={"step": 2.0, "t_final": 400.0}),
+        "backtrack": dict(readme, integrator={"step": 0.05, "t_final": 1.0},
+                          bvp={"q_target": _BACKTRACK_TARGET, "tol": 1e-8, "max_iter": 8}),
     }
 
 

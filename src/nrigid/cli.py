@@ -45,8 +45,7 @@ _DEFAULT_TOLERANCES = {
 # The keys each config section may hold; any other key is rejected, so a
 # misspelt tolerance cannot fall back to its default unnoticed.
 _SECTION_KEYS = {
-    "integrator": ("scheme", "step", "t_final", "project_attitude",
-                   "midpoint_tol", "midpoint_max_iter"),
+    "integrator": ("scheme", "step", "t_final", "project_attitude"),
     "tolerances": tuple(_DEFAULT_TOLERANCES),
     "outputs": ("trajectory", "report"),
     "bvp": ("q_target", "tol", "max_iter"),
@@ -122,15 +121,11 @@ def load_config(path) -> dict:
         project = integ.get("project_attitude", False)
         if not isinstance(project, bool):
             raise ValueError(f"integrator.project_attitude must be true or false, got {project!r}")
-        tol = integ.get("midpoint_tol", IntegratorConfig.midpoint_tol)
-        max_iter = integ.get("midpoint_max_iter", IntegratorConfig.midpoint_max_iter)
         cfg = IntegratorConfig(
             scheme=integ.get("scheme", "rk4"),
             step=_parse(float, integ["step"], "integrator.step"),
             t_final=_parse(float, integ["t_final"], "integrator.t_final"),
             project_attitude=project,
-            midpoint_tol=_parse(float, tol, "integrator.midpoint_tol"),
-            midpoint_max_iter=_parse(_integer, max_iter, "integrator.midpoint_max_iter"),
         )
     tolerances = dict(_DEFAULT_TOLERANCES)
     for key, value in _section(raw.get("tolerances", {}), "tolerances").items():

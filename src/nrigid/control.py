@@ -83,7 +83,7 @@ def _rest_jacobian(problem: BvpProblem, upper) -> np.ndarray:
     # order, as `shoot`'s forward-difference Jacobians are.
     spec, cfg = problem.spec, problem.cfg
     basis = _skew_from_params(np.eye(len(upper[0])), upper, spec.n)
-    tangents = cfg.step_count() * cfg.step * np.matmul(problem.q0, _inertia_inverse(spec, basis))
+    tangents = cfg.steps * cfg.step * np.matmul(problem.q0, _inertia_inverse(spec, basis))
     return np.ascontiguousarray(tangents.reshape(len(basis), -1).T)
 
 
@@ -176,10 +176,12 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             if not probes:
                 raise
             return *score(x, False)[:3], failure
-        mismatch = (last[..., :n, :] - problem.q_target).reshape(-1, n * n)
-        r = mismatch[0]
-        jac = np.ascontiguousarray(((mismatch[1:] - r) / _FD_STEP).T) if probes else None
-        return r, float(r @ r), run, jac
+        # A finite run can end so far out that r @ r is inf, which the line search rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mismatch = (last[..., :n, :] - problem.q_target).reshape(-1, n * n)
+            r = mismatch[0]
+            jac = np.ascontiguousarray(((mismatch[1:] - r) / _FD_STEP).T) if probes else None
+            return r, float(r @ r), run, jac
 
     # The start x = 0 is at rest, where every stage velocity is 0 and each
     # scheme returns its state bit for bit: it needs no run unless a
@@ -188,7 +190,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     if cfg.project_attitude:
         r, fval, run, _ = score(x, False)
     else:
-        times = np.arange(cfg.step_count() + 1) * cfg.step
+        times = np.arange(cfg.steps + 1) * cfg.step
         rest = np.vstack([problem.q0, np.zeros((n, n))])
         r = (problem.q0 - problem.q_target).ravel()
         fval, run = float(r @ r), [times, np.repeat(rest[None], len(times), axis=0)]

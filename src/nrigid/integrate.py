@@ -89,22 +89,25 @@ _DIVISORS = {"rk4": (2.0, 1.0, 6.0), "rkmk4": (4.0, 2.0, 12.0), "midpoint": (2.0
 # length of the trajectory.
 _AUDIT_BLOCK = 128
 
+_MIDPOINT_TOL = 1e-13
+_MIDPOINT_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """``scheme`` (rk4, rkmk4 or midpoint), ``step``, ``t_final`` (a whole
-    number of steps), ``project_attitude``, and midpoint's fixed-point
-    ``midpoint_tol`` and ``midpoint_max_iter``.  ``project_attitude``
+    """``scheme`` (rk4, rkmk4 or midpoint), ``step``, ``t_final`` and
+    ``project_attitude``.  ``t_final`` must be a whole number of steps,
+    which construction stores as ``steps``.  ``project_attitude``
     polar-projects the rotation blocks after every step, which repairs the
     drift of rk4 and midpoint; under rkmk4 it only adds round-off.
+    Midpoint's fixed-point iteration stops at a change of at most
+    `_MIDPOINT_TOL` (1e-13) within `_MIDPOINT_MAX_ITER` (100) iterations.
     """
 
     scheme: str
     step: float
     t_final: float
     project_attitude: bool = False
-    midpoint_tol: float = 1e-13
-    midpoint_max_iter: int = 100
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -115,23 +118,14 @@ class IntegratorConfig:
             raise ValueError("t_final must be positive and finite")
         if self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
-        if not (self.midpoint_tol > 0.0):
-            raise ValueError("midpoint_tol must be positive")
         if not isinstance(self.project_attitude, (bool, np.bool_)):
             raise ValueError(f"project_attitude must be a bool, got {self.project_attitude!r}")
-        max_iter = self.midpoint_max_iter
-        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
-            raise ValueError(f"midpoint_max_iter must be an integer, got {max_iter!r}")
-        if max_iter < 1:
-            raise ValueError("midpoint_max_iter must be at least 1")
-
-    def step_count(self) -> int:
         k = round(self.t_final / self.step)
         if abs(k * self.step - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError(
                 f"t_final {self.t_final} is not an integer multiple of step {self.step}"
             )
-        return int(k)
+        object.__setattr__(self, "steps", int(k))
 
 
 @dataclass
@@ -195,12 +189,13 @@ def _rkmk4_step(omega_of, act, y, c):
     return act(_cayley(twelfth * (k1 + (k2 + k2) + (k3 + k3) + k4))[0], y)
 
 
-def _midpoint_step(rhs, y, half, tol, max_iter):
+def _midpoint_step(rhs, y, half):
     # The implicit midpoint rule by fixed-point iteration on one state (rows,
     # n) or a batch (B, rows, n).  The test is a Python bool for one state,
     # one bool per member of a batch, each that of its own run bit for bit
     # (`_frobenius`).  A member that passes is frozen into `out` and no longer
     # evaluated; arrays are re-indexed only when some, not all, members pass.
+    tol, max_iter = _MIDPOINT_TOL, _MIDPOINT_MAX_ITER
     out = active = None
     m = y + half * rhs(y)
     for _ in range(max_iter):
@@ -264,8 +259,7 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
         except ValueError as exc:
             what = rotations[j % blocks]
             raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
-    steps = cfg.step_count()
-    h, tol, max_iter = cfg.step, cfg.midpoint_tol, cfg.midpoint_max_iter
+    steps, h = cfg.steps, cfg.step
     field, velocity = partial(rhs, spec), partial(omega_of, spec)
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
@@ -274,7 +268,7 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
     c = tuple(np.array(h / d) for d in _DIVISORS[cfg.scheme])
     advance = {"rk4": lambda y: _rk4_step(field, y, c),
                "rkmk4": lambda y: _rkmk4_step(velocity, act, y, c),
-               "midpoint": lambda y: _midpoint_step(field, y, c[0], tol, max_iter)}[cfg.scheme]
+               "midpoint": lambda y: _midpoint_step(field, y, c[0])}[cfg.scheme]
     states = np.empty((steps + 1,) + y.shape[-2:])
     states[0] = y[first]
     times = np.arange(steps + 1) * h

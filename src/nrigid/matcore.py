@@ -305,22 +305,22 @@ def _require_finite(m) -> np.ndarray:
     return m
 
 
-def require_skew(m, rtol=1e-12) -> np.ndarray:
-    """Validate finiteness and skew-symmetry relative to the matrix size; returns m."""
+def require_skew(m) -> np.ndarray:
+    """Validate finiteness and skew-symmetry to 1e-12 relative to the matrix size; returns m."""
     m = _require_finite(_as_square(m))
-    tol = rtol * max(1.0, float(np.linalg.norm(m)))
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(m)))
     d = skew_defect(m)
     if d > tol:
         raise ValueError(f"matrix is not skew-symmetric: defect {d:.3g} > {tol:.3g}")
     return m
 
 
-def require_rotation(m, tol=1e-10) -> np.ndarray:
-    """Validate finiteness, orthogonality and det = +1 to the given tolerance; returns m."""
+def require_rotation(m) -> np.ndarray:
+    """Validate finiteness, orthogonality and det = +1 to a defect of 1e-10; returns m."""
     m = _require_finite(_as_square(m))
     d = rotation_defect(m)
-    if d > tol:
-        raise ValueError(f"matrix is not a rotation: defect {d:.3g} > {tol:.3g}")
+    if d > 1e-10:
+        raise ValueError(f"matrix is not a rotation: defect {d:.3g} > 1e-10")
     return m
 
 

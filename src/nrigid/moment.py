@@ -173,13 +173,14 @@ def casimir_spectrum(pi) -> np.ndarray:
     return np.linalg.svd(np.asarray(pi, dtype=float), compute_uv=False)
 
 
-def orbit_transporter(z1, z2, tol=1e-8) -> np.ndarray:
+def orbit_transporter(z1, z2) -> np.ndarray:
     """Orthogonal R with Z1 R = Z2, for two points on one sp-momentum level set.
 
     Each level set of the symplectic momentum map is a single orbit of the
     right orthogonal action, so such an R exists exactly when the momentum
-    values agree; R = (Z1^T Z1)^{-1} Z1^T Z2 and the result is certified.
+    values agree (to 1e-8); R = (Z1^T Z1)^{-1} Z1^T Z2, certified to 1e-8.
     """
+    tol = 1e-8
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     _split(z1)

@@ -72,9 +72,9 @@ def min_singular_value(z):
     return float(smin) if z.ndim == 2 else smin
 
 
-def is_full_rank(z, tol=FULL_RANK_TOL):
+def is_full_rank(z):
     """Whether z (or each point of a stack) lies in the open set of full-rank phase points."""
-    return min_singular_value(z) > tol
+    return min_singular_value(z) > FULL_RANK_TOL
 
 
 def symplectic_form(x, y):

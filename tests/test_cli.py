@@ -305,6 +305,9 @@ class TestConfigTypes:
         ("integrator", "stepsize", {"integrator": {**INTEGRATOR, "stepsize": 0.001}}),
         ("outputs", "reprot", {"outputs": {"trajectory": "traj.csv", "reprot": "r.txt"}}),
         ("bvp", "maxiter", {"bvp": {"q_target": "identity", "maxiter": 5}}),
+        # midpoint's fixed-point budget is a constant
+        ("integrator", "midpoint_max_iter",
+         {"integrator": {**INTEGRATOR, "midpoint_max_iter": 50}}),
     ])
     def test_unknown_key_exit_2_names_it(self, tmp_path, capsys, section, key, overrides):
         # a misspelt key would otherwise leave its default in force
@@ -312,16 +315,32 @@ class TestConfigTypes:
         assert main(["verify-reduction", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"error: {section}: unknown key {key!r}" in capsys.readouterr().err
 
+    def test_unknown_integrator_key_lists_known_keys(self, tmp_path, capsys):
+        # midpoint's fixed-point tolerance is a constant
+        given = {**self.INTEGRATOR, "midpoint_tol": 1e-12}
+        cfg = write_config(tmp_path / "cfg.json", integrator=given)
+        assert main(["simulate", "euler", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: integrator: unknown key 'midpoint_tol'; "
+            "known keys: scheme, step, t_final, project_attitude\n")
+
+    def test_non_multiple_horizon_exit_2_in_lift(self, tmp_path, capsys):
+        # the step count is checked when the config is read, also by lift,
+        # which does not integrate
+        cfg = write_config(tmp_path / "cfg.json",
+                           integrator={**self.INTEGRATOR, "step": 0.3, "t_final": 1.0})
+        assert main(["lift", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: t_final 1.0 is not an integer multiple of step 0.3\n")
+
     @pytest.mark.parametrize("key, overrides", [
         ("n", {"n": 3.7}),
         ("n", {"n": True}),
         ("seed", {"seed": 2.5}),
         ("seed", {"seed": True}),
         ("seed", {"seed": float("inf")}),
-        ("integrator.midpoint_max_iter",
-         {"integrator": {**INTEGRATOR, "midpoint_max_iter": 2.9}}),
-        ("integrator.midpoint_max_iter",
-         {"integrator": {**INTEGRATOR, "midpoint_max_iter": True}}),
+        ("n", {"n": float("inf")}),
+        ("seed", {"seed": float("nan")}),
         ("bvp.max_iter", {"bvp": {"max_iter": 2.9}}),
         ("bvp.max_iter", {"bvp": {"max_iter": False}}),
     ])
@@ -354,11 +373,10 @@ class TestConfigTypes:
     def test_integral_floats_accepted_as_integers(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path / "cfg.json", n=3.0, seed=42.0,
-            integrator={**self.INTEGRATOR, "midpoint_max_iter": 50.0},
             bvp={"max_iter": 30.0},
         ))
-        values = (cfg["n"], cfg["seed"], cfg["cfg"].midpoint_max_iter, cfg["bvp"]["max_iter"])
-        assert values == (3, 42, 50, 30)
+        values = (cfg["n"], cfg["seed"], cfg["bvp"]["max_iter"])
+        assert values == (3, 42, 30)
         assert all(type(v) is int for v in values)
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
@@ -374,15 +392,6 @@ class TestConfigTypes:
         cfg = write_config(tmp_path / "cfg.json",
                            integrator={**self.INTEGRATOR, "project_attitude": value})
         assert load_config(cfg)["cfg"].project_attitude is value
-
-    def test_midpoint_defaults_from_integrator_config(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(IntegratorConfig, "midpoint_tol", 1e-11)
-        monkeypatch.setattr(IntegratorConfig, "midpoint_max_iter", 7)
-        cfg = load_config(write_config(tmp_path / "cfg.json"))["cfg"]
-        assert (cfg.midpoint_tol, cfg.midpoint_max_iter) == (1e-11, 7)
-        given = {**self.INTEGRATOR, "midpoint_tol": 1e-12, "midpoint_max_iter": 50}
-        cfg = load_config(write_config(tmp_path / "cfg.json", integrator=given))["cfg"]
-        assert (cfg.midpoint_tol, cfg.midpoint_max_iter) == (1e-12, 50)
 
 
 class TestNonFiniteConfig:

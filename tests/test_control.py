@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import scaled_skew, shoot_reference, standard_pi0, standard_spec
-from nrigid import control
+from nrigid import control, integrate
 from nrigid.body import InertiaSpec, hat, inertia_inverse, reduced_hamiltonian
 from nrigid.control import BvpProblem, BvpSolution, shoot, trajectory_cost
 from nrigid.errors import ConvergenceError, DimensionError, DivergenceError
@@ -286,6 +286,31 @@ class TestShoot:
         assert "trust" not in message and "bound" not in message
         assert isinstance(err.value.best, BvpSolution)
 
+    def test_overflowing_residual_is_rejected_quietly(self, monkeypatch):
+        # rk4 at h = 0.25 from this momentum ends finite, with attitude
+        # entries near 5.6e222, so the residual's square norm overflows to
+        # inf.  A rest Jacobian that sends the first full step there makes the
+        # search score it: the line search rejects the inf and converges,
+        # with no overflow warning.
+        far = hat([-114.75674121702129, 12.620062891405645, 88.59312149574555])
+        x_far = far[np.triu_indices(3, 1)]
+        q_target = expm(0.3 * E3)
+        r0 = (np.eye(3) - q_target).ravel()
+        monkeypatch.setattr(control, "_rest_jacobian",
+                            lambda problem, upper: -np.outer(r0, x_far) / (x_far @ x_far))
+        lasts, run = [], control._euler_poisson
+
+        def spy(spec, y0, cfg):
+            out = run(spec, y0, cfg)
+            lasts.append(out[2])
+            return out
+
+        monkeypatch.setattr(control, "_euler_poisson", spy)
+        cfg = IntegratorConfig("rk4", 0.25, 1.0)
+        sol = shoot(BvpProblem(standard_spec(), np.eye(3), q_target, 1.0, cfg), tol=1e-6)
+        assert sol.terminal_error <= 1e-6
+        assert np.isfinite(lasts[0]).all() and np.abs(lasts[0][0]).max() > 1e200
+
     def test_iteration_budget_error_carries_best(self):
         problem = spherical_problem(step=1e-2)
         with pytest.raises(ConvergenceError) as err:
@@ -491,7 +516,8 @@ class TestBatchedProbes:
         # iterations converge at h = 0.2; the search goes on and ends as the
         # oracle's does, in a stalled line search.
         monkeypatch.setattr(control, "_FD_STEP", 5.0)
-        cfg = IntegratorConfig("midpoint", 0.2, 1.0, midpoint_max_iter=20)
+        monkeypatch.setattr(integrate, "_MIDPOINT_MAX_ITER", 20)
+        cfg = IntegratorConfig("midpoint", 0.2, 1.0)
         problem = BvpProblem(standard_spec(), np.eye(3), expm(2.5 * hat([0.6, -0.48, 0.64])),
                              1.0, cfg)
         spy = RunSpy(monkeypatch)

@@ -95,9 +95,9 @@ class TestConfig:
             IntegratorConfig("rk4", 2.0, 1.0)
 
     def test_non_multiple_horizon(self):
-        cfg = IntegratorConfig("rk4", 0.3, 1.0)
-        with pytest.raises(ValueError):
-            cfg.step_count()
+        with pytest.raises(ValueError,
+                           match="^t_final 1.0 is not an integer multiple of step 0.3$"):
+            IntegratorConfig("rk4", 0.3, 1.0)
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
@@ -108,11 +108,7 @@ class TestConfig:
         ("step", np.inf, "step must be positive and finite"),
         ("t_final", -1.0, "t_final must be positive and finite"),
         ("t_final", np.nan, "t_final must be positive and finite"),
-        ("midpoint_tol", 0.0, "midpoint_tol must be positive"),
-        ("midpoint_max_iter", 0, "midpoint_max_iter must be at least 1"),
-        # Each of these built and then failed mid-run, or projected a truthy string.
-        ("midpoint_max_iter", 2.5, "midpoint_max_iter must be an integer, got 2.5"),
-        ("midpoint_max_iter", True, "midpoint_max_iter must be an integer, got True"),
+        # This one projected a truthy string.
         ("project_attitude", "false", "project_attitude must be a bool, got 'false'"),
     ])
     def test_fields_checked(self, field, value, message):
@@ -348,13 +344,14 @@ class TestMidpoint:
         cfg = IntegratorConfig("midpoint", 1e-2, 10.0)
         z0 = solve_lift(np.eye(3), standard_pi0())
         traj = integrate_symrep(standard_spec(), z0, cfg)
-        bound = 10.0 * cfg.midpoint_tol * (len(traj) - 1)
+        bound = 10.0 * integrate._MIDPOINT_TOL * (len(traj) - 1)
         assert np.max(traj.audits["j_drift"]) <= bound
 
-    def test_nonconvergent_iteration_raises(self):
+    def test_nonconvergent_iteration_raises(self, monkeypatch):
         # The failure names its step, and its tag is not that of an
         # exhausted Gauss-Newton budget.
-        cfg = IntegratorConfig("midpoint", 0.5, 1.0, midpoint_max_iter=2)
+        monkeypatch.setattr(integrate, "_MIDPOINT_MAX_ITER", 2)
+        cfg = IntegratorConfig("midpoint", 0.5, 1.0)
         with pytest.raises(ConvergenceError) as err:
             integrate_euler(ORDER_SPEC, ORDER_PI0, cfg)
         assert str(err.value) == ("implicit midpoint fixed point did not reach 1e-13 "
@@ -557,7 +554,7 @@ class TestKernelsAgainstPublicFunctions:
         cfg = IntegratorConfig("midpoint", self.H, self.H)
         traj = integrate_symrep(spec, z0, cfg)
         expected = midpoint_step_reference(lambda z: symrep_rhs(spec, z), z0, self.H,
-                                           cfg.midpoint_tol, cfg.midpoint_max_iter)
+                                           integrate._MIDPOINT_TOL, integrate._MIDPOINT_MAX_ITER)
         np.testing.assert_array_equal(traj.states[1], expected)
 
     def test_rkmk4_overflow_is_divergence(self):

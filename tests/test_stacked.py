@@ -22,6 +22,7 @@ from nrigid.body import (
 )
 from nrigid.control import trajectory_cost
 from nrigid.errors import ConvergenceError, DimensionError, DivergenceError
+from nrigid import integrate
 from nrigid.integrate import (
     IntegratorConfig,
     _cayley,
@@ -515,7 +516,7 @@ class TestBatchedRun:
         assert states.shape == (steps + 1, 2 * n, n) and last.shape == y0.shape
         assert peak < 2 * history, (peak, history)
 
-    def test_midpoint_stops_on_each_members_own_norm(self):
+    def test_midpoint_stops_on_each_members_own_norm(self, monkeypatch):
         # The tolerance is set to a member's first fixed-point increment, as
         # its own run measures it, where a norm over the stack's last two
         # axes reads larger: that member must stop after one iteration in
@@ -534,7 +535,8 @@ class TestBatchedRun:
                 break
         else:
             pytest.skip("no start whose stacked norm differs from its own on this platform")
-        cfg = IntegratorConfig("midpoint", h, h, midpoint_tol=float(np.linalg.norm(d)))
+        monkeypatch.setattr(integrate, "_MIDPOINT_TOL", float(np.linalg.norm(d)))
+        cfg = IntegratorConfig("midpoint", h, h)
         y0 = np.stack([start(seed + 1), y, start(seed + 2)])
         _, _, last, failure = self.run("euler-poisson", spec, y0, cfg, [])
         assert failure is None
@@ -627,7 +629,7 @@ class TestStackedTrajectories:
     def test_state_layout(self):
         spec, q0, pi0 = case(3)
         cfg = IntegratorConfig("rk4", CFG_STEP, CFG_T)
-        steps = cfg.step_count()
+        steps = cfg.steps
         euler = integrate_euler(spec, pi0, cfg)
         symrep = integrate_symrep(spec, solve_lift(q0, pi0), cfg)
         assert isinstance(euler.states, np.ndarray) and euler.states.shape == (steps + 1, 3, 3)

@@ -35,20 +35,34 @@ from .moment import invariant_battery
 
 __all__ = ["main", "load_config", "load_trajectory_csv"]
 
-_DEFAULT_TOLERANCES = {
-    "e_equiv": 1e-6,
-    "level_set_defect": 1e-8,
-    "energy_match": 1e-6,
-    "casimir_drift": 1e-8,
+# The config's one description: each section's keys, in order, with the JSON
+# kind of the value and its default: _REQUIRED, or None for an optional key
+# that is left out of the checked section when the config leaves it out.
+# "config" is the top level; a key of kind "object" names a section.
+_REQUIRED = object()
+_SCHEMA = {
+    "config": {"n": ("integer", _REQUIRED), "lambda": ("array", _REQUIRED),
+               "q0": ("attitude", "identity"), "pi0": ("array", None), "seed": ("integer", 0),
+               "integrator": ("object", None), "outputs": ("object", {}),
+               "tolerances": ("object", {}), "bvp": ("object", None)},
+    "integrator": {"scheme": ("string", "rk4"), "step": ("number", _REQUIRED),
+                   "t_final": ("number", _REQUIRED), "project_attitude": ("boolean", False)},
+    "tolerances": {"e_equiv": ("number", 1e-6), "level_set_defect": ("number", 1e-8),
+                   "energy_match": ("number", 1e-6), "casimir_drift": ("number", 1e-8)},
+    "outputs": {"trajectory": ("string", None), "report": ("string", None)},
+    "bvp": {"q_target": ("attitude", "identity"), "tol": ("number", 1e-6),
+            "max_iter": ("integer", 30)},
 }
 
-# The keys each config section may hold; any other key is rejected, so a
-# misspelt tolerance cannot fall back to its default unnoticed.
-_SECTION_KEYS = {
-    "integrator": ("scheme", "step", "t_final", "project_attitude"),
-    "tolerances": tuple(_DEFAULT_TOLERANCES),
-    "outputs": ("trajectory", "report"),
-    "bvp": ("q_target", "tol", "max_iter"),
+# How an error states what each kind expected, after the key it names.
+_EXPECTED = {
+    "integer": ": expected an integer",
+    "number": ": expected a number",
+    "boolean": " must be true or false",
+    "string": ": expected a string",
+    "object": ": expected an object",
+    "array": ": expected a rectangular array of numbers",
+    "attitude": ': expected "identity" or a rectangular array of numbers',
 }
 
 
@@ -60,8 +74,53 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int
+
+
+def _is_array(value) -> bool:
+    return isinstance(value, list) and all(_is_array(v) or _is_number(v) for v in value)
+
+
+def _typed(kind, value, key):
+    """``value`` in its Python form if it is of the JSON ``kind``; never converted."""
+    if kind == "object" and isinstance(value, dict):
+        return _read(value, key)
+    if kind == "integer" and _is_number(value) and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind == "number" and _is_number(value) and value == value:  # NaN is unequal to itself
+        return float(value)
+    if (kind, type(value)) in (("boolean", bool), ("string", str)) or (
+            kind == "attitude" and value == "identity"):
+        return value
+    if kind in ("array", "attitude") and _is_array(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except ValueError:  # a ragged array
+            pass
+    raise ValueError(f"{key}{_EXPECTED[kind]}, got {value!r}")
+
+
+def _read(section: dict, name) -> dict:
+    """The section ``name`` checked against ``_SCHEMA[name]``, defaults filled in."""
+    keys = _SCHEMA[name]
+    unknown = [key for key in section if key not in keys]
+    if unknown:
+        raise ValueError(f"{name}: unknown key {', '.join(map(repr, unknown))}; "
+                         f"known keys: {', '.join(keys)}")
+    read = {}
+    for key, (kind, default) in keys.items():
+        dotted = key if name == "config" else f"{name}.{key}"
+        if key not in section and default is _REQUIRED:
+            raise ValueError(f"config must provide {dotted!r}")
+        if key in section or default is not None:
+            read[key] = _typed(kind, section.get(key, default), dotted)
+    return read
+
+
 def _parse_matrix(value, n, what, require):
-    rows = np.asarray(value, dtype=float)
+    # "identity" is the one string the schema lets through, as an attitude
+    rows = np.eye(n) if isinstance(value, str) else np.asarray(value, dtype=float)
     if rows.shape != (n, n):
         raise ValueError(f"{what} must be an {n}x{n} matrix of rows, got shape {rows.shape}")
     try:
@@ -70,84 +129,23 @@ def _parse_matrix(value, n, what, require):
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def _parse_attitude(value, n, what="q0"):
-    return np.eye(n) if value == "identity" else _parse_matrix(value, n, what, require_rotation)
-
-
-def _parse_momentum(value, n):
-    v = np.asarray(value, dtype=float)
-    # Skew inputs are validated, never symmetrized silently.
-    return _parse_matrix(hat(v) if n == 3 and v.shape == (3,) else v, n, "pi0", require_skew)
-
-
-def _parse(convert, value, key):
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    # int() would truncate 3.7 to 3 and read true as 1
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _section(value, name) -> dict:
-    section = _parse(dict, value, name)
-    unknown = [key for key in section if key not in _SECTION_KEYS[name]]
-    if unknown:
-        raise ValueError(
-            f"{name}: unknown key {', '.join(map(repr, unknown))}; "
-            f"known keys: {', '.join(_SECTION_KEYS[name])}"
-        )
-    return section
-
-
 def load_config(path) -> dict:
-    """Read and validate a run configuration."""
+    """Read a run configuration checked against `_SCHEMA`, and build its objects."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "n" not in raw or "lambda" not in raw:
-        raise ValueError("config must provide 'n' and 'lambda'")
-    n = _parse(_integer, raw["n"], "n")
-    spec = InertiaSpec(raw["lambda"])
+        config = _typed("object", json.load(fh), "config")
+    n = config["n"]
+    pi0 = config.get("pi0", np.zeros((n, n)))
+    config["spec"] = spec = InertiaSpec(config["lambda"])
     if spec.n != n:
         raise ValueError(f"lambda has {spec.n} entries, expected n = {n}")
-    cfg = None
-    if "integrator" in raw:
-        integ = _section(raw["integrator"], "integrator")
-        project = integ.get("project_attitude", False)
-        if not isinstance(project, bool):
-            raise ValueError(f"integrator.project_attitude must be true or false, got {project!r}")
-        cfg = IntegratorConfig(
-            scheme=integ.get("scheme", "rk4"),
-            step=_parse(float, integ["step"], "integrator.step"),
-            t_final=_parse(float, integ["t_final"], "integrator.t_final"),
-            project_attitude=project,
-        )
-    tolerances = dict(_DEFAULT_TOLERANCES)
-    for key, value in _section(raw.get("tolerances", {}), "tolerances").items():
-        tolerances[key] = _parse(float, value, f"tolerances.{key}")
-    config = {
-        "n": n,
-        "spec": spec,
-        "q0": _parse_attitude(raw.get("q0", "identity"), n),
-        "pi0": _parse_momentum(raw.get("pi0", np.zeros((n, n))), n),
-        "cfg": cfg,
-        "seed": _parse(_integer, raw.get("seed", 0), "seed"),
-        "outputs": {key: _parse(Path, value, f"outputs.{key}")
-                    for key, value in _section(raw.get("outputs", {}), "outputs").items()},
-        "tolerances": tolerances,
-    }
-    if "bvp" in raw:
-        bvp = _section(raw["bvp"], "bvp")
-        config["bvp"] = {
-            "q_target": _parse_attitude(bvp.get("q_target", "identity"), n, "q_target"),
-            "tol": _parse(float, bvp.get("tol", 1e-6), "bvp.tol"),
-            "max_iter": _parse(_integer, bvp.get("max_iter", 30), "bvp.max_iter"),
-        }
+    config["cfg"] = IntegratorConfig(**config["integrator"]) if "integrator" in config else None
+    config["q0"] = _parse_matrix(config["q0"], n, "q0", require_rotation)
+    # Skew inputs are validated, never symmetrized silently.
+    pi0 = hat(pi0) if n == 3 and pi0.shape == (3,) else pi0
+    config["pi0"] = _parse_matrix(pi0, n, "pi0", require_skew)
+    if "bvp" in config:
+        bvp = config["bvp"]
+        bvp["q_target"] = _parse_matrix(bvp["q_target"], n, "q_target", require_rotation)
     return config
 
 
@@ -263,15 +261,13 @@ def cmd_verify_reduction(args) -> int:
     tolerances = config["tolerances"]
     report_path = _out_path(args, config, "report", "reduction_report.txt")
     entries = {}
-    failed = []
-    for key in _DEFAULT_TOLERANCES:
+    for key, tolerance in tolerances.items():
         entries[key] = report[key]
-        entries[f"{key}_tolerance"] = float(tolerances[key])
-        if report[key] > tolerances[key]:
-            failed.append(key)
+        entries[f"{key}_tolerance"] = tolerance
     write_report(report_path, entries)
-    for key in _DEFAULT_TOLERANCES:
+    for key in tolerances:
         print(f"{key} = {_fmt(report[key])}")
+    failed = [key for key, tolerance in tolerances.items() if report[key] > tolerance]
     if failed:
         print(f"tolerance exceeded: {', '.join(failed)}", file=sys.stderr)
         return 4

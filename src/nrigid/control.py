@@ -93,18 +93,21 @@ def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
     At the maximizing control u = I^{-1} pi the effort equals the energy
     (the collective-Hamiltonian identity), so the integrand is the
     trajectory's ``hamiltonian`` audit, for every kind.  Requires a
-    uniformly stepped trajectory with at least three samples.  An odd
+    uniformly stepped trajectory with at least two samples.  An odd
     interval count is closed with the 3/8 rule on the last three
-    intervals, keeping 4th-order accuracy.
+    intervals, keeping 4th-order accuracy; a single interval takes the
+    trapezoid rule, exact for an extremal's constant energy.
     """
-    if len(traj) < 3:
-        raise ValueError("cost quadrature needs at least 3 samples")
+    if len(traj) < 2:
+        raise ValueError("cost quadrature needs at least 2 samples")
     dt = np.diff(traj.times)
     h = float(dt[0])
     if np.max(np.abs(dt - h)) > 1e-9 * max(1.0, h):
         raise ValueError("cost quadrature needs a uniform step")
     f = traj.audits["hamiltonian"]
     intervals = len(f) - 1
+    if intervals == 1:
+        return float(h / 2.0 * (f[0] + f[1]))
     total = 0.0
     if intervals % 2 == 1:
         # 3/8 rule on the trailing three intervals.
@@ -151,7 +154,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     * reason "line_search" when the line search stalls with no restart
       left.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails every comparison, so it fails this one
         raise ValueError("tol must be positive")
     spec, cfg, n = problem.spec, problem.cfg, problem.spec.n
     d = n * (n - 1) // 2

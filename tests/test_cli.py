@@ -212,6 +212,15 @@ class TestSolveBvp:
         )
         assert main(["solve-bvp", "--config", str(cfg), "--out", str(tmp_path)]) == 5
 
+    def test_one_step_exit_0(self, tmp_path, capsys):
+        # the cost of a single interval is its trapezoid
+        cfg = write_config(tmp_path / "cfg.json",
+                           integrator={"scheme": "rk4", "step": 0.5, "t_final": 0.5},
+                           bvp={"q_target": "identity"})
+        assert main(["solve-bvp", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "terminal_error = 0\n" in out and "cost = 0\n" in out
+
 
 class TestCheckInvariants:
     def test_battery_passes(self, capsys):
@@ -270,13 +279,16 @@ class TestFailureExits:
         (["solve-bvp"], "bvp"),
         (["simulate", "euler"], "n"),
         (["verify-reduction"], "lambda"),
+        (["lift"], "integrator.step"),
+        (["verify-reduction"], "integrator.t_final"),
     ])
     def test_missing_section_exit_2(self, tmp_path, capsys, command, drop):
         cfg = write_config(tmp_path / "cfg.json", bvp={"q_target": "identity"})
         raw = json.loads(cfg.read_text())
-        del raw[drop]
+        section, _, key = drop.rpartition(".")
+        del (raw[section] if section else raw)[key]
         cfg.write_text(json.dumps(raw))
-        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(with_out(command, tmp_path) + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config must provide") and f"'{drop}'" in err
         assert list(tmp_path.iterdir()) == [cfg]
@@ -294,6 +306,22 @@ class TestConfigTypes:
         ("tolerances", {"tolerances": None}),
         ("outputs", {"outputs": 5}),
         ("bvp", {"bvp": None}),
+        # JSON strings and booleans are never numbers, and NaN is no bound
+        ("n", {"n": "3"}),
+        ("seed", {"seed": "7"}),
+        ("integrator.step", {"integrator": {**INTEGRATOR, "step": "0.01"}}),
+        ("tolerances.e_equiv", {"tolerances": {"e_equiv": "1e-6"}}),
+        ("tolerances.e_equiv", {"tolerances": {"e_equiv": float("nan")}}),
+        ("bvp.tol", {"bvp": {"tol": float("nan")}}),
+        ("lambda", {"lambda": ["1.0", 2.0, 3.0]}),
+        ("lambda", {"lambda": [1.0, True, 3.0]}),
+        ("pi0", {"pi0": [0.5, "0.6", 0.7]}),
+        ("pi0", {"pi0": [0.5, 0.6, True]}),
+        ("pi0", {"pi0": [[0.0, 1.0, 0.0], [-1.0, 0.0], [0.0, 0.0, 0.0]]}),
+        ("q0", {"q0": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("q0", {"q0": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("q0", {"q0": "eye"}),
+        ("bvp.q_target", {"bvp": {"q_target": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]}}),
     ])
     def test_wrong_type_exit_2_names_key(self, tmp_path, capsys, key, overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -308,6 +336,9 @@ class TestConfigTypes:
         # midpoint's fixed-point budget is a constant
         ("integrator", "midpoint_max_iter",
          {"integrator": {**INTEGRATOR, "midpoint_max_iter": 50}}),
+        ("config", "pio", {"pio": [0.5, 0.6, 0.7]}),
+        # a misspelt section would leave every default of its keys in force
+        ("config", "tolerance", {"tolerance": {"e_equiv": 0.0}}),
     ])
     def test_unknown_key_exit_2_names_it(self, tmp_path, capsys, section, key, overrides):
         # a misspelt key would otherwise leave its default in force
@@ -323,6 +354,13 @@ class TestConfigTypes:
         assert capsys.readouterr().err == (
             "error: integrator: unknown key 'midpoint_tol'; "
             "known keys: scheme, step, t_final, project_attitude\n")
+
+    @pytest.mark.parametrize("top", [[1, 2], 5, "config", None])
+    def test_config_must_be_object(self, tmp_path, capsys, top):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(top))
+        assert main(["lift", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: config: expected an object, got {top!r}\n"
 
     def test_non_multiple_horizon_exit_2_in_lift(self, tmp_path, capsys):
         # the step count is checked when the config is read, also by lift,

@@ -90,10 +90,15 @@ class TestTrajectoryCost:
 
     def test_too_few_samples(self):
         spec = standard_spec()
+        lone = Trajectory("euler", np.zeros(1), np.zeros((1, 3, 3)), {"hamiltonian": np.ones(1)})
+        with pytest.raises(ValueError, match="^cost quadrature needs at least 2 samples$"):
+            trajectory_cost(spec, lone)
+        # one interval takes the trapezoid rule
         z0 = solve_lift(np.eye(3), standard_pi0())
         traj = integrate_symrep(spec, z0, IntegratorConfig("rk4", 1.0, 1.0))
-        with pytest.raises(ValueError):
-            trajectory_cost(spec, traj)
+        energy = traj.audits["hamiltonian"]
+        assert trajectory_cost(spec, traj) == 0.5 * (energy[0] + energy[1])
+        assert trajectory_cost(spec, traj) == pytest.approx(energy[0], rel=1e-3)
 
     @pytest.mark.parametrize("times", [[0.0, 0.1, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0 + 1e-6]])
     def test_nonuniform_step_rejected(self, times):
@@ -268,7 +273,7 @@ class TestShoot:
         if project_attitude:
             assert np.max(traj.audits["orthogonality_defect"]) <= 1e-10
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
     def test_tol_must_be_positive(self, tol, monkeypatch):
         # refused before any run
         monkeypatch.setattr(control, "_euler_poisson", None)

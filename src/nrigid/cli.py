@@ -299,9 +299,8 @@ def cmd_solve_bvp(args) -> int:
         t_final=config["cfg"].t_final,
         cfg=config["cfg"],
     )
-    seed = args.seed if args.seed is not None else config["seed"]
     sol = shoot(problem, tol=config["bvp"]["tol"],
-                max_iter=config["bvp"]["max_iter"], seed=seed)
+                max_iter=config["bvp"]["max_iter"], seed=config["seed"])
     report_path = _out_path(args, config, "report", "bvp_report.txt")
     entries = {
         "terminal_error": sol.terminal_error,
@@ -360,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bvp = sub.add_parser("solve-bvp", help="shoot for the attitude boundary value problem")
     p_bvp.add_argument("--config", required=True)
     p_bvp.add_argument("--out", default=None)
-    p_bvp.add_argument("--seed", type=int, default=None)
     p_bvp.set_defaults(func=cmd_solve_bvp)
 
     p_chk = sub.add_parser("check-invariants", help="run the seeded property battery")

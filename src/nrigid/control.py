@@ -14,9 +14,10 @@ Gauss-Newton iteration with a forward-difference Jacobian runs over the
 d = n(n-1)/2 free momentum entries from rest, pi0 = 0, where the residual
 and the exact Jacobian are known in closed form.  A point is scored alone,
 or with its d probes as one batch of 1 + d runs, each bit for bit its own
-run, which brings its Jacobian.  The symmetric representation of an
-answer is one `solve_lift` and `integrate_symrep` away wherever the lift
-bound allows.
+run, which brings its Jacobian.  A failed run raises its failure; a
+batch's failure is at the earliest step at which any member fails.  The
+symmetric representation of an answer is one `solve_lift` and
+`integrate_symrep` away wherever the lift bound allows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import InertiaSpec, _inertia_inverse
-from .errors import ConvergenceError, DimensionError, DivergenceError
+from .errors import ConvergenceError, DimensionError
 from .integrate import IntegratorConfig, Trajectory, _one_body
 from .integrate import _euler_poisson, _euler_poisson_trajectory
 from .matcore import require_rotation
@@ -131,7 +132,8 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     search scored, so ``terminal_error`` is the distance of its final
     attitude ``trajectory.states[-1, :n]`` to the target, and with
     ``project_attitude`` its attitude stays a rotation.  ``seed`` drives
-    the random restarts tried when the line search stalls.
+    the random restarts tried when the line search stalls.  ``tol`` must be
+    positive, ``max_iter`` at least 1 and ``seed`` non-negative.
 
     The search starts at x = 0, at rest, where every scheme returns its
     state bit for bit: the residual is vec(q0 - q_target) with no run, and
@@ -142,8 +144,8 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     so the iterates are those of scoring each point alone.  The full step of
     each line search and each restart run as batches; a damped candidate
     runs alone, and an iterate it reaches re-runs as member 0 of its batch.
-    When a batch fails, its point is scored alone, and the batch's failure,
-    the probes' earliest, is raised only where that Jacobian is needed.
+    A failed run raises its failure; a batch's failure is at the earliest
+    step at which any member fails.
 
     The flow's failures pass through: `DivergenceError` (a non-finite state
     or a failed projection) and ConvergenceError with reason "fixed_point"
@@ -156,6 +158,10 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     """
     if not tol > 0.0:  # NaN fails every comparison, so it fails this one
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     spec, cfg, n = problem.spec, problem.cfg, problem.spec.n
     d = n * (n - 1) // 2
     upper = np.triu_indices(n, 1)
@@ -165,7 +171,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     def score(x, probes):
         # The residual at x, its square norm, x's run (times, states) and the
         # Jacobian: None for a lone run; with probes, from x's batch in C order
-        # as a column loop builds it, or, where the batch failed, its failure.
+        # as a column loop builds it.
         xs = x
         if probes:
             xs = np.repeat(x[None], 1 + d, axis=0)
@@ -173,12 +179,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         y0 = np.empty(xs.shape[:-1] + (2 * n, n))
         y0[..., :n, :] = problem.q0
         y0[..., n:, :] = _skew_from_params(xs, upper, n)
-        try:
-            *run, last = _euler_poisson(spec, y0, cfg)
-        except (ConvergenceError, DivergenceError) as failure:
-            if not probes:
-                raise
-            return *score(x, False)[:3], failure
+        *run, last = _euler_poisson(spec, y0, cfg)
         # A finite run can end so far out that r @ r is inf, which the line search rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             mismatch = (last[..., :n, :] - problem.q_target).reshape(-1, n * n)
@@ -207,8 +208,6 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
             break
         if jac is None:  # x was reached by a damped step and ran alone
             jac = score(x, True)[3]
-        if isinstance(jac, Exception):  # x's batch failed, and its Jacobian is needed
-            raise jac
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0

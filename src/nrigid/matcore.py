@@ -145,19 +145,16 @@ def _expm_stack(a) -> np.ndarray:
     Each member's squaring count is picked from its 1-norm, and the
     members are grouped by it, so each group runs `_expm`'s Taylor and
     squaring loop at once and every member equals its own exponential bit
-    for bit.  A member whose 1-norm is not finite gives NaN in that member
-    only.
+    for bit.
     """
     flat = a.reshape((-1,) + a.shape[-2:])
     norm = np.abs(flat).sum(axis=-2).max(axis=-1)
-    finite = np.isfinite(norm)
-    norm = np.where(finite, norm, 0.0)
     squarings = np.ceil(
         np.log2(np.maximum(norm, _EXPM_THRESHOLD) / _EXPM_THRESHOLD)
     ).astype(int)
-    result = np.full(flat.shape, np.nan)
-    for count in set(squarings[finite].tolist()):
-        members = finite & (squarings == count)
+    result = np.empty(flat.shape)
+    for count in set(squarings.tolist()):
+        members = squarings == count
         result[members] = _expm(flat[members], count)
     return result.reshape(a.shape)
 

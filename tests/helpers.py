@@ -217,16 +217,18 @@ def invariant_battery_reference(seed, trials):
 def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
     """`shoot` as a loop of single public runs, one per point scored.
 
-    This is the search `control.shoot` ran before it stepped each candidate
-    with its forward-difference probes as one batch: the probes of an
-    iterate run, one by one, at the top of the iteration that needs its
-    Jacobian; if some fail, the failure at the earliest step raises, the
-    first probe's on a tie.  The start x = 0 is at rest, where the flow's
-    tangent is known: its Jacobian has column j equal to T vec(q0 I^-1(E_j)),
-    with E_j the skew basis matrix of entry j.  Its residual still comes
-    from a public run.  The constants are read from `control` at call time, so a
-    monkeypatched constant acts on both.  Returns what `shoot` returns and
-    raises what it raises.
+    A point scored with its forward-difference probes runs them one by one
+    after it, wherever `shoot` runs a batch: the full step of each line
+    search, each restart, and an iterate reached by a damped step, at the top
+    of the iteration that needs its Jacobian.  If some of these runs fail, the
+    failure at the earliest step raises, as the batch's would: at one step, a
+    midpoint fixed point before a non-finite state before a failed
+    projection, and the first run's on a tie.  The start x = 0 is at rest,
+    where the flow's tangent is known: its Jacobian has column j equal to
+    T vec(q0 I^-1(E_j)), with E_j the skew basis matrix of entry j.  Its
+    residual still comes from a public run.  The constants are read from
+    `control` at call time, so a monkeypatched constant acts on both.
+    Returns what `shoot` returns and raises what it raises.
     """
     n = problem.spec.n
     d = n * (n - 1) // 2
@@ -237,10 +239,24 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
         a[np.triu_indices(n, 1)] = x
         return a - a.T
 
-    def objective(x):
-        traj = integrate_euler_poisson(problem.spec, np.vstack([problem.q0, skew(x)]), problem.cfg)
-        r = (traj.states[-1, :n] - problem.q_target).ravel()
-        return r, float(r @ r), traj
+    def objective(x, probes=False):
+        points = [x]
+        for j in range(d if probes else 0):
+            points.append(x.copy())
+            points[-1][j] += control._FD_STEP
+        runs, failures = [], []
+        for point in points:
+            try:
+                runs.append(integrate_euler_poisson(
+                    problem.spec, np.vstack([problem.q0, skew(point)]), problem.cfg))
+            except (ConvergenceError, DivergenceError) as exc:
+                failures.append(exc)
+        if failures:
+            raise min(failures, key=lambda exc: (exc.step_index, isinstance(exc, DivergenceError),
+                                                 "projection" in str(exc)))
+        r, *rs = [(traj.states[-1, :n] - problem.q_target).ravel() for traj in runs]
+        jac = np.column_stack([(rj - r) / control._FD_STEP for rj in rs]) if probes else None
+        return r, float(r @ r), runs[0], jac
 
     def solution(x, terminal_error, traj, iterations=0):
         return control.BvpSolution(pi0=skew(x), terminal_error=float(terminal_error),
@@ -248,39 +264,26 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
                                    iterations=iterations, trajectory=traj)
 
     x = np.zeros(d)
-    r, fval, traj = objective(x)
+    r, fval, traj, _ = objective(x)
+    tangents = [problem.q0 @ inertia_inverse(problem.spec, skew(e)) for e in np.eye(d)]
+    jac = np.column_stack([(traj.times[-1] * tangent).ravel() for tangent in tangents])
     best = (x.copy(), np.sqrt(fval), traj)
     iterations = 0
     restarts = 0
     while iterations < max_iter:
         if np.sqrt(fval) <= tol:
             break
-        jac = np.empty((r.size, d))
-        failures = []
-        for j in range(d):
-            xj = x.copy()
-            if iterations == 0:  # the start, at rest
-                tangent = problem.q0 @ inertia_inverse(problem.spec, skew(np.eye(d)[j]))
-                jac[:, j] = (traj.times[-1] * tangent).ravel()
-                continue
-            xj[j] += control._FD_STEP
-            try:
-                rj, _, _ = objective(xj)
-            except (ConvergenceError, DivergenceError) as exc:
-                failures.append(exc)
-                continue
-            jac[:, j] = (rj - r) / control._FD_STEP
-        if failures:  # the earliest step's, the first probe's on a tie
-            raise min(failures, key=lambda exc: exc.step_index)
+        if jac is None:  # x was reached by a damped step
+            jac = objective(x, True)[3]
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0
         stepped = False
         while alpha >= control._MIN_DAMPING:
             candidate = x + alpha * direction
-            r_new, f_new, traj_new = objective(candidate)
+            r_new, f_new, traj_new, jac_new = objective(candidate, alpha == 1.0)
             if f_new <= fval + control._ARMIJO * alpha * slope:
-                x, r, fval, traj = candidate, r_new, f_new, traj_new
+                x, r, fval, traj, jac = candidate, r_new, f_new, traj_new, jac_new
                 stepped = True
                 break
             alpha *= 0.5
@@ -291,7 +294,7 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
             if restarts < control._MAX_RESTARTS:
                 restarts += 1
                 x = 0.3 * restarts * rng.uniform(-1.0, 1.0, d)
-                r, fval, traj = objective(x)
+                r, fval, traj, jac = objective(x, True)
                 continue
             raise ConvergenceError(
                 f"line search stalled after {restarts} restarts; "

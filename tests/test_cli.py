@@ -108,10 +108,11 @@ class TestSimulate:
         assert main(["simulate", "euler", "--config", str(tmp_path / "none.json")]) == 2
 
     @pytest.mark.parametrize(
-        "command", [["simulate", "symrep"], ["verify-reduction"], ["lift"]]
+        "command", [["simulate", "symrep"], ["verify-reduction"], ["lift"], ["solve-bvp"]]
     )
     def test_seed_rejected_where_unused(self, tmp_path, command):
-        # these runs have no random input, so they take no --seed
+        # these runs take no --seed: the first three have no random input,
+        # and solve-bvp's restarts are seeded by the config's "seed"
         cfg = write_config(tmp_path / "cfg.json")
         with pytest.raises(SystemExit) as exc:
             main(with_out(command, tmp_path) + ["--config", str(cfg), "--seed", "1"])
@@ -220,6 +221,16 @@ class TestSolveBvp:
         assert main(["solve-bvp", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "terminal_error = 0\n" in out and "cost = 0\n" in out
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"bvp": {"q_target": "identity", "max_iter": 0}}, "max_iter must be at least 1, got 0"),
+        ({"seed": -1, "bvp": {"q_target": "identity"}}, "seed must be non-negative, got -1"),
+    ], ids=["max_iter", "seed"])
+    def test_invalid_search_setting_exit_2(self, tmp_path, capsys, overrides, message):
+        # refused as input, not reported as a solver failure
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["solve-bvp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCheckInvariants:

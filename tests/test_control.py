@@ -280,6 +280,17 @@ class TestShoot:
         with pytest.raises(ValueError, match="^tol must be positive$"):
             shoot(spherical_problem(), tol=tol)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"max_iter": -5}, "max_iter must be at least 1, got -5"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["max_iter=0", "max_iter=-5", "seed=-1"])
+    def test_search_setting_out_of_range(self, kwargs, message, monkeypatch):
+        # refused before any run
+        monkeypatch.setattr(control, "_euler_poisson", None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            shoot(spherical_problem(), **kwargs)
+
     def test_line_search_stall_is_named(self, monkeypatch):
         # no damping is admissible, so every line search stalls at once
         monkeypatch.setattr(control, "_MIN_DAMPING", 2.0)
@@ -408,8 +419,8 @@ class RunSpy:
     failed, and for a failed batch whether its first member fails alone;
     in `starts` the start of each run's first member, and in `failed_batches`
     the start of each failed batch.  Asserts that each run is a lone point
-    or a point with its d probes, 1 + d members, and that no probe runs
-    alone."""
+    or a point with its d probes, 1 + d members, that no probe runs alone,
+    and that no run follows a failed one, whose failure `shoot` raises."""
 
     def __init__(self, monkeypatch):
         self.runs, self.starts, self.failed_batches, probes = [], [], [], set()
@@ -423,6 +434,7 @@ class RunSpy:
             return False
 
         def spy(spec, y0, cfg):
+            assert not any(failed for _, failed, _ in self.runs)
             members = 1 if y0.ndim == 2 else len(y0)
             assert members in (1, 1 + spec.n * (spec.n - 1) // 2)
             if members == 1:
@@ -515,11 +527,19 @@ class TestBatchedProbes:
         assert members.count(4) == kwargs["max_iter"] + len(reruns)
         assert_same_outcome(got, outcome(shoot_reference, problem, **kwargs))
 
-    def test_probe_failing_at_rejected_candidate_does_not_raise(self, monkeypatch):
-        # With a coarse forward-difference step, probes of some rejected
-        # candidates leave the momenta at which 20 midpoint fixed-point
-        # iterations converge at h = 0.2; the search goes on and ends as the
-        # oracle's does, in a stalled line search.
+    @staticmethod
+    def mismatch(problem, y0):
+        # the terminal attitude mismatch of a lone public run from y0
+        traj = integrate_euler_poisson(problem.spec, y0, problem.cfg)
+        return np.linalg.norm(traj.states[-1, :problem.spec.n] - problem.q_target)
+
+    def test_probe_failing_at_rejected_candidate_raises_its_batch_failure(self, monkeypatch):
+        # With a coarse forward-difference step, a probe of the full step
+        # from the last restart leaves the momenta at which 20 midpoint
+        # fixed-point iterations converge at h = 0.2.  The candidate itself
+        # runs, and ends farther from the target than the restart, so the line
+        # search would reject it; shoot raises its batch's failure all the
+        # same, as the oracle does, and makes no further run.
         monkeypatch.setattr(control, "_FD_STEP", 5.0)
         monkeypatch.setattr(integrate, "_MIDPOINT_MAX_ITER", 20)
         cfg = IntegratorConfig("midpoint", 0.2, 1.0)
@@ -527,15 +547,19 @@ class TestBatchedProbes:
                              1.0, cfg)
         spy = RunSpy(monkeypatch)
         got = outcome(shoot, problem, tol=1e-6, max_iter=30, seed=0)
-        # batches of a candidate and its probes that failed in a probe only
-        assert spy.failed(4).count(False) > 0
-        assert isinstance(got, ConvergenceError) and got.reason == "line_search"
+        assert isinstance(got, ConvergenceError) and got.reason == "fixed_point"
+        assert spy.runs[-2:] == [(4, False, False), (4, True, False)]
+        assert spy.failed(4) == [False]
+        assert self.mismatch(problem, spy.failed_batches[-1][0]) > self.mismatch(
+            problem, spy.starts[-2])
         assert_same_outcome(got, outcome(shoot_reference, problem, tol=1e-6, max_iter=30, seed=0))
 
     def test_probe_failing_at_accepted_candidate_raises_its_batch_failure(self, monkeypatch):
-        # A coarse step puts a probe of an accepted iterate where rk4 at
-        # h = 0.2 diverges: shoot raises its batch's DivergenceError when it
-        # needs that iterate's Jacobian, as the oracle raises the probe's own.
+        # A coarse step puts a probe of the first full step where rk4 at
+        # h = 0.2 diverges, while the candidate itself runs and lands far
+        # nearer the target than the start, so the line search would accept
+        # it: shoot raises its batch's DivergenceError, as the oracle raises
+        # the probe's own.
         monkeypatch.setattr(control, "_FD_STEP", 300.0)
         cfg = IntegratorConfig("rk4", 0.2, 1.0)
         problem = BvpProblem(standard_spec(), np.eye(3), expm(hat([0.6, -0.48, 0.64])), 1.0, cfg)
@@ -543,10 +567,11 @@ class TestBatchedProbes:
         got = outcome(shoot, problem, tol=1e-6, max_iter=60, seed=0)
         assert isinstance(got, DivergenceError)
         # The start, at rest, makes no run, so the first run is the batch of
-        # the first full step.  It failed in a probe and its candidate was
-        # accepted alone; the next iteration needs that Jacobian and raises
-        # the batch's failure, with no further run.
-        assert spy.runs == [(4, True, False), (1, False, False)]
+        # the first full step.  It fails in a probe, and shoot raises with no
+        # further run.
+        assert spy.runs == [(4, True, False)]
+        start = np.linalg.norm(problem.q0 - problem.q_target)
+        assert self.mismatch(problem, spy.failed_batches[0][0]) < 0.5 * start
         want = outcome(shoot_reference, problem, tol=1e-6, max_iter=60, seed=0)
         assert_same_outcome(got, want)
         assert got.step_index == want.step_index == 4

@@ -330,17 +330,6 @@ class TestStackedExpm:
         # and over two leading axes
         np.testing.assert_array_equal(_expm_stack(a.reshape(4, 6, m, m)), got.reshape(4, 6, m, m))
 
-    def test_non_finite_member_only(self):
-        rng = np.random.default_rng(8)
-        a = rng.uniform(-1.0, 1.0, (5, 4, 4))
-        a[2, 1, 3] = np.nan
-        a[4, 0, 0] = np.inf
-        got = _expm_stack(a)
-        assert np.isnan(got[2]).all() and np.isnan(got[4]).all()
-        for k in (0, 1, 3):
-            assert np.isfinite(got[k]).all()
-            np.testing.assert_array_equal(got[k], _expm(a[k], squaring_count(a[k])))
-
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_random_group_elements_are_the_public_exponential(self, n):
         for seed in range(20):

@@ -14,10 +14,13 @@ Gauss-Newton iteration with a forward-difference Jacobian runs over the
 d = n(n-1)/2 free momentum entries from rest, pi0 = 0, where the residual
 and the exact Jacobian are known in closed form.  A point is scored alone,
 or with its d probes as one batch of 1 + d runs, each bit for bit its own
-run, which brings its Jacobian.  A failed run raises its failure; a
-batch's failure is at the earliest step at which any member fails.  The
-symmetric representation of an answer is one `solve_lift` and
-`integrate_symrep` away wherever the lift bound allows.
+run, which brings its Jacobian.  A full step whose Gauss-Newton model
+residual ||r + J direction|| is at most tol is predicted to end the search
+and runs alone, as a damped step does, since its probes would go unread.
+A failed run raises its failure; a batch's failure is at the earliest step
+at which any member fails.  The symmetric representation of an answer is
+one `solve_lift` and `integrate_symrep` away wherever the lift bound
+allows.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     attitude ``trajectory.states[-1, :n]`` to the target, and with
     ``project_attitude`` its attitude stays a rotation.  ``seed`` drives
     the random restarts tried when the line search stalls.  ``tol`` must be
-    positive, ``max_iter`` at least 1 and ``seed`` non-negative.
+    positive, ``max_iter`` an integer of at least 1 and ``seed`` a
+    non-negative integer.
 
     The search starts at x = 0, at rest, where every scheme returns its
     state bit for bit: the residual is vec(q0 - q_target) with no run, and
@@ -141,11 +145,13 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     ``project_attitude`` the start runs alone, since the projection moves
     the rest by round-off).  Elsewhere a point runs alone, or as one batch
     with its d probes x + _FD_STEP e_j, each member bit for bit its own run,
-    so the iterates are those of scoring each point alone.  The full step of
-    each line search and each restart run as batches; a damped candidate
-    runs alone, and an iterate it reaches re-runs as member 0 of its batch.
-    A failed run raises its failure; a batch's failure is at the earliest
-    step at which any member fails.
+    so the iterates are those of scoring each point alone.  Each restart runs
+    as a batch, and so does the full step of each line search unless the
+    Gauss-Newton model predicts it to be the last, ||r + J direction|| <=
+    ``tol``: then, like a damped candidate, it runs alone, and an iterate
+    reached by a lone run that is not the answer re-runs as member 0 of its
+    batch.  A failed run raises its failure; a batch's failure is at the
+    earliest step at which any member fails.
 
     The flow's failures pass through: `DivergenceError` (a non-finite state
     or a failed projection) and ConvergenceError with reason "fixed_point"
@@ -158,6 +164,9 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     """
     if not tol > 0.0:  # NaN fails every comparison, so it fails this one
         raise ValueError("tol must be positive")
+    for name, value in (("max_iter", max_iter), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if seed < 0:
@@ -206,16 +215,20 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     while iterations < max_iter:
         if np.sqrt(fval) <= tol:
             break
-        if jac is None:  # x was reached by a damped step and ran alone
+        if jac is None:  # x ran alone, reached by a damped or a predicted-last step
             jac = score(x, True)[3]
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        # The linear model's residual after the full step; lstsq's own
+        # residuals are empty when jac is rank-deficient.
+        model = np.linalg.norm(r + jac @ direction)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0
         stepped = False
         while alpha >= _MIN_DAMPING:
             candidate = x + alpha * direction
-            # The full step runs with its probes; a damped one alone.
-            r_new, f_new, run_new, jac_new = score(candidate, alpha == 1.0)
+            # The full step runs with its probes unless the model predicts it
+            # ends the search; a damped step runs alone.
+            r_new, f_new, run_new, jac_new = score(candidate, alpha == 1.0 and model > tol)
             if f_new <= fval + _ARMIJO * alpha * slope:
                 x, r, fval, run, jac = candidate, r_new, f_new, run_new, jac_new
                 stepped = True

@@ -219,8 +219,12 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
 
     A point scored with its forward-difference probes runs them one by one
     after it, wherever `shoot` runs a batch: the full step of each line
-    search, each restart, and an iterate reached by a damped step, at the top
-    of the iteration that needs its Jacobian.  If some of these runs fail, the
+    search, each restart, and an iterate that ran alone, at the top of the
+    iteration that needs its Jacobian.  A full step that the Gauss-Newton
+    model predicts to be the last, with ||r + J direction|| at most ``tol``
+    for the column-stacked Jacobian J, runs alone, as a damped step does; if
+    it lands above ``tol`` after all, its Jacobian is the next iteration's
+    run with probes.  If some of these runs fail, the
     failure at the earliest step raises, as the batch's would: at one step, a
     midpoint fixed point before a non-finite state before a failed
     projection, and the first run's on a tie.  The start x = 0 is at rest,
@@ -273,15 +277,16 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
     while iterations < max_iter:
         if np.sqrt(fval) <= tol:
             break
-        if jac is None:  # x was reached by a damped step
+        if jac is None:  # x ran alone
             jac = objective(x, True)[3]
         direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        model = np.linalg.norm(r + jac @ direction)
         slope = 2.0 * float((jac.T @ r) @ direction)
         alpha = 1.0
         stepped = False
         while alpha >= control._MIN_DAMPING:
             candidate = x + alpha * direction
-            r_new, f_new, traj_new, jac_new = objective(candidate, alpha == 1.0)
+            r_new, f_new, traj_new, jac_new = objective(candidate, alpha == 1.0 and model > tol)
             if f_new <= fval + control._ARMIJO * alpha * slope:
                 x, r, fval, traj, jac = candidate, r_new, f_new, traj_new, jac_new
                 stepped = True

@@ -42,6 +42,25 @@ def capped_problem(q_target, project_attitude=False):
     )
 
 
+def overshooting_problem(monkeypatch):
+    """A problem whose first full step, from rest, is scored where the residual overflows.
+
+    rk4 at h = 0.25 from the momentum `far` ends finite, with attitude
+    entries near 5.6e222, so the residual's square norm overflows to inf.
+    The rest Jacobian is patched to rank one, with the rest residual in its
+    range, so the first Gauss-Newton direction is `far`'s entries and its
+    model residual is round-off.
+    """
+    far = hat([-114.75674121702129, 12.620062891405645, 88.59312149574555])
+    x_far = far[np.triu_indices(3, 1)]
+    q_target = expm(0.3 * E3)
+    r0 = (np.eye(3) - q_target).ravel()
+    monkeypatch.setattr(control, "_rest_jacobian",
+                        lambda problem, upper: -np.outer(r0, x_far) / (x_far @ x_far))
+    cfg = IntegratorConfig("rk4", 0.25, 1.0)
+    return BvpProblem(standard_spec(), np.eye(3), q_target, 1.0, cfg)
+
+
 class TestTrajectoryCost:
     def test_constant_point_costs_nothing(self):
         from nrigid.symrep import phase_point
@@ -284,12 +303,24 @@ class TestShoot:
         ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
         ({"max_iter": -5}, "max_iter must be at least 1, got -5"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
-    ], ids=["max_iter=0", "max_iter=-5", "seed=-1"])
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": 30.0}, "max_iter must be an integer, got 30.0"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+    ], ids=["max_iter=0", "max_iter=-5", "seed=-1", "max_iter=2.5", "max_iter=30.0",
+            "max_iter=True", "seed=2.5", "seed=False", "seed='1'"])
     def test_search_setting_out_of_range(self, kwargs, message, monkeypatch):
         # refused before any run
         monkeypatch.setattr(control, "_euler_poisson", None)
         with pytest.raises(ValueError, match=f"^{message}$"):
             shoot(spherical_problem(), **kwargs)
+
+    def test_numpy_integer_settings_accepted(self):
+        sol = shoot(spherical_problem(step=1e-2), tol=1e-7, max_iter=np.int64(30),
+                    seed=np.uint8(0))
+        assert sol.terminal_error <= 1e-7
 
     def test_line_search_stall_is_named(self, monkeypatch):
         # no damping is admissible, so every line search stalls at once
@@ -303,17 +334,9 @@ class TestShoot:
         assert isinstance(err.value.best, BvpSolution)
 
     def test_overflowing_residual_is_rejected_quietly(self, monkeypatch):
-        # rk4 at h = 0.25 from this momentum ends finite, with attitude
-        # entries near 5.6e222, so the residual's square norm overflows to
-        # inf.  A rest Jacobian that sends the first full step there makes the
-        # search score it: the line search rejects the inf and converges,
-        # with no overflow warning.
-        far = hat([-114.75674121702129, 12.620062891405645, 88.59312149574555])
-        x_far = far[np.triu_indices(3, 1)]
-        q_target = expm(0.3 * E3)
-        r0 = (np.eye(3) - q_target).ravel()
-        monkeypatch.setattr(control, "_rest_jacobian",
-                            lambda problem, upper: -np.outer(r0, x_far) / (x_far @ x_far))
+        # The line search rejects the inf and converges, with no overflow
+        # warning.
+        problem = overshooting_problem(monkeypatch)
         lasts, run = [], control._euler_poisson
 
         def spy(spec, y0, cfg):
@@ -322,10 +345,9 @@ class TestShoot:
             return out
 
         monkeypatch.setattr(control, "_euler_poisson", spy)
-        cfg = IntegratorConfig("rk4", 0.25, 1.0)
-        sol = shoot(BvpProblem(standard_spec(), np.eye(3), q_target, 1.0, cfg), tol=1e-6)
+        sol = shoot(problem, tol=1e-6)
         assert sol.terminal_error <= 1e-6
-        assert np.isfinite(lasts[0]).all() and np.abs(lasts[0][0]).max() > 1e200
+        assert np.isfinite(lasts[0]).all() and np.abs(lasts[0]).max() > 1e200
 
     def test_iteration_budget_error_carries_best(self):
         problem = spherical_problem(step=1e-2)
@@ -465,9 +487,9 @@ class RunSpy:
 
 
 class TestBatchedProbes:
-    """`shoot` runs each candidate with its forward-difference probes as one
-    batch; `helpers.shoot_reference`, a loop of single public runs, is the
-    oracle, bit for bit."""
+    """`shoot` runs a point with its forward-difference probes as one batch;
+    `helpers.shoot_reference`, a loop of single public runs, is the oracle,
+    bit for bit."""
 
     @staticmethod
     def problem(which, scheme, project_attitude):
@@ -593,6 +615,135 @@ class TestBatchedProbes:
                          "step_index", None) for probe in spy.failed_batches[-1][1:]]
         assert steps == [10, 9, None]
         assert got.step_index == 9
+
+
+def steer_problems():
+    """The solves of a `steer` pass of `bench/run.py` at seed 1, by label.
+
+    The two criterion-11 targets, four n = 3 and two n = 4 targets each
+    turned 0.1-0.3 rad in a random plane and solved to tol 1e-10, and the
+    capped target; every one under rk4, h = 5e-3, T = 1, with the
+    benchmark's draws and the 3-D targets from `expm`.  Each value is a
+    problem and its `shoot` keywords.
+    """
+    cfg = IntegratorConfig("rk4", 5e-3, 1.0)
+    solves = {
+        "spherical": ([1.0, 1.0, 1.0], expm(0.3 * E3), 1e-7, 30, 11),
+        "principal-axis": ([1.0, 2.0, 3.0], expm(0.4 * E1), 1e-6, 60, 11),
+    }
+    rng = np.random.default_rng([1, 3])
+    for k in range(6):
+        n, lam = (3, [1.0, 2.0, 3.0]) if k < 4 else (4, [1.0, 1.5, 2.0, 2.5])
+        angle = rng.uniform(0.1, 0.3)
+        u, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+        plane = np.outer(u[:, 1], u[:, 0]) - np.outer(u[:, 0], u[:, 1])
+        solves[f"seeded-n{n}-{k}"] = (lam, expm(angle * plane), 1e-10, 30, k)
+    solves["capped"] = ([1.0, 2.0, 3.0], expm(hat([0.3, -0.2, 0.4])), 1e-6, 30, 0)
+    return {label: (BvpProblem(InertiaSpec(lam), np.eye(len(lam)), q_target, 1.0, cfg),
+                    dict(tol=tol, max_iter=max_iter, seed=seed))
+            for label, (lam, q_target, tol, max_iter, seed) in solves.items()}
+
+
+class TestLastStepAlone:
+    """A full step whose Gauss-Newton model residual ||r + J direction|| is
+    at most tol is predicted to end the search, so it runs alone: its probes
+    would go unread.  One that lands above tol after all re-runs as member 0
+    of its batch at the next iteration, as an iterate reached by a damped
+    step does."""
+
+    @staticmethod
+    def models(monkeypatch):
+        # The model residual of each Gauss-Newton direction solved, in order.
+        models, lstsq = [], np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            out = lstsq(a, b, rcond=rcond)
+            models.append(float(np.linalg.norm(a @ out[0] - b)))
+            return out
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        return models
+
+    @pytest.mark.parametrize("label", list(steer_problems()))
+    def test_last_run_alone_exactly_when_the_model_meets_tol(self, monkeypatch, label):
+        problem, kwargs = steer_problems()[label]
+        d = problem.spec.n * (problem.spec.n - 1) // 2
+        spy, models = RunSpy(monkeypatch), self.models(monkeypatch)
+        sol = shoot(problem, **kwargs)
+        members = [m for m, _, _ in spy.runs]
+        # every step is a full one, so each iteration makes one run
+        assert len(members) == len(models) == sol.iterations
+        assert members[:-1] == [1 + d] * (len(members) - 1)
+        assert (members[-1] == 1) == (models[-1] <= kwargs["tol"])
+        assert all(model > kwargs["tol"] for model in models[:-1])
+        assert_same_solution(sol, shoot_reference(problem, **kwargs))
+
+    def test_steer_pass_makes_18_batches_and_7_lone_runs(self, monkeypatch):
+        # Each solve's last step is predicted but those of the criterion-11
+        # targets, whose model residuals count the residual's part normal to
+        # SO(3); scoring every full step with its probes made 25 batches.
+        spy = RunSpy(monkeypatch)
+        lone = []
+        for label, (problem, kwargs) in steer_problems().items():
+            before = len(spy.runs)
+            assert shoot(problem, **kwargs).iterations == len(spy.runs) - before
+            lone += [label for m, _, _ in spy.runs[before:] if m == 1]
+        members = [m for m, _, _ in spy.runs]
+        assert len(members) == 25 and members.count(1) == 7
+        assert "spherical" not in lone and "principal-axis" not in lone
+
+    def test_wrong_prediction_reruns_in_its_batch(self, monkeypatch):
+        # Found by a seeded search: the fourth step's model residual, 9.8e-6,
+        # meets tol, but the step lands at 1.2e-5.  The next iteration re-runs
+        # that iterate as member 0 of its batch, and its full step converges.
+        cfg = IntegratorConfig("rk4", 0.1, 1.0)
+        q_target = expm(scaled_skew(4, np.random.default_rng(32), 2.0))
+        problem = BvpProblem(InertiaSpec([1.0, 1.5, 2.0, 2.5]), np.eye(4), q_target, 1.0, cfg)
+        spy, models = RunSpy(monkeypatch), self.models(monkeypatch)
+        sol = shoot(problem, tol=1e-5)
+        assert [m for m, _, _ in spy.runs] == [7, 7, 7, 1, 7, 1]
+        assert spy.reruns() == [4]
+        assert models[3] <= 1e-5 < TestBatchedProbes.mismatch(problem, spy.starts[3])
+        assert models[4] <= 1e-5 and sol.iterations == 5
+        assert_same_solution(sol, shoot_reference(problem, tol=1e-5))
+
+    def test_rejected_predicted_step_backtracks_alone(self, monkeypatch):
+        # The model meets tol, and the full step ends where the residual
+        # overflows, which the Armijo test rejects.  Damped candidates x +
+        # 2^-k direction run alone, as before, and the iterate the line search
+        # accepts re-runs as member 0 of its batch.
+        problem = overshooting_problem(monkeypatch)
+        spy, models = RunSpy(monkeypatch), self.models(monkeypatch)
+        sol = shoot(problem, tol=1e-6)
+        assert models[0] <= 1e-6 and sol.terminal_error <= 1e-6
+        first = spy.reruns()[0]
+        assert [m for m, _, _ in spy.runs[:first]] == [1] * first
+        for k, start in enumerate(spy.starts[:first]):
+            np.testing.assert_array_equal(start[3:], 0.5 ** k * spy.starts[0][3:])
+
+    def test_probe_failing_at_predicted_last_step_does_not_raise(self, monkeypatch):
+        # A 1e-3 rad target: the first full step from rest is predicted last
+        # and lands within tol.  With a coarse forward-difference step, its
+        # probes would leave momenta at which midpoint's fixed-point iteration
+        # at h = 0.5 does not converge; none runs, and the solve succeeds.
+        monkeypatch.setattr(control, "_FD_STEP", 20.0)
+        cfg = IntegratorConfig("midpoint", 0.5, 1.0)
+        problem = BvpProblem(standard_spec(), np.eye(3), expm(1e-3 * hat([0.6, -0.48, 0.64])),
+                             1.0, cfg)
+        spy, models = RunSpy(monkeypatch), self.models(monkeypatch)
+        sol = shoot(problem, tol=1e-6)
+        assert spy.runs == [(1, False, False)] and len(models) == 1
+        assert models[0] <= 1e-6 and sol.iterations == 1 and sol.terminal_error <= 1e-6
+        probes = []
+        for a, b in zip(*np.triu_indices(3, 1)):
+            probes.append(spy.starts[0].copy())
+            probes[-1][3 + a, b] += control._FD_STEP
+            probes[-1][3 + b, a] -= control._FD_STEP
+        failures = [outcome(lambda y0: integrate_euler_poisson(problem.spec, y0, cfg), probe)
+                    for probe in probes]
+        assert any(isinstance(f, ConvergenceError) and f.reason == "fixed_point"
+                   for f in failures)
+        assert_same_solution(sol, shoot_reference(problem, tol=1e-6))
 
 
 class TestStartAtRest:

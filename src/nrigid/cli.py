@@ -16,6 +16,7 @@ import numpy as np
 
 from .body import InertiaSpec, hat
 from .control import BvpProblem, shoot
+from .csvtext import csv_text
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -66,8 +67,8 @@ _EXPECTED = {
 }
 
 
-# Rows per block of the CSV writer.
-_CSV_BLOCK = 128
+# Rows per chunk of the CSV writer.
+_CSV_BLOCK = 32
 
 
 def _fmt(x: float) -> str:
@@ -172,7 +173,10 @@ def _defect_channel(traj: Trajectory) -> np.ndarray:
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Write t, the row-major state, H, the Casimirs and the defect, 17 digits each.
 
-    Rows go out in blocks, so no full-length table is held in memory.
+    The bytes are exactly those of ``format(v, ".17g")`` for every value,
+    joined by "," and ended by "\\n" per row, under the header line.  Rows
+    go out in chunks of `_CSV_BLOCK`, each formatted whole by `csv_text`
+    and written at once, so no full-length table is held in memory.
     """
     n = traj.audits["casimir_spectrum"].shape[1]
     header = (
@@ -184,18 +188,17 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     )
     defects = _defect_channel(traj)
     states = traj.states.reshape(len(traj), -1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(traj), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
-            table = np.column_stack([
+            fh.write(csv_text(np.column_stack([
                 traj.times[rows],
                 states[rows],
                 traj.audits["hamiltonian"][rows],
                 traj.audits["casimir_spectrum"][rows],
                 defects[rows],
-            ])
-            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+            ])))
 
 
 def load_trajectory_csv(path):

@@ -43,8 +43,10 @@ each step.  A non-finite state (a singular rkmk4 inverse among them) or a
 projected block with no nearby rotation ends a run in `DivergenceError`,
 and a midpoint step that does not converge in `ConvergenceError`, each
 naming its step.  `RankLossError` names the first state below full rank,
-also when a later step failed.  No step-size adaptivity: runs are
-reproducible and admit clean order checks.
+also when a later step failed.  Finite states whose audits overflow end
+in `DivergenceError` too, naming the audit and its first non-finite
+state.  No step-size adaptivity: runs are reproducible and admit clean
+order checks.
 """
 
 from __future__ import annotations
@@ -300,10 +302,30 @@ def _audit(states, channels) -> dict:
     """Evaluate audit channels over a stacked trajectory, block by block.
 
     ``channels`` maps each name to a function of a block of states that
-    returns one value (or row) per state.
+    returns one value (or row) per state.  Finite states can still
+    overflow an audit: the channels are computed with numpy's overflow and
+    invalid warnings off, and the first state at which one is not finite
+    ends the run in `DivergenceError`, naming the channel and the step.
     """
     blocks = [states[k:k + _AUDIT_BLOCK] for k in range(0, len(states), _AUDIT_BLOCK)]
-    return {name: np.concatenate([channel(b) for b in blocks]) for name, channel in channels.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        audits = {name: np.concatenate([channel(b) for b in blocks])
+                  for name, channel in channels.items()}
+    failed = []
+    for order, (name, values) in enumerate(audits.items()):
+        finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+        if not finite.all():
+            failed.append((int(np.argmin(finite)), order, name))
+    if failed:
+        i, _, name = min(failed)  # the earliest state, then the first channel listed
+        raise DivergenceError(f"audit {name} is not finite at step {i}", step_index=i)
+    return audits
+
+
+def _momentum_channels(spec: InertiaSpec) -> dict:
+    # The energy and the singular-value spectrum of body momenta, as audit channels.
+    return {"hamiltonian": lambda b: reduced_hamiltonian(spec, b),
+            "casimir_spectrum": casimir_spectrum}
 
 
 def _one_body(spec: InertiaSpec) -> None:
@@ -330,10 +352,7 @@ def integrate_euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig) -> Trajectory
     momentum (constant on the coadjoint orbit).
     """
     times, states = _euler(spec, pi0, cfg)
-    return Trajectory("euler", times, states, _audit(states, {
-        "hamiltonian": lambda b: reduced_hamiltonian(spec, b),
-        "casimir_spectrum": casimir_spectrum,
-    }))
+    return Trajectory("euler", times, states, _audit(states, _momentum_channels(spec)))
 
 
 def _symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig):
@@ -380,8 +399,7 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
         ),
         "on_momentum": on_momentum,
     })
-    audits["hamiltonian"] = reduced_hamiltonian(spec, audits["on_momentum"])  # H(Z) = h(Z^T J Z)
-    audits["casimir_spectrum"] = casimir_spectrum(audits["on_momentum"])
+    audits.update(_audit(audits["on_momentum"], _momentum_channels(spec)))  # H(Z) = h(Z^T J Z)
     audits["rank_margin"] = margin
     return Trajectory("symrep", times, states, audits)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .body import InertiaSpec, reduced_hamiltonian
 from .errors import CertificationError, DimensionError
-from .integrate import IntegratorConfig, _audit, _euler, _symrep
+from .integrate import IntegratorConfig, _audit, _euler, _momentum_channels, _symrep
 from .matcore import (
     _frobenius,
     expm,
@@ -23,7 +23,7 @@ from .matcore import (
     rotation_defect,
     skew_asinh,
 )
-from .moment import casimir_spectrum, level_set_defect, on_momentum, sp_momentum
+from .moment import level_set_defect, on_momentum, sp_momentum
 from .symrep import is_full_rank, phase_point
 
 __all__ = ["solve_lift", "mu0_of", "verify_reduction"]
@@ -95,18 +95,23 @@ def verify_reduction(spec: InertiaSpec, q0, pi0, cfg: IntegratorConfig) -> dict:
     Both runs raise what `integrate_symrep` and `integrate_euler` raise, but
     only the six audit channels these keys read are computed: the phase
     flow's rank margin, momentum value, energy and spectrum, the body flow's
-    energy, and the level-set defect, each with the integrators' arithmetic.
+    energy, and the level-set defect, each with the integrators' arithmetic
+    and, as there, a channel that is not finite at some state ends the
+    call in `DivergenceError`.
     """
     z0 = solve_lift(q0, pi0)
     mu0 = mu0_of(z0)
     z = _symrep(spec, z0, cfg)[1]
     pi = _euler(spec, pi0, cfg)[1]
-    on = _audit(z, {"on_momentum": on_momentum})["on_momentum"]
+    phase = _audit(z, {"on_momentum": on_momentum,
+                       "level_set_defect": lambda b: level_set_defect(b, mu0)})
+    on = phase["on_momentum"]
+    flow = _audit(on, _momentum_channels(spec))
     energy = _audit(pi, {"hamiltonian": lambda b: reduced_hamiltonian(spec, b)})["hamiltonian"]
-    spectra = casimir_spectrum(on)
+    spectra = flow["casimir_spectrum"]
     return {
         "e_equiv": float(np.max(_frobenius(on - pi))),
-        "level_set_defect": float(np.max(level_set_defect(z, mu0))),
-        "energy_match": float(np.max(np.abs(reduced_hamiltonian(spec, on) - energy))),
+        "level_set_defect": float(np.max(phase["level_set_defect"])),
+        "energy_match": float(np.max(np.abs(flow["hamiltonian"] - energy))),
         "casimir_drift": float(np.max(np.abs(spectra - spectra[0]))),
     }

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import BLOCK_CROSSING, invariant_battery_reference
 from nrigid import cli
@@ -11,6 +13,7 @@ from nrigid.matcore import expm, skew_defect
 from nrigid.body import InertiaSpec, hat
 from nrigid.integrate import (
     IntegratorConfig,
+    Trajectory,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
@@ -304,6 +307,15 @@ class TestFailureExits:
         assert err.startswith("error: config must provide") and f"'{drop}'" in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("kind", ["euler", "euler-poisson"])
+    def test_overflowing_audit_exit_3(self, tmp_path, capsys, kind):
+        # the states stay finite, the energy of step 4 overflows
+        cfg = write_config(tmp_path / "cfg.json", pi0=[-114.76, 12.62, 88.59],
+                           integrator={"scheme": "rk4", "step": 0.25, "t_final": 1.0})
+        assert main(["simulate", kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: audit hamiltonian is not finite at step 4\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigTypes:
     INTEGRATOR = {"scheme": "rk4", "step": 0.01, "t_final": 2.0}
@@ -531,3 +543,78 @@ class TestTrajectoryCsvFormat:
         assert header == lines[0].split(",")
         assert rows.dtype == np.float64 and rows.shape == expected.shape
         np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+    # A symrep Trajectory with n = 1 has five value columns after t (z_0_0,
+    # z_1_0, H, casimir_1, defect), none of them computed by the writer, so
+    # any double can be put in a column and its bytes checked.
+    HAND_BUILT_HEADER = "t,z_0_0,z_1_0,H,casimir_1,defect"
+
+    @staticmethod
+    def hand_built(values):
+        values = np.asarray(values, dtype=float)
+        table = np.concatenate([values, np.zeros(-len(values) % 5)]).reshape(-1, 5)
+        return Trajectory("symrep", np.arange(float(len(table))), table[:, :2, None], {
+            "hamiltonian": table[:, 2],
+            "casimir_spectrum": table[:, 3:4],
+            "orthogonality_defect": table[:, 4],
+        })
+
+    def assert_per_value_bytes(self, path, values):
+        traj = self.hand_built(values)
+        write_trajectory_csv(path, traj)
+        table = np.column_stack([traj.times, traj.states[:, :, 0], traj.audits["hamiltonian"],
+                                 traj.audits["casimir_spectrum"], traj.audits["orthogonality_defect"]])
+        lines = [self.HAND_BUILT_HEADER] + [",".join(format(v, ".17g") for v in row)
+                                            for row in table.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_special_values(self, tmp_path):
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+        values = [0.0, -0.0, tiny, -tiny, huge, -huge, np.inf, -np.inf, np.nan,
+                  np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0.0)]
+        self.assert_per_value_bytes(tmp_path / "traj.csv", values)
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{e}") for e in range(-30, 23)])
+        neighbours = [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]
+        values = np.concatenate(neighbours + [-v for v in neighbours])
+        self.assert_per_value_bytes(tmp_path / "traj.csv", values)
+
+    def test_g_switch_points(self, tmp_path):
+        # %g turns to exponent form below 1e-4 and from 1e17 on
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99995e-5, 0.000099999999999999995,
+                          99999999999999999.0, 9999999999999999.0, 1e16 - 2.0, 1e17 - 16.0])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        self.assert_per_value_bytes(tmp_path / "traj.csv", np.concatenate([values, -values]))
+
+    def test_ties_round_half_even(self, tmp_path):
+        # m / 4 with m odd in [2**52, 2**53) lies halfway between two 17-digit decimals
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, self.hand_built([1234567890123456.25, 1234567890123456.75]))
+        assert path.read_text().splitlines()[1] == "0,1234567890123456.2,1234567890123456.8,0,0,0"
+        m = np.random.default_rng(3).integers(2 ** 51, 2 ** 52, 400) * 2 + 1
+        self.assert_per_value_bytes(path, m / 4.0)
+
+    @pytest.mark.parametrize("rows", ["one", "block-1", "block", "block+1"])
+    def test_row_counts_around_the_chunk(self, tmp_path, rows):
+        count = {"one": 1, "block-1": cli._CSV_BLOCK - 1, "block": cli._CSV_BLOCK,
+                 "block+1": cli._CSV_BLOCK + 1}[rows]
+        patterns = np.random.default_rng(count).integers(0, 2 ** 64, 5 * count, dtype=np.uint64)
+        values = np.where(np.arange(5 * count) % 2 == 0, patterns.view(float),
+                          np.random.default_rng(count).standard_normal(5 * count))
+        path = tmp_path / "traj.csv"
+        self.assert_per_value_bytes(path, values)
+        assert len(path.read_text().splitlines()) == count + 1
+
+    @seed(28)
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=30))
+    def test_floats_property(self, tmp_path_factory, values):
+        self.assert_per_value_bytes(tmp_path_factory.mktemp("csv") / "traj.csv", values)
+
+    @seed(28)
+    @settings(max_examples=200, deadline=None)
+    @given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=30))
+    def test_bit_patterns_property(self, tmp_path_factory, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(float)
+        self.assert_per_value_bytes(tmp_path_factory.mktemp("csv") / "traj.csv", values)

@@ -202,6 +202,43 @@ class TestEuler:
         assert 1.0 < smin <= 1e-14 * smax
 
 
+class TestOverflowingAudit:
+    """Finite states whose audits overflow end the run in DivergenceError,
+    naming the channel and its first non-finite state."""
+
+    # the states stay finite (momentum entries up to about 2.6e218) while the energy overflows
+    PI0 = (-114.76, 12.62, 88.59)
+    CFG = IntegratorConfig("rk4", 0.25, 1.0)
+
+    @pytest.mark.parametrize("kind", ["euler", "euler-poisson"])
+    def test_config_raises_divergence(self, kind):
+        pi0 = hat(self.PI0)
+        y0 = pi0 if kind == "euler" else np.vstack([np.eye(3), pi0])
+        with pytest.raises(DivergenceError, match="^audit hamiltonian is not finite at step 4$") as err:
+            final_state(kind, standard_spec(), y0, self.CFG)
+        assert err.value.step_index == 4
+
+    @pytest.mark.parametrize("where, first", [
+        ("first block", 5),
+        ("last state of a block", _AUDIT_BLOCK - 1),
+        ("later block", _AUDIT_BLOCK + 3),
+    ])
+    def test_names_earliest_state_then_first_channel(self, where, first):
+        states = np.arange(2 * _AUDIT_BLOCK + 10, dtype=float)
+
+        def overflow_from(i):
+            return lambda b: np.where(b >= i, np.inf, b)
+
+        channels = {
+            "late": overflow_from(first + 1),
+            "rows": lambda b: np.stack([b, overflow_from(first)(b)], axis=1),
+            "tied": lambda b: np.where(b >= first, np.nan, b),
+        }
+        with pytest.raises(DivergenceError, match=f"^audit rows is not finite at step {first}$") as err:
+            integrate._audit(states, channels)
+        assert err.value.step_index == first, where
+
+
 class TestSymrep:
     def test_stationary_when_blocks_equal(self):
         spec = standard_spec()

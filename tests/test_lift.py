@@ -8,7 +8,7 @@ from helpers import (
     standard_spec,
     verify_reduction_reference,
 )
-from nrigid import integrate
+from nrigid import integrate, lift
 from nrigid.body import InertiaSpec, hat
 from nrigid.errors import (
     CertificationError,
@@ -148,6 +148,20 @@ class TestVerifyReduction:
         mu0 = mu0_of(z0)
         traj = integrate_symrep(spec, z0, IntegratorConfig("rk4", 1e-3, 10.0))
         assert max(level_set_defect(z, mu0) for z in traj.states) <= 1e-8
+
+
+    def test_overflowing_audit_is_divergence(self, monkeypatch):
+        # verify_reduction computes its channels as the integrators do, and
+        # checks them the same way
+        def overflowing(z, mu0):
+            values = level_set_defect(z, mu0)
+            values[7:] = np.inf
+            return values
+
+        monkeypatch.setattr(lift, "level_set_defect", overflowing)
+        with pytest.raises(DivergenceError, match="^audit level_set_defect is not finite at step 7$"):
+            verify_reduction(standard_spec(), np.eye(3), standard_pi0(),
+                             IntegratorConfig("rk4", 1e-2, 1.0))
 
 
 class TestVerifyReductionReference:

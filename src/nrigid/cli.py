@@ -16,7 +16,6 @@ import numpy as np
 
 from .body import InertiaSpec, hat
 from .control import BvpProblem, shoot
-from .csvtext import csv_text
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -151,10 +150,13 @@ def load_config(path) -> dict:
 
 
 def _out_path(args, config, key, default) -> Path:
-    name = config["outputs"].get(key, default)
-    base = Path(args.out) if args.out else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
-    return base / name
+    return (Path(args.out) if args.out else Path(".")) / config["outputs"].get(key, default)
+
+
+def _make_out_dir(args) -> None:
+    # made once a run has something to write, not before
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
 
 
 def _state_columns(kind, n):
@@ -178,6 +180,10 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     go out in chunks of `_CSV_BLOCK`, each formatted whole by `csv_text`
     and written at once, so no full-length table is held in memory.
     """
+    # csvtext is imported where a CSV is written or read, so that the commands
+    # that handle none do not compile it where no bytecode is kept
+    from .csvtext import csv_text
+
     n = traj.audits["casimir_spectrum"].shape[1]
     header = (
         ["t"]
@@ -202,10 +208,21 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 
 def load_trajectory_csv(path):
-    """Reload a trajectory CSV; returns (header, rows) with float64 rows."""
+    """Reload a trajectory CSV; returns (header, rows) with float64 rows.
+
+    The rows are bit for bit those of ``np.loadtxt(fh, delimiter=",",
+    ndmin=2)`` after the header line.  `csv_rows` reads them; a body it
+    does not read, and every error, is left to ``np.loadtxt``.
+    """
+    from .csvtext import csv_rows
+
+    with open(path, "rb") as fh:
+        # a CR would end the header line sooner in text mode
+        rows = None if b"\r" in fh.readline() else csv_rows(fh)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if rows is None:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     return header, rows
 
 
@@ -238,6 +255,11 @@ def cmd_simulate(args) -> int:
     if config["cfg"] is None:
         raise ValueError("config must provide an 'integrator' section")
     spec, cfg = config["spec"], config["cfg"]
+    csv_path = _out_path(args, config, "trajectory", f"{args.kind}_trajectory.csv")
+    report_path = _out_path(args, config, "report", f"{args.kind}_report.txt")
+    if csv_path.resolve() == report_path.resolve():
+        raise ValueError(f"outputs.trajectory and outputs.report both name {csv_path}; "
+                         "the report would overwrite the trajectory")
     if args.kind == "euler":
         traj = integrate_euler(spec, config["pi0"], cfg)
     elif args.kind == "symrep":
@@ -245,8 +267,7 @@ def cmd_simulate(args) -> int:
         traj = integrate_symrep(spec, z0, cfg)
     else:
         traj = integrate_euler_poisson(spec, np.vstack([config["q0"], config["pi0"]]), cfg)
-    csv_path = _out_path(args, config, "trajectory", f"{args.kind}_trajectory.csv")
-    report_path = _out_path(args, config, "report", f"{args.kind}_report.txt")
+    _make_out_dir(args)
     write_trajectory_csv(csv_path, traj)
     report = {"kind": traj.kind, "scheme": cfg.scheme, "step": float(cfg.step),
               "t_final": float(cfg.t_final)}
@@ -263,6 +284,7 @@ def cmd_verify_reduction(args) -> int:
     report = verify_reduction(config["spec"], config["q0"], config["pi0"], config["cfg"])
     tolerances = config["tolerances"]
     report_path = _out_path(args, config, "report", "reduction_report.txt")
+    _make_out_dir(args)
     entries = {}
     for key, tolerance in tolerances.items():
         entries[key] = report[key]
@@ -305,6 +327,7 @@ def cmd_solve_bvp(args) -> int:
     sol = shoot(problem, tol=config["bvp"]["tol"],
                 max_iter=config["bvp"]["max_iter"], seed=config["seed"])
     report_path = _out_path(args, config, "report", "bvp_report.txt")
+    _make_out_dir(args)
     entries = {
         "terminal_error": sol.terminal_error,
         "cost": sol.cost,

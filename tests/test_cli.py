@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import BLOCK_CROSSING, invariant_battery_reference
-from nrigid import cli
+from nrigid import cli, csvtext
 from nrigid.cli import load_config, load_trajectory_csv, main, write_trajectory_csv
 from nrigid.errors import CertificationError
 from nrigid.matcore import expm, skew_defect
@@ -120,6 +120,15 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(with_out(command, tmp_path) + ["--config", str(cfg), "--seed", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("report", ["t.csv", "./t.csv"])
+    def test_report_onto_trajectory_exit_2(self, tmp_path, capsys, report):
+        cfg = write_config(tmp_path / "cfg.json", outputs={"trajectory": "t.csv", "report": report})
+        out = tmp_path / "o"
+        assert main(["simulate", "euler", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "outputs.trajectory" in err and "outputs.report" in err
+        assert not out.exists()
 
     def test_lift_rejects_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -618,3 +627,164 @@ class TestTrajectoryCsvFormat:
     def test_bit_patterns_property(self, tmp_path_factory, patterns):
         values = np.array(patterns, dtype=np.uint64).view(float)
         self.assert_per_value_bytes(tmp_path_factory.mktemp("csv") / "traj.csv", values)
+
+
+def loadtxt_reference(path):
+    # load_trajectory_csv as it was: the header line, then np.loadtxt on the rest
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def rows_of_length(size, rng):
+    """Whole CSV rows of five fields, ``size`` bytes in all (``size`` > 200)."""
+    lines, used = [], 0
+    while size - used > 190:
+        lines.append(",".join(format(v, ".17g") for v in rng.standard_normal(5)) + "\n")
+        used += len(lines[-1])
+    rest = size - used  # under 190 bytes, above 190 less a row: three rows of integers
+    for length in (rest // 3, rest // 3, rest - 2 * (rest // 3)):
+        widths = [(length - 5 + i) // 5 for i in range(5)]  # digits of each field, at most 13
+        lines.append(",".join(str(rng.integers(1, 10)) * w for w in widths) + "\n")
+    return "".join(lines)
+
+
+class TestTrajectoryCsvReader:
+    """`load_trajectory_csv` returns exactly what np.loadtxt returns, and raises as it raises."""
+
+    def assert_reads_as_loadtxt(self, path, by_reader=True):
+        header, rows = load_trajectory_csv(path)
+        want_header, want = loadtxt_reference(path)
+        assert header == want_header
+        assert rows.dtype == np.float64 and rows.shape == want.shape and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows.view(np.uint64), want.view(np.uint64))
+        with open(path, "rb") as fh:
+            fh.readline()
+            # whether csv_rows reads the body itself, not np.loadtxt
+            assert (csvtext.csv_rows(fh) is not None) == by_reader
+
+    def assert_written_values_read_back(self, path, values):
+        write_trajectory_csv(path, TestTrajectoryCsvFormat.hand_built(values))
+        self.assert_reads_as_loadtxt(path)
+
+    def test_special_values(self, tmp_path):
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+        smallest = np.finfo(float).tiny
+        values = [0.0, -0.0, tiny, -tiny, 3 * tiny, np.nextafter(smallest, 0.0), smallest,
+                  huge, -huge, np.inf, -np.inf, np.nan]
+        path = tmp_path / "traj.csv"
+        self.assert_written_values_read_back(path, values)
+        assert b"\n0,0,-0,4.9406564584124654e-324," in path.read_bytes()
+
+    def test_g_switch_points(self, tmp_path):
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99995e-5, 0.000099999999999999995,
+                          99999999999999999.0, 9999999999999999.0, 1e16 - 2.0, 1e17 - 16.0])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        self.assert_written_values_read_back(tmp_path / "traj.csv", np.concatenate([values, -values]))
+
+    def test_integers_and_powers_of_ten(self, tmp_path):
+        integers = [1.0, 7.0, 10.0, 123456789.0, 2.0 ** 52, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60]
+        powers = np.array([float(f"1e{e}") for e in range(-30, 23)])
+        values = np.concatenate([integers, powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        self.assert_written_values_read_back(tmp_path / "traj.csv", np.concatenate([values, -values]))
+
+    def test_ties_and_seventeen_digit_mantissas(self, tmp_path):
+        # m / 4 with m odd in [2**52, 2**53) lies halfway between two 17-digit decimals,
+        # and every normal value's 17 digits reach past 2**53
+        rng = np.random.default_rng(29)
+        m = rng.integers(2 ** 51, 2 ** 52, 300) * 2 + 1
+        values = np.concatenate([m / 4.0, rng.standard_normal(300) * 10.0 ** rng.integers(-8, 12, 300)])
+        self.assert_written_values_read_back(tmp_path / "traj.csv", values)
+
+    @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1"])
+    def test_body_sizes_around_the_block(self, tmp_path, size):
+        # a body of whole rows ending one byte before, at and one byte after a read block
+        rng = np.random.default_rng(3)
+        path = tmp_path / "traj.csv"
+        if size == "one":
+            body = ",".join(format(v, ".17g") for v in rng.standard_normal(5)) + "\n"
+        else:
+            length = csvtext._READ_BLOCK + {"block-1": -1, "block": 0, "block+1": 1}[size]
+            body = rows_of_length(length, rng)
+            assert len(body) == length
+        path.write_text("a,b,c,d,e\n" + body)
+        self.assert_reads_as_loadtxt(path)
+
+    def test_row_longer_than_a_block(self, tmp_path):
+        values = np.random.default_rng(5).standard_normal((2, csvtext._READ_BLOCK // 12))
+        path = tmp_path / "traj.csv"
+        path.write_text("h\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                                         for row in values.tolist()))
+        assert len(path.read_bytes()) > 2 * csvtext._READ_BLOCK
+        self.assert_reads_as_loadtxt(path)
+
+    def test_missing_final_newline(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, TestTrajectoryCsvFormat.hand_built(
+            np.random.default_rng(7).standard_normal(40)))
+        path.write_bytes(path.read_bytes()[:-1])
+        self.assert_reads_as_loadtxt(path)
+
+    @pytest.mark.parametrize("body, by_reader", [
+        (b"0.1,2\n", True), (b"007,-0.000\n", True), (b"1e-05,inf\n", True),
+        (b".5,2\n", False), (b"1.,2\n", False), (b"1e5,2\n", False), (b"1E5,2\n", False),
+        (b"+1,2\n", False), (b" 1,2\n", False), (b"1,2\r\n3,4\r\n", False),
+        (b"1,2\n\n3,4\n", False), (b"# note\n1,2\n", False), (b"1,2 # note\n", False),
+        (b"-nan,2\n", False), (b"Infinity,2\n", False),
+        (b"12345678901234567890,0.0000000000000000000001\n", True),
+        (b"123456789012345678.5,99999999999999999999999\n", True),
+        (b"18446744073709551617,-0.18446744073709551617\n", True),  # 2**64 + 1
+    ], ids=["0.1", "leading-zeros", "exponent-form", ".5", "1.", "1e5", "1E5", "+1", "space",
+            "CRLF", "blank-line", "comment-line", "comment", "-nan", "Infinity", "long-digits",
+            "long-digits-2", "digits-past-2**64"])
+    def test_valid_non_canonical_files(self, tmp_path, body, by_reader):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(b"a,b\n" + body)
+        self.assert_reads_as_loadtxt(path, by_reader)
+
+    def test_cr_in_header_line(self, tmp_path):
+        # text mode ends the header line at the CR, so the body begins there
+        path = tmp_path / "traj.csv"
+        path.write_bytes(b"a,b\r1,2\n3,4\n")
+        header, rows = load_trajectory_csv(path)
+        assert (header, rows.tolist()) == (["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+        want_header, want = loadtxt_reference(path)
+        assert header == want_header and np.array_equal(rows, want)
+
+    @pytest.mark.parametrize("body", [
+        b"1,2\n3\n", b"1,2\n3\n4,5,6\n", b"1\n2,3\n", b"1_0,2\n", b"1.2.3,4\n", b"1,,2\n",
+        b"1,\xc3\xa9\n", b"1,\xff\n", b"1,-\n", b"1,.\n", b"1,2\n3,4,\n",
+    ], ids=["ragged", "ragged-same-count", "ragged-first-short", "1_0", "1.2.3", "empty-field",
+            "non-ascii", "not-utf-8", "minus", "dot", "trailing-comma"])
+    def test_malformed_files_raise_as_loadtxt(self, tmp_path, body):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(b"a,b\n" + body)
+        with pytest.raises(Exception) as want:
+            loadtxt_reference(path)
+        with pytest.raises(want.type) as got:
+            load_trajectory_csv(path)
+        assert str(got.value) == str(want.value)
+        with open(path, "rb") as fh:
+            fh.readline()
+            assert csvtext.csv_rows(fh) is None
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.parametrize("text", [b"", b"a,b", b"a,b\n"], ids=["empty", "no-newline", "header"])
+    def test_no_rows(self, tmp_path, text):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(text)
+        self.assert_reads_as_loadtxt(path, by_reader=False)
+
+    @seed(29)
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=30))
+    def test_floats_property(self, tmp_path_factory, values):
+        self.assert_written_values_read_back(tmp_path_factory.mktemp("csv") / "traj.csv", values)
+
+    @seed(29)
+    @settings(max_examples=200, deadline=None)
+    @given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=30))
+    def test_bit_patterns_property(self, tmp_path_factory, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(float)
+        self.assert_written_values_read_back(tmp_path_factory.mktemp("csv") / "traj.csv", values)

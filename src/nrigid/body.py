@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .matcore import _as_square, _commutator, _halves, _mm, inner
+from .matcore import _as_square, inner
 
 __all__ = [
     "InertiaSpec",
@@ -68,9 +68,7 @@ def _check_n_by_n(spec: InertiaSpec, m) -> np.ndarray:
     # The last two axes are checked, so stacks (..., n, n) pass too.
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (spec.n, spec.n):
-        raise DimensionError(
-            f"expected a {spec.n}x{spec.n} matrix, got shape {m.shape}"
-        )
+        raise DimensionError(f"expected a {spec.n}x{spec.n} matrix, got shape {m.shape}")
     return m
 
 
@@ -80,16 +78,12 @@ def inertia_apply(spec: InertiaSpec, omega) -> np.ndarray:
     return spec._pair_sums * omega
 
 
-def _inertia_inverse(spec: InertiaSpec, pi) -> np.ndarray:
-    return pi / spec._pair_sums
-
-
 def inertia_inverse(spec: InertiaSpec, pi) -> np.ndarray:
     """Body velocity from body momentum: entrywise pi_ij / (lambda_i + lambda_j).
 
     Accepts stacks ``(..., n, n)``.
     """
-    return _inertia_inverse(spec, _check_n_by_n(spec, pi))
+    return _check_n_by_n(spec, pi) / spec._pair_sums
 
 
 def reduced_hamiltonian(spec: InertiaSpec, pi):
@@ -101,30 +95,47 @@ def reduced_hamiltonian(spec: InertiaSpec, pi):
     return 0.5 * inner(pi, inertia_inverse(spec, pi))
 
 
-def _euler_rhs(spec: InertiaSpec, pi) -> np.ndarray:
-    return _commutator(pi, _inertia_inverse(spec, pi))
+def _euler_kernels(spec: InertiaSpec, mm):
+    # The Euler field [pi, om], the body velocity om = I^{-1} pi and the action
+    # g^T pi g, over the last two axes; mm is np.ndarray.dot or np.matmul.
+    sums = spec._pair_sums
+
+    def field(pi):
+        om = pi / sums
+        return mm(pi, om) - mm(om, pi)
+
+    def velocity(pi):
+        return pi / sums
+
+    def act(pi, g):
+        return mm(mm(g.swapaxes(-2, -1), pi), g)
+    return field, velocity, act
 
 
 def euler_rhs(spec: InertiaSpec, pi) -> np.ndarray:
     """Right-hand side [pi, I^{-1} pi] of the Euler equation on so(n)."""
-    return _euler_rhs(spec, _as_square(_check_n_by_n(spec, pi)))
+    return _euler_kernels(spec, np.ndarray.dot)[0](_as_square(_check_n_by_n(spec, pi)))
 
 
-def _attitude_momentum_velocity(spec: InertiaSpec, y) -> np.ndarray:
-    """Body velocity om = I^{-1} pi of an attitude and momentum stacked as [Q; pi].
+def _attitude_momentum_kernels(spec: InertiaSpec, mm):
+    # The field (Q om, [pi, om]) of y = [Q; pi], the body velocity om = I^{-1} pi
+    # and the action [Q g; g^T pi g], as in `_euler_kernels`.
+    n, sums = spec.n, spec._pair_sums
+    attitude, momentum = (..., slice(n), slice(None)), (..., slice(n, None), slice(None))
 
-    Over the last two axes, so a batch ``(B, 2n, n)`` of stacks passes too.
-    """
-    return _inertia_inverse(spec, y[_halves(spec.n)[1]])
+    def field(y):
+        om = y[momentum] / sums
+        ydot = mm(y, om)
+        ydot[momentum] -= mm(om, y[momentum])
+        return ydot
 
+    def velocity(y):
+        return y[momentum] / sums
 
-def _euler_poisson_rhs(spec: InertiaSpec, y) -> np.ndarray:
-    # Over the last two axes, so a batch (B, 2n, n) of stacks steps too.
-    momentum = _halves(spec.n)[1]
-    om = _attitude_momentum_velocity(spec, y)
-    ydot = _mm(y, om)
-    ydot[momentum] -= _mm(om, y[momentum])
-    return ydot
+    def act(y, g):
+        return np.concatenate([mm(y[attitude], g), mm(mm(g.swapaxes(-2, -1), y[momentum]), g)],
+                              axis=-2)
+    return field, velocity, act
 
 
 def euler_poisson_rhs(spec: InertiaSpec, y) -> np.ndarray:
@@ -135,10 +146,9 @@ def euler_poisson_rhs(spec: InertiaSpec, y) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (2 * spec.n, spec.n):
-        raise DimensionError(
-            f"expected a [Q; pi] stack of shape {(2 * spec.n, spec.n)}, got shape {y.shape}"
-        )
-    return _euler_poisson_rhs(spec, y)
+        raise DimensionError(f"expected a [Q; pi] stack of shape {(2 * spec.n, spec.n)}, "
+                             f"got shape {y.shape}")
+    return _attitude_momentum_kernels(spec, np.ndarray.dot)[0](y)
 
 
 def hat(v) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import InertiaSpec, _inertia_inverse
+from .body import InertiaSpec
 from .errors import ConvergenceError, DimensionError
 from .integrate import IntegratorConfig, Trajectory, _one_body
 from .integrate import _euler_poisson, _euler_poisson_trajectory
@@ -87,7 +87,7 @@ def _rest_jacobian(problem: BvpProblem, upper) -> np.ndarray:
     # order, as `shoot`'s forward-difference Jacobians are.
     spec, cfg = problem.spec, problem.cfg
     basis = _skew_from_params(np.eye(len(upper[0])), upper, spec.n)
-    tangents = cfg.steps * cfg.step * np.matmul(problem.q0, _inertia_inverse(spec, basis))
+    tangents = cfg.steps * cfg.step * np.matmul(problem.q0, basis / spec._pair_sums)
     return np.ascontiguousarray(tangents.reshape(len(basis), -1).T)
 
 

@@ -65,10 +65,10 @@ def _tables():
 def _scaled(mag, k, pow5):
     # |x| 10**k = m 5**k 2**-s for |x| = m 2**q and s = -(q + k), taken exactly as
     # a (high, low) pair of words: the integer part, the round bit, the sticky
-    # bits, and where the shift s is 1 to 63 and 0 <= k <= 27 (5**27 < 2**63).
-    s = 1075 - (mag >> 52) - k.astype(np.uint64)
-    ok = (s - 1 < 63) & (k.astype(np.uint64) <= 27)
-    s[~ok] = 1
+    # bits, and where the shift s is 1 to 63 and 0 <= k <= 27 (5**27 < 2**63);
+    # elsewhere the words go unread (numpy shifts a uint64 by 64 or more to 0).
+    s = 1075 - (mag >> 52) - (ku := k.astype(np.uint64))
+    ok = (s - 1 < 63) & (ku <= 27)
     m, p = (mag & (2 ** 52 - 1)) | 2 ** 52, pow5.take(k, mode="clip")
     m0, m1, p0, p1 = m & (2 ** 32 - 1), m >> 32, p & (2 ** 32 - 1), p >> 32
     lo, mid = m0 * p0, m0 * p1 + m1 * p0

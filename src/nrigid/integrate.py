@@ -25,13 +25,15 @@ every accepted step into one stacked array and raises the run's failure;
 the audits are per-state checks computed from that stack, over blocks of
 states.  The `integrate_*` functions join the two, and `verify_reduction`
 and `shoot` audit only what they read.  At n = 3 the loop costs numpy's
-per-call overhead more than arithmetic, so it takes numpy's short paths,
-to the bits of the plain forms: ``ndarray.dot`` for a product of two
-matrices (`matcore._mm`) and matmul for a stack; stage coefficients as 0-d
-arrays built once per run; the blocks of a state ``(..., 2n, n)`` by index
-tuples built once per n (`matcore._halves`); LAPACK's inverse gufunc
-without the wrapper of ``np.linalg.inv``, one per rkmk4 stage; and as the
-finiteness test ``d.dot(d) == 0`` for ``d = (y - y).ravel()``, since x - x
+per-call overhead more than arithmetic, so each run binds its kernels
+once, to the bits of the plain forms: the product (``ndarray.dot`` for one
+state, matmul for a batch), the picture's field, velocity and action
+(`body._euler_kernels`, `symrep._symrep_kernels`,
+`body._attitude_momentum_kernels`) with their pair sums and block slices,
+and the scheme's one ``step(y)`` with its stage coefficients as 0-d
+arrays, its identity and its norm.  rkmk4 inverts by LAPACK's gufunc
+without the wrapper of ``np.linalg.inv``, and the finiteness test is
+``d.dot(d) == 0`` for ``d = (y - y).ravel()``, since x - x
 is +0 for finite x and NaN for an infinity or NaN.  A kernel also steps a
 batch of initial states along a leading axis, each member its own run bit
 for bit (under midpoint each stops at its own fixed-point count); the loop
@@ -52,26 +54,23 @@ order checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.linalg._umath_linalg import inv as _inv
 
-from .body import InertiaSpec, reduced_hamiltonian
-from .body import _attitude_momentum_velocity, _euler_poisson_rhs, _euler_rhs, _inertia_inverse
+from .body import InertiaSpec, _attitude_momentum_kernels, _euler_kernels, reduced_hamiltonian
 from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
 from .matcore import (
     _frobenius,
-    _halves,
     _identity,
-    _mm,
+    _matrix_frobenius,
     _polar_project,
     orthogonality_defect,
     require_rotation,
     require_skew,
 )
 from .moment import casimir_spectrum, on_momentum, sp_momentum
-from .symrep import FULL_RANK_TOL, _optimal_control, _symrep_rhs, min_singular_value
+from .symrep import FULL_RANK_TOL, _symrep_kernels, min_singular_value
 
 __all__ = [
     "IntegratorConfig",
@@ -82,9 +81,6 @@ __all__ = [
 ]
 
 _SCHEMES = ("rk4", "rkmk4", "midpoint")
-
-# The divisors d of each scheme's stage coefficients h/d.
-_DIVISORS = {"rk4": (2.0, 1.0, 6.0), "rkmk4": (4.0, 2.0, 12.0), "midpoint": (2.0,)}
 
 # States per block of the audit pass.  It bounds the temporaries of the
 # audits, the 2n x 2n symplectic momentum values above all, whatever the
@@ -97,9 +93,9 @@ _MIDPOINT_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """``scheme`` (rk4, rkmk4 or midpoint), ``step``, ``t_final`` and
-    ``project_attitude``.  ``t_final`` must be a whole number of steps,
-    which construction stores as ``steps``.  ``project_attitude``
+    """``scheme`` (rk4, rkmk4 or midpoint), ``step``, ``t_final`` (real numbers,
+    stored as floats) and ``project_attitude``.  ``t_final`` must be a whole
+    number of steps, which construction stores as ``steps``.  ``project_attitude``
     polar-projects the rotation blocks after every step, which repairs the
     drift of rk4 and midpoint; under rkmk4 it only adds round-off.
     Midpoint's fixed-point iteration stops at a change of at most
@@ -114,19 +110,20 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {_SCHEMES}")
-        if not (self.step > 0.0 and np.isfinite(self.step)):
-            raise ValueError("step must be positive and finite")
-        if not (self.t_final > 0.0 and np.isfinite(self.t_final)):
-            raise ValueError("t_final must be positive and finite")
+        for name, value in (("step", self.step), ("t_final", self.t_final)):
+            if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not (value > 0.0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, float(value))  # float32 rounds the stage coefficients
         if self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
         if not isinstance(self.project_attitude, (bool, np.bool_)):
             raise ValueError(f"project_attitude must be a bool, got {self.project_attitude!r}")
         k = round(self.t_final / self.step)
         if abs(k * self.step - self.t_final) > 1e-9 * max(1.0, self.t_final):
-            raise ValueError(
-                f"t_final {self.t_final} is not an integer multiple of step {self.step}"
-            )
+            raise ValueError(f"t_final {self.t_final} is not an integer multiple "
+                             f"of step {self.step}")
         object.__setattr__(self, "steps", int(k))
 
 
@@ -148,7 +145,9 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.isfinite(self.times).all():
+            raise ValueError("times must be finite")
+        if not (np.diff(self.times) > 0).all():
             raise ValueError("times must be strictly increasing")
         for name, channel in self.audits.items():
             if len(channel) != len(self.times):
@@ -158,91 +157,89 @@ class Trajectory:
         return len(self.times)
 
 
-def _rk4_step(rhs, y, c):
-    half, whole, sixth = c
-    k1 = rhs(y)
-    k2 = rhs(y + half * k1)
-    k3 = rhs(y + half * k2)
-    k4 = rhs(y + whole * k3)
-    return y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+def _rk4(field, h):
+    # Classical RK4.  The stage coefficients are 0-d arrays: numpy multiplies
+    # an array by a 0-d array faster than by a Python float, to the same bits.
+    half, whole, sixth = (np.array(h / d) for d in (2.0, 1.0, 6.0))
+
+    def step(y):
+        k1 = field(y)
+        k2 = field(y + half * k1)
+        k3 = field(y + half * k2)
+        k4 = field(y + whole * k3)
+        return y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    return step
 
 
-def _cayley(a):
-    # The Cayley chart at theta = 2a over the last two axes: cay(theta), and p = I + a
-    # and m = I - a, which pull a body velocity omega at cay(theta) back to theta' = p
-    # omega m.  The inverse is np.linalg.inv's gufunc without its wrapper (two thirds
-    # of a 3 x 3 inverse's cost); a singular member comes out NaN, a divergence in _run.
-    eye = _identity(a.shape[-1])
-    p, m = eye + a, eye - a
-    return _mm(p, _inv(m, signature="d->d")), p, m
+def _cayley(n, mm):
+    # The Cayley chart at theta = 2a: a -> (cay(theta), p, m), where p = I + a and
+    # m = I - a pull a body velocity omega at cay(theta) back to theta' = p omega m.
+    # The inverse is np.linalg.inv's gufunc without its wrapper (two thirds of a
+    # 3 x 3 inverse's cost); a singular member comes out NaN, a divergence in _run.
+    eye = _identity(n)
+
+    def chart(a):
+        p, m = eye + a, eye - a
+        return mm(p, _inv(m, signature="d->d")), p, m
+    return chart
 
 
-def _rkmk4_step(omega_of, act, y, c):
-    # Classical RK4 on the chart variable theta from 0 at y; a = theta/2,
-    # so c holds h/4, h/2 and h/12.
-    quarter, half, twelfth = c
-    k1 = omega_of(y)
-    g, p, m = _cayley(quarter * k1)
-    k2 = _mm(_mm(p, omega_of(act(g, y))), m)
-    g, p, m = _cayley(quarter * k2)
-    k3 = _mm(_mm(p, omega_of(act(g, y))), m)
-    g, p, m = _cayley(half * k3)
-    k4 = _mm(_mm(p, omega_of(act(g, y))), m)
-    return act(_cayley(twelfth * (k1 + (k2 + k2) + (k3 + k3) + k4))[0], y)
+def _rkmk4(velocity, act, h, chart, mm):
+    # Classical RK4 on the chart variable theta from 0 at y; a = theta/2, so
+    # the coefficients are h/4, h/2 and h/12.
+    quarter, half, twelfth = (np.array(h / d) for d in (4.0, 2.0, 12.0))
+
+    def step(y):
+        k1 = velocity(y)
+        g, p, m = chart(quarter * k1)
+        k2 = mm(mm(p, velocity(act(y, g))), m)
+        g, p, m = chart(quarter * k2)
+        k3 = mm(mm(p, velocity(act(y, g))), m)
+        g, p, m = chart(half * k3)
+        k4 = mm(mm(p, velocity(act(y, g))), m)
+        return act(y, chart(twelfth * (k1 + (k2 + k2) + (k3 + k3) + k4))[0])
+    return step
 
 
-def _midpoint_step(rhs, y, half):
-    # The implicit midpoint rule by fixed-point iteration on one state (rows,
-    # n) or a batch (B, rows, n).  The test is a Python bool for one state,
-    # one bool per member of a batch, each that of its own run bit for bit
-    # (`_frobenius`).  A member that passes is frozen into `out` and no longer
+def _midpoint(field, h, norm):
+    # The implicit midpoint rule by fixed-point iteration.  The test is a Python
+    # bool for one state, one bool per member of a batch, each that of its own
+    # run bit for bit.  A member that passes is frozen into `out` and no longer
     # evaluated; arrays are re-indexed only when some, not all, members pass.
-    tol, max_iter = _MIDPOINT_TOL, _MIDPOINT_MAX_ITER
-    out = active = None
-    m = y + half * rhs(y)
-    for _ in range(max_iter):
-        m_next = y + half * rhs(m)
-        done = _frobenius(m_next - m) <= tol
-        m = m_next
-        if done is False:
-            continue
-        if done is True or done.all():
-            if out is None:
-                return (m + m) - y
-            out[active] = (m + m) - y
-            return out
-        if done.any():
-            if out is None:
-                out, active = np.empty_like(y), np.arange(len(y))
-            out[active[done]] = (m + m)[done] - y[done]
-            active, m, y = active[~done], m[~done], y[~done]
-    raise ConvergenceError(
-        f"implicit midpoint fixed point did not reach {tol:g} in {max_iter} iterations"
-    )
+    half, tol, max_iter = np.array(h / 2.0), _MIDPOINT_TOL, _MIDPOINT_MAX_ITER
+
+    def step(y):
+        out = active = None
+        m = y + half * field(y)
+        for _ in range(max_iter):
+            m_next = y + half * field(m)
+            done = norm(m_next - m) <= tol
+            m = m_next
+            if done is False:
+                continue
+            if done is True or done.all():
+                if out is None:
+                    return (m + m) - y
+                out[active] = (m + m) - y
+                return out
+            if done.any():
+                if out is None:
+                    out, active = np.empty_like(y), np.arange(len(y))
+                out[active[done]] = (m + m)[done] - y[done]
+                active, m, y = active[~done], m[~done], y[~done]
+        raise ConvergenceError(f"implicit midpoint fixed point did not reach {tol:g} "
+                               f"in {max_iter} iterations")
+    return step
 
 
-def _conjugate(g, pi):
-    return _mm(_mm(g.swapaxes(-2, -1), pi), g)
-
-
-def _translate(g, z):
-    return _mm(z, g)
-
-
-def _translate_and_conjugate(g, y):
-    # Attitude translated, momentum conjugated, on stacks [Q; pi] over the last two axes.
-    attitude, momentum = _halves(y.shape[-1])
-    return np.concatenate([_translate(g, y[attitude]), _conjugate(g, y[momentum])], axis=-2)
-
-
-def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
-    """Step y0 by the field rhs(spec, y), or by omega_of(spec, y) and act(g, y) for rkmk4.
+def _run(spec, y0, cfg: IntegratorConfig, kernels, rotations=()):
+    """Step y0 by ``kernels(spec, mm)``: a field, a body velocity and its action ``act(y, g)``.
 
     y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` whose members
     step as their own runs bit for bit.  Returns the times, the stored states
-    ``(N+1, rows, n)`` (of the first member only, whatever B is), the last
-    state of every member and the failure of the step that failed, or None:
-    a DivergenceError, or a ConvergenceError (reason "fixed_point") where
+    ``(N+1, rows, n)`` (of the first member only), the last state of every
+    member and the failure of the step that failed, or None: a
+    DivergenceError, or a ConvergenceError (reason "fixed_point") where
     midpoint's iteration did not converge.  A failed run (a batch at the
     first step any member fails) returns what it stored before that step.
 
@@ -262,15 +259,12 @@ def _run(spec, y0, cfg: IntegratorConfig, rhs, omega_of, act, rotations=()):
             what = rotations[j % blocks]
             raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
     steps, h = cfg.steps, cfg.step
-    field, velocity = partial(rhs, spec), partial(omega_of, spec)
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
-    # The stage coefficients h/d, built once as 0-d arrays: numpy multiplies
-    # an array by a 0-d array faster than by a Python float, to the same bits.
-    c = tuple(np.array(h / d) for d in _DIVISORS[cfg.scheme])
-    advance = {"rk4": lambda y: _rk4_step(field, y, c),
-               "rkmk4": lambda y: _rkmk4_step(velocity, act, y, c),
-               "midpoint": lambda y: _midpoint_step(field, y, c[0])}[cfg.scheme]
+    mm, norm = (np.matmul, _frobenius) if lead else (np.ndarray.dot, _matrix_frobenius)
+    field, velocity, act = kernels(spec, mm)
+    advance = {"rk4": lambda: _rk4(field, h), "midpoint": lambda: _midpoint(field, h, norm),
+               "rkmk4": lambda: _rkmk4(velocity, act, h, _cayley(n, mm), mm)}[cfg.scheme]()
     states = np.empty((steps + 1,) + y.shape[-2:])
     states[0] = y[first]
     times = np.arange(steps + 1) * h
@@ -339,7 +333,7 @@ def _euler(spec: InertiaSpec, pi0, cfg: IntegratorConfig):
     pi0 = require_skew(np.asarray(pi0, dtype=float))
     if pi0.shape != (spec.n, spec.n):
         raise DimensionError(f"momentum has shape {pi0.shape}, expected {(spec.n, spec.n)}")
-    times, states, _, failure = _run(spec, pi0, cfg, _euler_rhs, _inertia_inverse, _conjugate)
+    times, states, _, failure = _run(spec, pi0, cfg, _euler_kernels)
     if failure is not None:
         raise failure
     return times, states
@@ -362,7 +356,7 @@ def _symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig):
     n = spec.n
     if z0.shape != (2 * n, n):
         raise DimensionError(f"phase point has shape {z0.shape}, expected {(2 * n, n)}")
-    times, states, _, failure = _run(spec, z0, cfg, _symrep_rhs, _optimal_control, _translate,
+    times, states, _, failure = _run(spec, z0, cfg, _symrep_kernels,
                                      rotations=("Q block of z0", "P block of z0"))
     # The rank alone first: its loss wins over a later failure, and other audits may overflow.
     margin = _audit(states, {"rank_margin": min_singular_value})["rank_margin"]
@@ -408,8 +402,7 @@ def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
     # The attitude-momentum run behind integrate_euler_poisson and shoot, of one
     # stack [Q; pi] or a batch (B, 2n, n): the first member's times and states
     # and every member's last state, unaudited, or the run's failure raised.
-    times, states, last, failure = _run(spec, y0, cfg, _euler_poisson_rhs,
-                                        _attitude_momentum_velocity, _translate_and_conjugate,
+    times, states, last, failure = _run(spec, y0, cfg, _attitude_momentum_kernels,
                                         rotations=("the attitude block of y0",))
     if failure is not None:
         raise failure

@@ -73,8 +73,13 @@ def _flat_dot(a, b):
 
 def _frobenius(m):
     """Frobenius norm over the last two axes, in the manner of `_flat_dot`."""
-    d = _flat_dot(m, m)
-    return math.sqrt(d) if m.ndim == 2 else np.sqrt(d)
+    return _matrix_frobenius(m) if m.ndim == 2 else np.sqrt(_flat_dot(m, m))
+
+
+def _matrix_frobenius(m) -> float:
+    # `_frobenius` of one matrix, for callers that know m is one and skip the test.
+    r = m.ravel()
+    return math.sqrt(r.dot(r))
 
 
 def inner(a, b):
@@ -91,17 +96,10 @@ def inner(a, b):
 
 
 def _mm(a, b) -> np.ndarray:
-    """``a @ b``, through ``ndarray.dot`` when both are matrices.
-
-    ``dot`` makes the same BLAS call as matmul, bit for bit, but skips
-    matmul's gufunc dispatch, about half the cost of a 3 x 3 ``@``; a
-    stack keeps matmul, which broadcasts where ``dot`` does not.
-    """
+    """``a @ b``, through ``ndarray.dot`` when both are matrices: the same BLAS
+    call, bit for bit, without matmul's gufunc dispatch (about half the cost
+    of a 3 x 3 ``@``); a stack keeps matmul, which broadcasts."""
     return a.dot(b) if a.ndim == b.ndim == 2 else a @ b
-
-
-def _commutator(a, b) -> np.ndarray:
-    return _mm(a, b) - _mm(b, a)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -110,7 +108,7 @@ def commutator(a, b) -> np.ndarray:
     b = _as_square(b, stacked=True)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _commutator(a, b)
+    return _mm(a, b) - _mm(b, a)
 
 
 @lru_cache(maxsize=None)
@@ -118,12 +116,6 @@ def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
-
-
-@lru_cache(maxsize=None)
-def _halves(n: int):
-    # Index tuples of the top and bottom n rows of (..., 2n, n), faster than literals.
-    return (..., slice(n), slice(None)), (..., slice(n, None), slice(None))
 
 
 def _expm(a, squarings) -> np.ndarray:

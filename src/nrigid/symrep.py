@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .body import InertiaSpec, _inertia_inverse, inertia_apply, reduced_hamiltonian
+from .body import InertiaSpec, inertia_apply, reduced_hamiltonian
 from .errors import DimensionError
-from .matcore import _flat_dot, _halves, _jmat, _mm, inner
+from .matcore import _flat_dot, _jmat, inner
 
 __all__ = [
     "FULL_RANK_TOL",
@@ -114,16 +114,25 @@ def _phase_point_of(spec: InertiaSpec, z, stacked=False) -> np.ndarray:
     return z
 
 
-def _optimal_control(spec: InertiaSpec, z) -> np.ndarray:
-    # Over the last two axes, so a batch (B, 2n, n) of phase points steps too.
-    q, p = _halves(spec.n)
-    m = _mm(z[q].swapaxes(-1, -2), z[p])
-    return _inertia_inverse(spec, m - m.swapaxes(-1, -2))
+def _symrep_kernels(spec: InertiaSpec, mm):
+    # The flow field Z u*(Z), the maximizing control u*(Z) = I^{-1}(Q^T P - P^T Q)
+    # and the action Z g, which is mm itself (np.ndarray.dot or np.matmul), over
+    # the last two axes.
+    n, sums = spec.n, spec._pair_sums
+    q, p = (..., slice(n), slice(None)), (..., slice(n, None), slice(None))
+
+    def velocity(z):
+        m = mm(z[q].swapaxes(-1, -2), z[p])
+        return (m - m.swapaxes(-1, -2)) / sums
+
+    def field(z):
+        return mm(z, velocity(z))
+    return field, velocity, mm
 
 
 def optimal_control(spec: InertiaSpec, z) -> np.ndarray:
     """The control maximizing the control Hamiltonian: I^{-1}(Q^T P - P^T Q)."""
-    return _optimal_control(spec, _phase_point_of(spec, z))
+    return _symrep_kernels(spec, np.ndarray.dot)[1](_phase_point_of(spec, z))
 
 
 def control_hamiltonian(spec: InertiaSpec, z, u) -> float:
@@ -146,10 +155,6 @@ def hamiltonian(spec: InertiaSpec, z):
     return reduced_hamiltonian(spec, z.swapaxes(-1, -2) @ (_jmat(spec.n) @ z))
 
 
-def _symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
-    return _mm(z, _optimal_control(spec, z))
-
-
 def symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
     """Flow field of the symmetric representation: Zdot = Z u*(Z).
 
@@ -157,4 +162,4 @@ def symrep_rhs(spec: InertiaSpec, z) -> np.ndarray:
     this is the Hamiltonian vector field of `hamiltonian` for the flat
     symplectic form.
     """
-    return _symrep_rhs(spec, _phase_point_of(spec, z))
+    return _symrep_kernels(spec, np.ndarray.dot)[0](_phase_point_of(spec, z))

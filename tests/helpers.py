@@ -103,6 +103,12 @@ def midpoint_step_reference(field, y, h, tol=1e-13, max_iter=100):
     raise ConvergenceError(f"no fixed point in {max_iter} iterations")
 
 
+def field_kernels(field):
+    """A kernel factory for `integrate._run` that steps ``field(y)`` under rk4
+    or midpoint; it has no body velocity or action for rkmk4."""
+    return lambda spec, mm: (field, None, None)
+
+
 def fields_reference(kind, spec):
     """The field, body velocity and group action of one ``kind`` of state."""
     n = spec.n

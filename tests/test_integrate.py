@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    field_kernels,
     fields_reference,
     midpoint_step_reference,
     random_phase,
@@ -15,10 +16,8 @@ from helpers import (
 )
 from nrigid.body import (
     InertiaSpec,
-    _attitude_momentum_velocity,
-    _euler_poisson_rhs,
-    _euler_rhs,
-    _inertia_inverse,
+    _attitude_momentum_kernels,
+    _euler_kernels,
     euler_poisson_rhs,
     euler_rhs,
     hat,
@@ -31,10 +30,7 @@ from nrigid.integrate import (
     IntegratorConfig,
     Trajectory,
     _cayley,
-    _conjugate,
     _run,
-    _translate,
-    _translate_and_conjugate,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
@@ -43,8 +39,7 @@ from nrigid.lift import solve_lift
 from nrigid.matcore import expm, polar_project, random_rotation, random_skew, rotation_defect
 from nrigid.symrep import (
     FULL_RANK_TOL,
-    _optimal_control,
-    _symrep_rhs,
+    _symrep_kernels,
     min_singular_value,
     optimal_control,
     phase_point,
@@ -116,11 +111,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             IntegratorConfig(**fields)
 
+    @pytest.mark.parametrize("field, value", [
+        # True once made a step of 1: IntegratorConfig("rk4", True, 2.0).steps was 2.
+        ("step", True), ("t_final", True), ("step", np.True_), ("t_final", False),
+        ("step", "0.1"), ("t_final", 1.0 + 0.0j), ("step", None), ("t_final", np.array(1.0)),
+    ])
+    def test_non_real_step_and_horizon_rejected(self, field, value):
+        fields = {"scheme": "rk4", "step": 1.0, "t_final": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            IntegratorConfig(**fields)
+
+    @pytest.mark.parametrize("step, t_final", [
+        (np.float64(0.5), np.float64(2.0)), (np.float32(0.5), np.int64(2)), (1, 3),
+    ])
+    def test_numpy_and_integer_scalars_accepted(self, step, t_final):
+        # Each is stored as a float: a float32 step once gave float32 stage
+        # coefficients, and a run 2.2e-8 away from that of the same step as a float.
+        cfg = IntegratorConfig("rk4", step, t_final)
+        assert type(cfg.step) is float and type(cfg.t_final) is float
+        assert cfg.steps == round(t_final / step)
+        plain = IntegratorConfig("rk4", float(step), float(t_final))
+        np.testing.assert_array_equal(integrate_euler(ORDER_SPEC, ORDER_PI0, cfg).states,
+                                      integrate_euler(ORDER_SPEC, ORDER_PI0, plain).states)
+
     @pytest.mark.parametrize("times, audits, message", [
         ([0.0, 0.0, 1.0], {}, "times must be strictly increasing"),
         ([0.0, 2.0, 1.0], {}, "times must be strictly increasing"),
         ([0.0, 0.5, 1.0], {"hamiltonian": np.zeros(2)},
          "audit channel 'hamiltonian' has inconsistent length"),
+        # np.diff(times) <= 0 is False at a NaN, which once let these pass.
+        ([0.0, 0.5, np.nan], {}, "times must be finite"),
+        ([np.nan, 0.5, 1.0], {}, "times must be finite"),
+        ([0.0, 0.5, np.inf], {}, "times must be finite"),
     ])
     def test_trajectory_checked(self, times, audits, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -603,6 +625,46 @@ class TestKernelsAgainstPublicFunctions:
         assert err.value.step_index == 1
 
 
+class TestRunKernels:
+    """The public fields are the kernels a run binds, bit for bit, and the
+    kernels bound to ``np.matmul`` step a stack as those bound to
+    ``np.ndarray.dot`` step each member."""
+
+    FACTORIES = {"euler": _euler_kernels, "symrep": _symrep_kernels,
+                 "euler-poisson": _attitude_momentum_kernels}
+
+    @staticmethod
+    def public(kind, spec):
+        # The public field and body velocity of each kind of state.
+        n = spec.n
+        return {"euler": (lambda pi: euler_rhs(spec, pi), lambda pi: inertia_inverse(spec, pi)),
+                "symrep": (lambda z: symrep_rhs(spec, z), lambda z: optimal_control(spec, z)),
+                "euler-poisson": (lambda y: euler_poisson_rhs(spec, y),
+                                  lambda y: inertia_inverse(spec, y[n:]))}[kind]
+
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    @pytest.mark.parametrize("kind", ["euler", "symrep", "euler-poisson"])
+    def test_public_fields_are_the_run_kernels(self, kind, n):
+        rng = np.random.default_rng(n)
+        spec = InertiaSpec(rng.uniform(0.5, 2.0, n))
+        rows = n if kind == "euler" else 2 * n
+        ys = rng.standard_normal((4, rows, n))
+        if kind != "symrep":  # a skew momentum block, as the integrators require
+            ys[:, -n:] -= ys[:, -n:].swapaxes(-1, -2)
+        gs = np.stack([random_rotation(n, rng) for _ in ys])
+        lone = self.FACTORIES[kind](spec, np.ndarray.dot)
+        stacked = self.FACTORIES[kind](spec, np.matmul)
+        _, _, act_reference = fields_reference(kind, spec)
+        got = [stacked[0](ys), stacked[1](ys), stacked[2](ys, gs)]
+        for k, (y, g) in enumerate(zip(ys, gs)):
+            for public, kernel in zip(self.public(kind, spec), lone):
+                np.testing.assert_array_equal(kernel(y), public(y))
+            np.testing.assert_array_equal(lone[2](y, g), act_reference(g, y))
+            np.testing.assert_array_equal(got[0][k], lone[0](y))
+            np.testing.assert_array_equal(got[1][k], lone[1](y))
+            np.testing.assert_array_equal(got[2][k], lone[2](y, g))
+
+
 class TestReferenceSteps:
     """`_run`'s kernels give the bits of the textbook steps in `helpers`, on
     each kind of state, for lone states and for a batch, whose members are
@@ -610,10 +672,9 @@ class TestReferenceSteps:
 
     H, STEPS = 0.01, 8
     KERNELS = {
-        "euler": (_euler_rhs, _inertia_inverse, _conjugate),
-        "symrep": (_symrep_rhs, _optimal_control, _translate),
-        "euler-poisson": (_euler_poisson_rhs, _attitude_momentum_velocity,
-                          _translate_and_conjugate),
+        "euler": _euler_kernels,
+        "symrep": _symrep_kernels,
+        "euler-poisson": _attitude_momentum_kernels,
     }
 
     def starts(self, kind, n):
@@ -645,10 +706,10 @@ class TestReferenceSteps:
                 states.append(step(states[-1]))
             expected.append(np.stack(states))
         for b in range(len(y0)):
-            _, states, _, failure = _run(spec, y0[b], cfg, *self.KERNELS[kind])
+            _, states, _, failure = _run(spec, y0[b], cfg, self.KERNELS[kind])
             assert failure is None
             np.testing.assert_array_equal(states, expected[b])
-        _, states, last, failure = _run(spec, y0, cfg, *self.KERNELS[kind])
+        _, states, last, failure = _run(spec, y0, cfg, self.KERNELS[kind])
         assert failure is None
         np.testing.assert_array_equal(states, expected[0])
         for b in range(len(y0)):
@@ -665,21 +726,23 @@ class TestCayleyChart:
         # cay(theta)^-1 d/dt cay(theta + t theta') at t = 0 is omega, for the
         # chart velocity theta' that omega pulls back to
         rng = np.random.default_rng(n)
+        chart = _cayley(n, np.ndarray.dot)
         for _ in range(5):
             theta, omega = random_skew(n, rng), random_skew(n, rng)
-            g, p, m = _cayley(0.5 * theta)
+            g, p, m = chart(0.5 * theta)
             tangent = p @ omega @ m
-            plus = _cayley(0.5 * (theta + self.DT * tangent))[0]
-            minus = _cayley(0.5 * (theta - self.DT * tangent))[0]
+            plus = chart(0.5 * (theta + self.DT * tangent))[0]
+            minus = chart(0.5 * (theta - self.DT * tangent))[0]
             got = np.linalg.inv(g) @ (plus - minus) / (2.0 * self.DT)
             assert np.abs(got - omega).max() <= 1e-8
 
     @pytest.mark.parametrize("n", [3, 5, 16])
     def test_group_element_is_a_rotation(self, n):
         rng = np.random.default_rng(10 + n)
+        chart = _cayley(n, np.ndarray.dot)
         for scale in (1e-3, 1.0, 30.0):
             theta = scale * random_skew(n, rng)
-            g = _cayley(0.5 * theta)[0]
+            g = chart(0.5 * theta)[0]
             assert rotation_defect(g) <= 1e-14 * n
 
 
@@ -708,10 +771,10 @@ class TestBlockedRankCheck:
 
     def steps(self, field, scheme="rk4"):
         # the run alone, which checks no rank
-        return _run(None, self.start(), self.cfg(scheme), field, field, None)
+        return _run(None, self.start(), self.cfg(scheme), field_kernels(field))
 
     def run_symrep(self, monkeypatch, field, scheme="rk4"):
-        monkeypatch.setattr(integrate, "_symrep_rhs", field)
+        monkeypatch.setattr(integrate, "_symrep_kernels", field_kernels(field))
         return integrate_symrep(standard_spec(), self.start(), self.cfg(scheme))
 
     @staticmethod
@@ -728,7 +791,7 @@ class TestBlockedRankCheck:
     ])
     def test_matches_per_state_loop(self, monkeypatch, where, k):
         rate = self.rate_losing_rank_at(k)
-        field = lambda spec, z: -rate * z
+        field = lambda z: -rate * z
         _, states, _, failure = self.steps(field)
         assert failure is None
         step, smin = self.first_loss(states)
@@ -745,12 +808,12 @@ class TestBlockedRankCheck:
     def test_earlier_rank_loss_wins(self, monkeypatch, scheme, later):
         k = 40
         rate = self.rate_losing_rank_at(k)
-        _, states, _, _ = self.steps(lambda spec, z: -rate * z, scheme=scheme)
+        _, states, _, _ = self.steps(lambda z: -rate * z, scheme=scheme)
         step, smin = self.first_loss(states)
         # the field turns non-finite about ten steps after the rank loss
         floor = np.linalg.norm(states[k + 10])
 
-        def field(spec, z):
+        def field(z):
             return -rate * z if np.linalg.norm(z) > floor else np.full_like(z, np.inf)
 
         _, prefix, _, failure = self.steps(field, scheme=scheme)
@@ -764,7 +827,7 @@ class TestBlockedRankCheck:
         assert err.value.min_singular_value == smin
 
     def test_full_rank_run_checks_every_state(self, monkeypatch):
-        traj = self.run_symrep(monkeypatch, lambda spec, z: -0.01 * z)
+        traj = self.run_symrep(monkeypatch, lambda z: -0.01 * z)
         assert len(traj.states) == self.STEPS + 1
         np.testing.assert_array_equal(
             traj.audits["rank_margin"], [min_singular_value(z) for z in traj.states]
@@ -785,7 +848,7 @@ class TestFinitenessTest:
     def field(self, value, at):
         calls = [0]
 
-        def rhs(spec, y):
+        def rhs(y):
             calls[0] += 1
             out = np.zeros_like(y)
             if calls[0] == self.CALLS:
@@ -802,7 +865,7 @@ class TestFinitenessTest:
         at = tuple(k - 1 for k in lead) + (4, 2)  # the last member of a batch
         cfg = IntegratorConfig("rk4", 6.0, 6.0 * self.STEPS)
         field = self.field(value, at)
-        times, states, last, failure = _run(None, y0, cfg, field, field, None)
+        times, states, last, failure = _run(None, y0, cfg, field_kernels(field))
         if np.isfinite(value):
             assert failure is None
             assert len(states) == self.STEPS + 1 and last[at] == value

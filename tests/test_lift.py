@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    field_kernels,
     rodrigues,
     scaled_skew,
     standard_pi0,
@@ -211,21 +212,23 @@ class TestVerifyReductionReference:
         # The body run, which comes after the phase run, fails at step 1.
         rate = np.log(np.sqrt(2.0) / FULL_RANK_TOL) / 39.5
 
-        def field(spec, z):
+        def field(z):
             return -rate * z if np.linalg.norm(z) > 1e-12 else np.full_like(z, np.inf)
 
         cfg = IntegratorConfig(scheme, 1.0, 80.0)
         z0 = solve_lift(np.eye(3), standard_pi0())
-        failure = integrate._run(None, z0, cfg, field, field, None)[3]
+        failure = integrate._run(None, z0, cfg, field_kernels(field))[3]
         assert isinstance(failure, later)
-        monkeypatch.setattr(integrate, "_symrep_rhs", field)
-        monkeypatch.setattr(integrate, "_euler_rhs", lambda spec, pi: np.full_like(pi, np.inf))
+        monkeypatch.setattr(integrate, "_symrep_kernels", field_kernels(field))
+        monkeypatch.setattr(integrate, "_euler_kernels",
+                            field_kernels(lambda pi: np.full_like(pi, np.inf)))
         err = self.same_error(standard_spec(), np.eye(3), standard_pi0(), cfg)
         assert isinstance(err, RankLossError)
         assert err.step_index < failure.step_index
 
     def test_body_run_failure(self, monkeypatch):
-        monkeypatch.setattr(integrate, "_euler_rhs", lambda spec, pi: np.full_like(pi, np.inf))
+        monkeypatch.setattr(integrate, "_euler_kernels",
+                            field_kernels(lambda pi: np.full_like(pi, np.inf)))
         err = self.same_error(standard_spec(), np.eye(3), standard_pi0(),
                               IntegratorConfig("rk4", 0.01, 1.0))
         assert isinstance(err, DivergenceError) and err.step_index == 1

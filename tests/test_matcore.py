@@ -134,7 +134,8 @@ def test_commutator_of_skew_is_skew_hypothesis(x):
 
 
 class TestMm:
-    """`_mm` gives the bits of ``@`` on the operand layouts the step kernels pass."""
+    """`_mm` gives the bits of ``@`` on the operand layouts the step kernels pass
+    to ``ndarray.dot`` (one state) and matmul (a stack)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 16])
     def test_matches_matmul(self, n):

@@ -4,7 +4,6 @@ stacks, each checked against a loop of 2-D calls."""
 
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,10 +11,9 @@ import pytest
 from helpers import random_phase, scaled_skew
 from nrigid.body import (
     InertiaSpec,
-    _attitude_momentum_velocity,
-    _euler_poisson_rhs,
-    _euler_rhs,
-    _inertia_inverse,
+    _attitude_momentum_kernels,
+    _euler_kernels,
+    euler_poisson_rhs,
     inertia_apply,
     inertia_inverse,
     reduced_hamiltonian,
@@ -26,11 +24,8 @@ from nrigid import integrate
 from nrigid.integrate import (
     IntegratorConfig,
     _cayley,
-    _conjugate,
     _euler_poisson,
     _run,
-    _translate,
-    _translate_and_conjugate,
     integrate_euler,
     integrate_euler_poisson,
     integrate_symrep,
@@ -64,8 +59,7 @@ from nrigid.moment import (
     sp_momentum,
 )
 from nrigid.symrep import (
-    _optimal_control,
-    _symrep_rhs,
+    _symrep_kernels,
     hamiltonian,
     min_singular_value,
     one_form,
@@ -347,11 +341,11 @@ class TestStackedCayley:
         scales = np.geomspace(1e-4, 10.0, 9)[:, None, None]
         a = scales * np.stack([random_skew(n, rng) for _ in scales])
         omega = np.stack([random_skew(n, rng) for _ in scales])
-        g, p, m = _cayley(a)
+        g, p, m = _cayley(n, np.matmul)(a)
         pulled = _mm(_mm(p, omega), m)
-        eye = np.eye(n)
+        eye, chart = np.eye(n), _cayley(n, np.ndarray.dot)
         for k in range(len(a)):
-            one, one_p, one_m = _cayley(a[k])
+            one, one_p, one_m = chart(a[k])
             np.testing.assert_array_equal(g[k], one)
             np.testing.assert_array_equal(g[k], (eye + a[k]) @ np.linalg.inv(eye - a[k]))
             np.testing.assert_array_equal(pulled[k], _mm(_mm(one_p, omega[k]), one_m))
@@ -369,11 +363,11 @@ class TestStackedCayley:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(invalid="ignore"):
-                g = _cayley(a)[0]
+                g = _cayley(n, np.matmul)(a)[0]
         assert np.isnan(g[[1, 3]]).all()
-        eye = np.eye(n)
+        eye, chart = np.eye(n), _cayley(n, np.ndarray.dot)
         for k in (0, 2, 4):
-            np.testing.assert_array_equal(g[k], _cayley(a[k])[0])
+            np.testing.assert_array_equal(g[k], chart(a[k])[0])
             np.testing.assert_array_equal(g[k], (eye + a[k]) @ np.linalg.inv(eye - a[k]))
 
 
@@ -392,20 +386,21 @@ class TestBatchedRun:
     @staticmethod
     def counted(field, counts):
         # The field or velocity, counting the members it is evaluated on.
-        def rhs(spec, y):
+        def rhs(y):
             counts.append(1 if y.ndim == 2 else len(y))
-            return field(spec, y)
+            return field(y)
         return rhs
 
     def run(self, kind, spec, y0, cfg, counts):
-        c = partial(self.counted, counts=counts)
-        if kind == "euler":
-            return _run(spec, y0, cfg, c(_euler_rhs), c(_inertia_inverse), _conjugate)
-        if kind == "symrep":
-            return _run(spec, y0, cfg, c(_symrep_rhs), c(_optimal_control), _translate,
-                        rotations=("Q", "P"))
-        return _run(spec, y0, cfg, c(_euler_poisson_rhs), c(_attitude_momentum_velocity),
-                    _translate_and_conjugate, rotations=("attitude",))
+        kernels, rotations = {"euler": (_euler_kernels, ()),
+                              "symrep": (_symrep_kernels, ("Q", "P")),
+                              "euler-poisson": (_attitude_momentum_kernels, ("attitude",))}[kind]
+
+        def counted(spec, mm):
+            field, velocity, act = kernels(spec, mm)
+            return self.counted(field, counts), self.counted(velocity, counts), act
+
+        return _run(spec, y0, cfg, counted, rotations=rotations)
 
     def members(self, kind, n, picks=(0, 1, 2)):
         rng = np.random.default_rng(n)
@@ -518,8 +513,8 @@ class TestBatchedRun:
 
         for seed in range(200):
             y = start(seed)
-            m = y + (0.5 * h) * _euler_poisson_rhs(spec, y)
-            d = y + (0.5 * h) * _euler_poisson_rhs(spec, m) - m
+            m = y + (0.5 * h) * euler_poisson_rhs(spec, y)
+            d = y + (0.5 * h) * euler_poisson_rhs(spec, m) - m
             if np.linalg.norm(d[None], axis=(-2, -1))[0] > np.linalg.norm(d):
                 break
         else:

@@ -8,19 +8,23 @@ momentum and Q' = Q I^{-1}(Z^T J Z), so the attitude an extremal reaches
 is the Euler-Poisson attitude from (Q0, pi0) and no phase point is
 needed.  The search space is the initial body momentum, with no bound:
 each candidate pi0 is integrated on the flow of `integrate_euler_poisson`
-from (Q0, pi0) under the problem's config and scored by its terminal
-attitude mismatch, on rows :n of the last state [Q; pi].  A damped
-Gauss-Newton iteration with a forward-difference Jacobian runs over the
-d = n(n-1)/2 free momentum entries from rest, pi0 = 0, where the residual
-and the exact Jacobian are known in closed form.  A point is scored alone,
-or with its d probes as one batch of 1 + d runs, each bit for bit its own
-run, which brings its Jacobian.  A full step whose Gauss-Newton model
-residual ||r + J direction|| is at most tol is predicted to end the search
-and runs alone, as a damped step does, since its probes would go unread.
-A failed run raises its failure; a batch's failure is at the earliest step
-at which any member fails.  The symmetric representation of an answer is
-one `solve_lift` and `integrate_symrep` away wherever the lift bound
-allows.
+from (Q0, pi0) under the problem's config and scored by the mismatch
+polar(Q(T)) - Q_target, where Q(T) is rows :n of the last state [Q; pi]
+and polar(Q) = u v^T, for the SVD Q = u s v^T, is the orthogonal matrix
+nearest Q (Higham, SIAM J. Sci. Stat. Comput. 7, 1986).  A scheme that
+drifts off SO(n), as rk4 does, thus leaves no floor under the residual,
+and a reflection, at least 2 from every rotation, cannot be an answer.
+A damped Gauss-Newton iteration with a forward-difference Jacobian runs
+over the d = n(n-1)/2 free momentum entries from rest, pi0 = 0, where the
+run and the exact Jacobian are known in closed form.  A point is scored
+alone, or with its d probes as one batch of 1 + d runs, each bit for bit
+its own run, which brings its Jacobian.  A full step whose Gauss-Newton
+model residual ||r + J direction|| is at most tol is predicted to end the
+search and runs alone, as a damped step does, since its probes would go
+unread.  A failed run raises its failure; a batch's failure is at the
+earliest step at which any member fails.  The symmetric representation of
+an answer is one `solve_lift` and `integrate_symrep` away wherever the
+lift bound allows.
 """
 
 from __future__ import annotations
@@ -83,8 +87,10 @@ def _skew_from_params(x, upper, n):
 def _rest_jacobian(problem: BvpProblem, upper) -> np.ndarray:
     # The Jacobian of shoot's residual at x = 0, the exact tangent of every
     # scheme there: at rest the linearised flow dQ' = q0 I^-1(dpi), dpi' = 0 is
-    # stepped exactly, so column j is T vec(q0 I^-1(E_j)), E_j = pi0(e_j).  In C
-    # order, as `shoot`'s forward-difference Jacobians are.
+    # stepped exactly, so column j is T vec(q0 I^-1(E_j)), E_j = pi0(e_j).  The
+    # polar factor's tangent at a rotation is the identity on these tangent
+    # directions q0 A, A skew.  In C order, as `shoot`'s forward-difference
+    # Jacobians are.
     spec, cfg = problem.spec, problem.cfg
     basis = _skew_from_params(np.eye(len(upper[0])), upper, spec.n)
     tangents = cfg.steps * cfg.step * np.matmul(problem.q0, basis / spec._pair_sums)
@@ -129,41 +135,41 @@ def trajectory_cost(spec: InertiaSpec, traj: Trajectory) -> float:
 def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     """Damped Gauss-Newton shooting on the initial body momentum.
 
-    Success means the terminal attitude mismatch (Frobenius) is at most
-    ``tol``; pi0 has no bound.  The returned trajectory is the
-    ``euler-poisson`` flow from (q0, pi0) under ``problem.cfg`` that the
-    search scored, so ``terminal_error`` is the distance of its final
-    attitude ``trajectory.states[-1, :n]`` to the target, and with
-    ``project_attitude`` its attitude stays a rotation.  ``seed`` drives
-    the random restarts tried when the line search stalls.  ``tol`` must be
-    positive, ``max_iter`` an integer of at least 1 and ``seed`` a
-    non-negative integer.
+    Success means ``terminal_error`` = ||polar(Q(T)) - q_target||_F is at
+    most ``tol``, where Q(T) = ``trajectory.states[-1, :n]`` is the final
+    attitude of the returned trajectory, the ``euler-poisson`` flow from
+    (q0, pi0) under ``problem.cfg`` that the search scored, and polar(Q(T))
+    is the orthogonal matrix nearest it; pi0 has no bound.  The scheme's
+    own drift off SO(n) stays in that trajectory's ``orthogonality_defect``
+    audit.  ``seed`` drives the random restarts tried when the line search
+    stalls.  ``tol`` must be a positive finite number, ``max_iter`` an
+    integer of at least 1 and ``seed`` a non-negative integer.
 
     The search starts at x = 0, at rest, where every scheme returns its
-    state bit for bit: the residual is vec(q0 - q_target) with no run, and
-    the Jacobian is the exact tangent `_rest_jacobian` (with
-    ``project_attitude`` the start runs alone, since the projection moves
-    the rest by round-off).  Elsewhere a point runs alone, or as one batch
-    with its d probes x + _FD_STEP e_j, each member bit for bit its own run,
-    so the iterates are those of scoring each point alone.  Each restart runs
-    as a batch, and so does the full step of each line search unless the
-    Gauss-Newton model predicts it to be the last, ||r + J direction|| <=
-    ``tol``: then, like a damped candidate, it runs alone, and an iterate
-    reached by a lone run that is not the answer re-runs as member 0 of its
-    batch.  A failed run raises its failure; a batch's failure is at the
-    earliest step at which any member fails.
+    state bit for bit: the residual is vec(polar(q0) - q_target) with no
+    run, and the Jacobian is the exact tangent `_rest_jacobian`.  Elsewhere
+    a point runs alone, or as one batch with its d probes x + _FD_STEP e_j,
+    each member bit for bit its own run, so the iterates are those of
+    scoring each point alone.  Each restart runs as a batch, and so does
+    the full step of each line search unless the Gauss-Newton model
+    predicts it to be the last, ||r + J direction|| <= ``tol``: then, like
+    a damped candidate, it runs alone, and an iterate reached by a lone run
+    that is not the answer re-runs as member 0 of its batch.  A failed run
+    raises its failure; a batch's failure is at the earliest step at which
+    any member fails.
 
-    The flow's failures pass through: `DivergenceError` (a non-finite state
-    or a failed projection) and ConvergenceError with reason "fixed_point"
-    (a midpoint step that did not converge).  The search raises
-    ConvergenceError carrying the best iterate:
+    The flow's failures pass through: `DivergenceError` (a non-finite
+    state) and ConvergenceError with reason "fixed_point" (a midpoint step
+    that did not converge).  The search raises ConvergenceError carrying
+    the best iterate:
 
     * reason "max_iter" when the iteration budget is exhausted.
     * reason "line_search" when the line search stalls with no restart
       left.
     """
-    if not tol > 0.0:  # NaN fails every comparison, so it fails this one
-        raise ValueError("tol must be positive")
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (real and 0.0 < tol < np.inf):  # NaN fails every comparison
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     for name, value in (("max_iter", max_iter), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -177,10 +183,22 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     entries = np.arange(d)
     rng = np.random.default_rng(seed)
 
+    def mismatch(q, probes):
+        # The residual vec(polar(q) - q_target) of an attitude q, or of a batch's
+        # stack of them in one SVD, with its square norm and the Jacobian: None
+        # for one; from a batch, in C order as a column loop builds it.  The
+        # polar factor is orthogonal, so no residual exceeds 2 sqrt(n) and none
+        # needs a failure path: a reflection, at least 2 from every rotation,
+        # is scored as the miss it is.
+        u, _, vt = np.linalg.svd(q)
+        rs = (u @ vt - problem.q_target).reshape(-1, n * n)
+        r = rs[0]
+        jac = np.ascontiguousarray(((rs[1:] - r) / _FD_STEP).T) if probes else None
+        return r, float(r @ r), jac
+
     def score(x, probes):
         # The residual at x, its square norm, x's run (times, states) and the
-        # Jacobian: None for a lone run; with probes, from x's batch in C order
-        # as a column loop builds it.
+        # Jacobian, with probes from x's batch.
         xs = x
         if probes:
             xs = np.repeat(x[None], 1 + d, axis=0)
@@ -189,24 +207,16 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
         y0[..., :n, :] = problem.q0
         y0[..., n:, :] = _skew_from_params(xs, upper, n)
         *run, last = _euler_poisson(spec, y0, cfg)
-        # A finite run can end so far out that r @ r is inf, which the line search rejects.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mismatch = (last[..., :n, :] - problem.q_target).reshape(-1, n * n)
-            r = mismatch[0]
-            jac = np.ascontiguousarray(((mismatch[1:] - r) / _FD_STEP).T) if probes else None
-            return r, float(r @ r), run, jac
+        r, fval, jac = mismatch(last[..., :n, :], probes)
+        return r, fval, run, jac
 
     # The start x = 0 is at rest, where every stage velocity is 0 and each
-    # scheme returns its state bit for bit: it needs no run unless a
-    # projection moves it by round-off, and then it runs alone.
+    # scheme returns its state bit for bit, so it needs no run.
     x = np.zeros(d)
-    if cfg.project_attitude:
-        r, fval, run, _ = score(x, False)
-    else:
-        times = np.arange(cfg.steps + 1) * cfg.step
-        rest = np.vstack([problem.q0, np.zeros((n, n))])
-        r = (problem.q0 - problem.q_target).ravel()
-        fval, run = float(r @ r), [times, np.repeat(rest[None], len(times), axis=0)]
+    times = np.arange(cfg.steps + 1) * cfg.step
+    rest = np.vstack([problem.q0, np.zeros((n, n))])
+    r, fval, _ = mismatch(problem.q0, False)
+    run = [times, np.repeat(rest[None], len(times), axis=0)]
     jac = _rest_jacobian(problem, upper)
     best = (x.copy(), np.sqrt(fval), run)
     iterations = 0

@@ -38,16 +38,16 @@ is +0 for finite x and NaN for an infinity or NaN.  A kernel also steps a
 batch of initial states along a leading axis, each member its own run bit
 for bit (under midpoint each stops at its own fixed-point count); the loop
 stores the states of the first member and the last state of each.  `shoot`
-runs a point with its forward-difference probes that way.  With
-``project_attitude`` the loop checks the rotation blocks of the start and
-polar-projects all of them, of every member, in one stacked call after
-each step.  A non-finite state (a singular rkmk4 inverse among them) or a
-projected block with no nearby rotation ends a run in `DivergenceError`,
-and a midpoint step that does not converge in `ConvergenceError`, each
-naming its step.  `RankLossError` names the first state below full rank,
-also when a later step failed.  Finite states whose audits overflow end
-in `DivergenceError` too, naming the audit and its first non-finite
-state.  No step-size adaptivity: runs are reproducible and admit clean
+runs a point with its forward-difference probes that way.  A non-finite
+state (a singular rkmk4 inverse among them) ends a run in
+`DivergenceError`, and a midpoint step that does not converge in
+`ConvergenceError`, each naming its step.  `RankLossError` names the first
+state below full rank, also when a later step failed.  Finite states whose
+audits overflow end in `DivergenceError` too, naming the audit and its
+first non-finite state.  Rotation blocks are stepped, never projected:
+rk4 drifts off SO(n), rkmk4 keeps them rotations to round-off and
+midpoint to its fixed-point tolerance, and the ``orthogonality_defect``
+audit shows the drift.  No step-size adaptivity: runs are reproducible and admit clean
 order checks.
 """
 
@@ -60,15 +60,7 @@ from numpy.linalg._umath_linalg import inv as _inv
 
 from .body import InertiaSpec, _attitude_momentum_kernels, _euler_kernels, reduced_hamiltonian
 from .errors import ConvergenceError, DimensionError, DivergenceError, RankLossError
-from .matcore import (
-    _frobenius,
-    _identity,
-    _matrix_frobenius,
-    _polar_project,
-    orthogonality_defect,
-    require_rotation,
-    require_skew,
-)
+from .matcore import _frobenius, _identity, _matrix_frobenius, orthogonality_defect, require_skew
 from .moment import casimir_spectrum, on_momentum, sp_momentum
 from .symrep import FULL_RANK_TOL, _symrep_kernels, min_singular_value
 
@@ -93,19 +85,16 @@ _MIDPOINT_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """``scheme`` (rk4, rkmk4 or midpoint), ``step``, ``t_final`` (real numbers,
-    stored as floats) and ``project_attitude``.  ``t_final`` must be a whole
-    number of steps, which construction stores as ``steps``.  ``project_attitude``
-    polar-projects the rotation blocks after every step, which repairs the
-    drift of rk4 and midpoint; under rkmk4 it only adds round-off.
-    Midpoint's fixed-point iteration stops at a change of at most
-    `_MIDPOINT_TOL` (1e-13) within `_MIDPOINT_MAX_ITER` (100) iterations.
+    """``scheme`` (rk4, rkmk4 or midpoint), ``step`` and ``t_final`` (real
+    numbers, stored as floats).  ``t_final`` must be a whole number of
+    steps, which construction stores as ``steps``.  Midpoint's fixed-point
+    iteration stops at a change of at most `_MIDPOINT_TOL` (1e-13) within
+    `_MIDPOINT_MAX_ITER` (100) iterations.
     """
 
     scheme: str
     step: float
     t_final: float
-    project_attitude: bool = False
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -118,8 +107,6 @@ class IntegratorConfig:
             object.__setattr__(self, name, float(value))  # float32 rounds the stage coefficients
         if self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
-        if not isinstance(self.project_attitude, (bool, np.bool_)):
-            raise ValueError(f"project_attitude must be a bool, got {self.project_attitude!r}")
         k = round(self.t_final / self.step)
         if abs(k * self.step - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError(f"t_final {self.t_final} is not an integer multiple "
@@ -143,6 +130,8 @@ class Trajectory:
     audits: dict
 
     def __post_init__(self):
+        if np.ndim(self.times) != 1:
+            raise ValueError(f"times must be one-dimensional, got shape {np.shape(self.times)}")
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
         if not np.isfinite(self.times).all():
@@ -232,7 +221,7 @@ def _midpoint(field, h, norm):
     return step
 
 
-def _run(spec, y0, cfg: IntegratorConfig, kernels, rotations=()):
+def _run(spec, y0, cfg: IntegratorConfig, kernels):
     """Step y0 by ``kernels(spec, mm)``: a field, a body velocity and its action ``act(y, g)``.
 
     y0 is one state ``(rows, n)``, or a batch ``(B, rows, n)`` whose members
@@ -242,25 +231,12 @@ def _run(spec, y0, cfg: IntegratorConfig, kernels, rotations=()):
     DivergenceError, or a ConvergenceError (reason "fixed_point") where
     midpoint's iteration did not converge.  A failed run (a batch at the
     first step any member fails) returns what it stored before that step.
-
-    ``rotations`` names the leading n x n blocks that are rotations.  With
-    ``cfg.project_attitude`` they must be rotations in every member of y0
-    (ValueError), and after each finite step all of them are polar-projected
-    in one stacked call; one with no nearby rotation is a divergence.
     """
     y = np.array(y0, dtype=float)
-    lead, n = y.shape[:-2], y.shape[-1]
-    blocks = len(rotations) if cfg.project_attitude else 0
-    rows, first = blocks * n, (0,) * len(lead)
-    for j, block in enumerate(y[..., :rows, :].reshape(-1, n, n)):  # member by member
-        try:
-            require_rotation(block)
-        except ValueError as exc:
-            what = rotations[j % blocks]
-            raise ValueError(f"project_attitude needs rotation blocks; {what}: {exc}") from exc
-    steps, h = cfg.steps, cfg.step
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
+    lead, n = y.shape[:-2], y.shape[-1]
+    first, steps, h = (0,) * len(lead), cfg.steps, cfg.step
     mm, norm = (np.matmul, _frobenius) if lead else (np.ndarray.dot, _matrix_frobenius)
     field, velocity, act = kernels(spec, mm)
     advance = {"rk4": lambda: _rk4(field, h), "midpoint": lambda: _midpoint(field, h, norm),
@@ -272,21 +248,13 @@ def _run(spec, y0, cfg: IntegratorConfig, kernels, rotations=()):
         for i in range(1, steps + 1):
             try:
                 y_next = advance(y)
-                d = (y_next - y_next).ravel()  # +0 where finite, NaN at inf or NaN
-                if not d.dot(d) == 0.0:
-                    raise DivergenceError(f"non-finite state at step {i}", step_index=i)
-                if blocks:
-                    try:
-                        r = _polar_project(y_next[..., :rows, :].reshape(lead + (blocks, n, n)))
-                    except ValueError as exc:  # the start was checked, so the step threw it off
-                        raise DivergenceError(f"projection failed at step {i}: {exc}",
-                                              step_index=i) from exc
-                    y_next[..., :rows, :] = r.reshape(lead + (rows, n))
-            except DivergenceError as exc:
-                return times[:i], states[:i], y, exc
             except ConvergenceError as exc:  # midpoint's fixed point, which knows no step
                 return times[:i], states[:i], y, ConvergenceError(
                     f"{exc} at step {i}", reason="fixed_point", step_index=i)
+            d = (y_next - y_next).ravel()  # +0 where finite, NaN at inf or NaN
+            if not d.dot(d) == 0.0:
+                return times[:i], states[:i], y, DivergenceError(
+                    f"non-finite state at step {i}", step_index=i)
             y = y_next
             states[i] = y[first]
     return times, states, y, None
@@ -356,8 +324,7 @@ def _symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig):
     n = spec.n
     if z0.shape != (2 * n, n):
         raise DimensionError(f"phase point has shape {z0.shape}, expected {(2 * n, n)}")
-    times, states, _, failure = _run(spec, z0, cfg, _symrep_kernels,
-                                     rotations=("Q block of z0", "P block of z0"))
+    times, states, _, failure = _run(spec, z0, cfg, _symrep_kernels)
     # The rank alone first: its loss wins over a later failure, and other audits may overflow.
     margin = _audit(states, {"rank_margin": min_singular_value})["rank_margin"]
     lost = np.flatnonzero(margin < FULL_RANK_TOL)
@@ -379,10 +346,6 @@ def integrate_symrep(spec: InertiaSpec, z0, cfg: IntegratorConfig) -> Trajectory
     singular-value spectrum of the orthogonal momentum value, and the rank
     margin `min_singular_value`, whose first value below `FULL_RANK_TOL`
     raises `RankLossError`, also when a later step failed.
-
-    With ``project_attitude`` both blocks are polar-projected after every
-    step, and both blocks of ``z0`` must be rotations, as they are for
-    points constructed by `solve_lift`; any other start raises ValueError.
     """
     times, states, margin = _symrep(spec, z0, cfg)
     n, j0 = spec.n, sp_momentum(states[0])
@@ -402,8 +365,7 @@ def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
     # The attitude-momentum run behind integrate_euler_poisson and shoot, of one
     # stack [Q; pi] or a batch (B, 2n, n): the first member's times and states
     # and every member's last state, unaudited, or the run's failure raised.
-    times, states, last, failure = _run(spec, y0, cfg, _attitude_momentum_kernels,
-                                        rotations=("the attitude block of y0",))
+    times, states, last, failure = _run(spec, y0, cfg, _attitude_momentum_kernels)
     if failure is not None:
         raise failure
     return times, states, last
@@ -429,8 +391,7 @@ def integrate_euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig) -> Tra
     energy, momentum spectrum, and the orthogonality defect of the
     attitude.  The momentum block must be skew, as the momentum of
     `integrate_euler` must be; the attitude block is audited, not
-    validated, unless ``project_attitude`` polar-projects it after every
-    step, which needs a rotation there.
+    validated.
     """
     _one_body(spec)
     y0 = np.asarray(y0, dtype=float)

@@ -193,23 +193,6 @@ def skew_asinh(p) -> np.ndarray:
     return 0.5 * (a - a.T)
 
 
-def _polar_project(m) -> np.ndarray:
-    # Over the last two axes; a stack fails on its first member (in C
-    # order) that fails either test.
-    u, s, vt = np.linalg.svd(m)
-    r = u @ vt
-    singular = s[..., -1] <= 1e-14 * np.maximum(1.0, s[..., 0])
-    failed = singular | (np.linalg.det(r) < 0.0)
-    if np.count_nonzero(failed):
-        k = np.flatnonzero(failed)[0]
-        if singular.flat[k]:
-            smin, smax = s.reshape(-1, s.shape[-1])[k, [-1, 0]]
-            raise OutOfRangeError(f"singular input: smallest singular value {smin:.3g} "
-                                  f"<= 1e-14 * max(1, largest {smax:.3g})")
-        raise OutOfRangeError("negative determinant: no nearby rotation")
-    return r
-
-
 def polar_project(m) -> np.ndarray:
     """Nearest orthogonal matrix in the Frobenius norm (polar factor).
 
@@ -219,7 +202,14 @@ def polar_project(m) -> np.ndarray:
     m = _as_square(m)
     if not np.isfinite(m).all():
         raise ValueError("polar projection of a non-finite matrix")
-    return _polar_project(m)
+    u, s, vt = np.linalg.svd(m)
+    if s[-1] <= 1e-14 * max(1.0, s[0]):
+        raise OutOfRangeError(f"singular input: smallest singular value {s[-1]:.3g} "
+                              f"<= 1e-14 * max(1, largest {s[0]:.3g})")
+    r = u @ vt
+    if np.linalg.det(r) < 0.0:
+        raise OutOfRangeError("negative determinant: no nearby rotation")
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -295,10 +285,19 @@ def _require_finite(m) -> np.ndarray:
 
 
 def require_skew(m) -> np.ndarray:
-    """Validate finiteness and skew-symmetry to 1e-12 relative to the matrix size; returns m."""
+    """Validate finiteness and skew-symmetry to 1e-12 relative to the matrix size; returns m.
+
+    Both norms are taken of m / s, for s the power of 2 at or below the
+    largest absolute entry, which is exact, and scaled back by s, so that
+    no square of an entry overflows, nor the tolerance of a norm beyond the
+    largest float.
+    """
     m = _require_finite(_as_square(m))
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(m)))
-    d = skew_defect(m)
+    big = float(np.max(np.abs(m), initial=0.0))
+    s = math.ldexp(1.0, math.frexp(big)[1] - 1) if big else 1.0
+    unit = m / s
+    tol = max(1e-12, 1e-12 * s * _matrix_frobenius(unit))
+    d = s * _matrix_frobenius(unit + unit.T)
     if d > tol:
         raise ValueError(f"matrix is not skew-symmetric: defect {d:.3g} > {tol:.3g}")
     return m

@@ -230,10 +230,11 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
     model predicts to be the last, with ||r + J direction|| at most ``tol``
     for the column-stacked Jacobian J, runs alone, as a damped step does; if
     it lands above ``tol`` after all, its Jacobian is the next iteration's
-    run with probes.  If some of these runs fail, the
-    failure at the earliest step raises, as the batch's would: at one step, a
-    midpoint fixed point before a non-finite state before a failed
-    projection, and the first run's on a tie.  The start x = 0 is at rest,
+    run with probes.  If some of these runs fail, the failure at the
+    earliest step raises, as the batch's would: at one step, a midpoint
+    fixed point before a non-finite state, and the first run's on a tie.  A
+    run is scored by vec(u v^T - q_target), for the SVD u s v^T of its final
+    attitude, one matrix at a time.  The start x = 0 is at rest,
     where the flow's tangent is known: its Jacobian has column j equal to
     T vec(q0 I^-1(E_j)), with E_j the skew basis matrix of entry j.  Its
     residual still comes from a public run.  The constants are read from
@@ -243,6 +244,10 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
     n = problem.spec.n
     d = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
+
+    def polar(q):
+        u, _, vt = np.linalg.svd(q)
+        return u @ vt
 
     def skew(x):
         a = np.zeros((n, n))
@@ -262,9 +267,8 @@ def shoot_reference(problem, tol=1e-6, max_iter=30, seed=0):
             except (ConvergenceError, DivergenceError) as exc:
                 failures.append(exc)
         if failures:
-            raise min(failures, key=lambda exc: (exc.step_index, isinstance(exc, DivergenceError),
-                                                 "projection" in str(exc)))
-        r, *rs = [(traj.states[-1, :n] - problem.q_target).ravel() for traj in runs]
+            raise min(failures, key=lambda exc: (exc.step_index, isinstance(exc, DivergenceError)))
+        r, *rs = [(polar(traj.states[-1, :n]) - problem.q_target).ravel() for traj in runs]
         jac = np.column_stack([(rj - r) / control._FD_STEP for rj in rs]) if probes else None
         return r, float(r @ r), runs[0], jac
 

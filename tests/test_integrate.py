@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -36,7 +37,7 @@ from nrigid.integrate import (
     integrate_symrep,
 )
 from nrigid.lift import solve_lift
-from nrigid.matcore import expm, polar_project, random_rotation, random_skew, rotation_defect
+from nrigid.matcore import expm, random_rotation, random_skew, rotation_defect
 from nrigid.symrep import (
     FULL_RANK_TOL,
     _symrep_kernels,
@@ -103,8 +104,6 @@ class TestConfig:
         ("step", np.inf, "step must be positive and finite"),
         ("t_final", -1.0, "t_final must be positive and finite"),
         ("t_final", np.nan, "t_final must be positive and finite"),
-        # This one projected a truthy string.
-        ("project_attitude", "false", "project_attitude must be a bool, got 'false'"),
     ])
     def test_fields_checked(self, field, value, message):
         fields = {"scheme": "midpoint", "step": 0.1, "t_final": 1.0, field: value}
@@ -133,6 +132,22 @@ class TestConfig:
         plain = IntegratorConfig("rk4", float(step), float(t_final))
         np.testing.assert_array_equal(integrate_euler(ORDER_SPEC, ORDER_PI0, cfg).states,
                                       integrate_euler(ORDER_SPEC, ORDER_PI0, plain).states)
+
+    def test_three_fields(self):
+        # the scheme, its step and the horizon: no projection option
+        assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["scheme", "step",
+                                                                         "t_final"]
+        with pytest.raises(TypeError):
+            IntegratorConfig("rk4", 0.1, 1.0, project_attitude=True)
+
+    @pytest.mark.parametrize("times", [np.array([[0.0, 1.0], [0.0, 1.0]]), np.array(0.0)],
+                             ids=["2-d", "0-d"])
+    def test_trajectory_times_one_dimensional(self, times):
+        # len() reads the first axis and np.diff the last, so a 2-D time
+        # array once passed the checks
+        with pytest.raises(ValueError, match=re.escape(
+                f"times must be one-dimensional, got shape {times.shape}")):
+            Trajectory("euler", times, np.zeros((2, 3, 3)), {})
 
     @pytest.mark.parametrize("times, audits, message", [
         ([0.0, 0.0, 1.0], {}, "times must be strictly increasing"),
@@ -190,38 +205,17 @@ class TestEuler:
             integrate_euler_poisson(spec, y0, IntegratorConfig("rk4", 5.0, 500.0))
         assert err.value.step_index >= 1
 
-    @pytest.mark.parametrize("kind, project_attitude, message, step", [
-        ("euler", False, "non-finite state at step 10", 10),
-        ("euler-poisson", False, "non-finite state at step 10", 10),
-        ("euler-poisson", True, "projection failed at step 2: negative determinant", 2),
-    ], ids=["euler", "euler-poisson", "euler-poisson-projected"])
-    def test_rkmk4_overflowing_stage_is_divergence(self, kind, project_attitude, message, step):
+    @pytest.mark.parametrize("kind", ["euler", "euler-poisson"])
+    def test_rkmk4_overflowing_stage_is_divergence(self, kind):
         # a stage argument overflows at step 10, so I - a is no longer
         # invertible: the chart gives NaN, and the run ends in a divergence
-        # named with its step, not in a singular-matrix error.  Projected,
-        # the attitude of step 2 already has no nearby rotation: the same
-        # divergence, seen eight steps earlier.
+        # named with its step, not in a singular-matrix error.
         pi0 = hat([500.0, 600.0, 700.0])
         y0 = pi0 if kind == "euler" else np.vstack([np.eye(3), pi0])
-        cfg = IntegratorConfig("rkmk4", 2.0, 400.0, project_attitude=project_attitude)
-        with pytest.raises(DivergenceError, match=message) as err:
+        cfg = IntegratorConfig("rkmk4", 2.0, 400.0)
+        with pytest.raises(DivergenceError, match="non-finite state at step 10") as err:
             final_state(kind, standard_spec(), y0, cfg)
-        assert err.value.step_index == step
-
-    def test_rk4_projected_overflow_states_relative_test(self):
-        # rk4 from the same start overflows its attitude at step 1 into a
-        # relatively singular matrix whose smallest singular value is still
-        # large; the message gives the largest too, so it reads as the test.
-        pi0 = hat([500.0, 600.0, 700.0])
-        cfg = IntegratorConfig("rk4", 2.0, 400.0, project_attitude=True)
-        with pytest.raises(DivergenceError) as err:
-            integrate_euler_poisson(standard_spec(), np.vstack([np.eye(3), pi0]), cfg)
-        assert err.value.step_index == 1
-        found = re.fullmatch(r"projection failed at step 1: singular input: smallest singular "
-                             r"value (\S+) <= 1e-14 \* max\(1, largest (\S+)\)", str(err.value))
-        assert found, str(err.value)
-        smin, smax = map(float, found.groups())
-        assert 1.0 < smin <= 1e-14 * smax
+        assert err.value.step_index == 10
 
 
 class TestOverflowingAudit:
@@ -316,15 +310,17 @@ class TestEulerPoisson:
         with pytest.raises(DimensionError):
             integrate_euler_poisson(standard_spec(), y0, IntegratorConfig("rk4", 1e-2, 1.0))
 
-    @pytest.mark.parametrize("project_attitude", [False, True])
+    @pytest.mark.parametrize("off_group", [False, True])
     @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
-    def test_restarts_from_any_state(self, scheme, project_attitude):
-        # a state of one run is the initial stack of its continuation
+    def test_restarts_from_any_state(self, scheme, off_group):
+        # a state of one run is the initial stack of its continuation, also
+        # from an attitude stretched off SO(3), which is stepped as it is
         spec, h = standard_spec(), 0.01
-        y0 = np.vstack([expm(hat([0.1, -0.2, 0.3])), 1.8 * standard_pi0()])
-        traj = integrate_euler_poisson(spec, y0, IntegratorConfig(scheme, h, 1.0, project_attitude))
+        q0 = expm(hat([0.1, -0.2, 0.3])) * (np.array([0.8, 1.0, 1.25]) if off_group else 1.0)
+        y0 = np.vstack([q0, 1.8 * standard_pi0()])
+        traj = integrate_euler_poisson(spec, y0, IntegratorConfig(scheme, h, 1.0))
         for k in (1, 37, 99):
-            cfg = IntegratorConfig(scheme, h, (100 - k) * h, project_attitude)
+            cfg = IntegratorConfig(scheme, h, (100 - k) * h)
             rest = integrate_euler_poisson(spec, traj.states[k], cfg)
             np.testing.assert_array_equal(rest.states, traj.states[k:])
 
@@ -370,14 +366,6 @@ class TestEulerPoisson:
             integrate_euler_poisson(standard_spec(), np.vstack([np.eye(3), pi0]), cfg)
         with pytest.raises(ValueError, match="not skew-symmetric"):
             integrate_euler(standard_spec(), pi0, cfg)
-
-    def test_projection_repairs_attitude(self):
-        traj = integrate_euler_poisson(
-            standard_spec(),
-            np.vstack([np.eye(3), 1.8 * standard_pi0()]),
-            IntegratorConfig("rk4", 1e-2, 10.0, project_attitude=True),
-        )
-        assert np.max(traj.audits["orthogonality_defect"]) <= 1e-13
 
 
 class TestOrders:
@@ -495,13 +483,12 @@ class TestNonFiniteInitialState:
         with pytest.raises(ValueError, match="non-finite"):
             integrate_euler(standard_spec(), pi0, IntegratorConfig("rk4", 0.01, 0.1))
 
-    @pytest.mark.parametrize("project_attitude", [False, True])
     @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_euler_poisson_attitude(self, scheme, bad, project_attitude):
+    def test_euler_poisson_attitude(self, scheme, bad):
         y0 = np.vstack([np.eye(3), standard_pi0()])
         y0[1, 2] = bad
-        cfg = IntegratorConfig(scheme, 0.01, 0.1, project_attitude=project_attitude)
+        cfg = IntegratorConfig(scheme, 0.01, 0.1)
         with pytest.raises(ValueError, match="non-finite"):
             integrate_euler_poisson(standard_spec(), y0, cfg)
 
@@ -512,75 +499,21 @@ class TestNonFiniteInitialState:
             integrate_euler_poisson(standard_spec(), y0, IntegratorConfig("rk4", 0.01, 0.1))
 
 
-class TestProjectionNeedsRotationBlocks:
-    @staticmethod
-    def spec(n):
-        return InertiaSpec(np.linspace(1.0, 2.0, n))
+class TestStartsWithoutRotationBlocks:
+    """The rotation blocks of a start are stepped as they are: a phase point
+    need not have them, nor an attitude-momentum stack."""
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
-    def test_bound_free_point_rejected(self, n, scheme):
+    def test_bound_free_point_integrates(self, n, scheme):
         # [I; pi0/2] has momentum value pi0 but no rotation P block; for
         # odd n the block is singular
         pi0 = scaled_skew(n, np.random.default_rng(n), 1.0)
         z0 = phase_point(np.eye(n), 0.5 * pi0)
-        cfg = IntegratorConfig(scheme, 0.01, 0.1, project_attitude=True)
-        with pytest.raises(ValueError, match="P block of z0: matrix is not a rotation"):
-            integrate_symrep(self.spec(n), z0, cfg)
-        # without projection the same point is a valid start
-        integrate_symrep(self.spec(n), z0, IntegratorConfig(scheme, 0.01, 0.1))
-
-    def test_q_block_named(self):
-        z0 = phase_point(2.0 * np.eye(3), np.eye(3))
-        with pytest.raises(ValueError, match="Q block of z0"):
-            integrate_symrep(standard_spec(), z0,
-                             IntegratorConfig("rk4", 0.01, 0.1, project_attitude=True))
-
-    @pytest.mark.parametrize("n", [4, 5])
-    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
-    def test_lift_points_still_integrate(self, n, scheme):
-        rng = np.random.default_rng(10 + n)
-        pi0 = scaled_skew(n, rng, 1.5)
-        z0 = solve_lift(random_rotation(n, rng), pi0)
-        cfg = IntegratorConfig(scheme, 0.01, 0.5, project_attitude=True)
-        traj = integrate_symrep(self.spec(n), z0, cfg)
-        assert np.max(traj.audits["orthogonality_defect"]) <= 1e-13
-        assert np.linalg.norm(traj.audits["on_momentum"][0] - pi0) <= 1e-10
-
-    def test_euler_poisson_attitude_named(self):
-        y0 = np.vstack([2.0 * np.eye(3), standard_pi0()])
-        with pytest.raises(ValueError, match="attitude block of y0: matrix is not a rotation"):
-            integrate_euler_poisson(standard_spec(), y0,
-                                    IntegratorConfig("rk4", 0.01, 0.1, project_attitude=True))
-
-
-class TestProjectedSteps:
-    """With ``project_attitude`` every step is the unprojected step followed
-    by the public `polar_project` of each rotation block."""
-
-    H = 0.05
-
-    @staticmethod
-    def integrate(kind, spec, y, cfg):
-        integrator = integrate_symrep if kind == "symrep" else integrate_euler_poisson
-        return integrator(spec, y, cfg)
-
-    @pytest.mark.parametrize("scheme", ["rk4", "rkmk4", "midpoint"])
-    @pytest.mark.parametrize("kind, blocks", [("symrep", 2), ("euler-poisson", 1)])
-    def test_matches_polar_project_of_each_step(self, kind, blocks, scheme):
-        spec, pi0, n = standard_spec(), 1.8 * standard_pi0(), 3
-        y0 = solve_lift(np.eye(n), pi0) if kind == "symrep" else np.vstack([np.eye(n), pi0])
-        cfg = IntegratorConfig(scheme, self.H, 10 * self.H, project_attitude=True)
-        traj = self.integrate(kind, spec, y0, cfg)
-        moved = False
-        for y, y_next in zip(traj.states[:-1], traj.states[1:]):
-            step = self.integrate(kind, spec, y, IntegratorConfig(scheme, self.H, self.H))
-            expected = step.states[1].copy()
-            for k in range(0, blocks * n, n):
-                expected[k:k + n] = polar_project(expected[k:k + n])
-            np.testing.assert_array_equal(y_next, expected)
-            moved = moved or not np.array_equal(expected, step.states[1])
-        assert moved
+        cfg = IntegratorConfig(scheme, 0.01, 0.1)
+        traj = integrate_symrep(InertiaSpec(np.linspace(1.0, 2.0, n)), z0, cfg)
+        np.testing.assert_array_equal(traj.states[0], z0)
+        assert traj.audits["orthogonality_defect"][0] > 0.1
 
 
 class TestKernelsAgainstPublicFunctions:

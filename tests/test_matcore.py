@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from nrigid.matcore import (
     _expm_stack,
     _flat_dot,
     _mm,
-    _polar_project,
     commutator,
     expm,
     inner,
@@ -397,20 +397,6 @@ class TestPolarProject:
                            r"1e-15 <= 1e-14 \* max\(1, largest 2\)$"):
             polar_project(np.diag([2.0, 1.0, 1e-15]))
 
-    @pytest.mark.parametrize("lead", [(3,), (1, 3), (3, 1)], ids=["3", "1x3", "3x1"])
-    @pytest.mark.parametrize("first, message", [
-        ("flipped", "negative determinant"), ("singular", "singular input"),
-    ], ids=["flipped-first", "singular-first"])
-    def test_stack_fails_on_its_first_failing_member(self, first, message, lead):
-        # Either test may find the first failure: a stack of a flipped and a
-        # singular member, in either order, then a rotation, reports its
-        # first member's failure, whatever leading axes hold the stack.
-        bad = {"flipped": np.diag([1.0, 1.0, -1.0]), "singular": np.diag([1.0, 1.0, 0.0])}
-        second = "singular" if first == "flipped" else "flipped"
-        m = np.stack([bad[first], bad[second], np.eye(3)]).reshape(lead + (3, 3))
-        with pytest.raises(OutOfRangeError, match=f"^{message}"):
-            _polar_project(m)
-
 
 class TestSymplecticMatrix:
     def test_n1(self):
@@ -472,6 +458,28 @@ class TestValidatorsRejectNonFinite:
         m[0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             require_skew(m)
+
+    @pytest.mark.parametrize("entries", [(1e300, 1.0, 1.0), (1.7e308, -1e308, 3.0)])
+    def test_require_skew_of_huge_entries(self, entries):
+        # the tolerance 1e-12 ||m|| once overflowed in its squares, with a
+        # RuntimeWarning, to an infinite tolerance
+        m = hat(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert require_skew(m) is m
+            bent = m.copy()
+            bent.flat[np.argmax(np.abs(m))] *= 1.0 + 1e-9
+            with pytest.raises(ValueError, match="^matrix is not skew-symmetric: defect "):
+                require_skew(bent)
+
+    def test_require_skew_message_reads_the_plain_norms(self):
+        # the power-of-2 scaling is exact
+        m = hat([0.5, 0.6, 0.7])
+        m[2, 1] += 3e-12
+        d, tol = np.linalg.norm(m + m.T), 1e-12 * np.linalg.norm(m)
+        with pytest.raises(ValueError) as err:
+            require_skew(m)
+        assert str(err.value) == f"matrix is not skew-symmetric: defect {d:.3g} > {tol:.3g}"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_require_rotation(self, bad):

@@ -40,9 +40,8 @@ def test_readme_config_table_is_the_schema():
     # its JSON type and, where it has one, its default as JSON
     from nrigid.cli import _REQUIRED, _SCHEMA
 
-    types = {"integer": "integer", "number": "number", "boolean": "boolean",
-             "string": "string", "object": "object", "array": "array of numbers",
-             "attitude": '`"identity"` or array of numbers'}
+    types = {"integer": "integer", "number": "number", "string": "string", "object": "object",
+             "array": "array of numbers", "attitude": '`"identity"` or array of numbers'}
 
     def rows(name="config", prefix=""):
         for key, (kind, default) in _SCHEMA[name].items():

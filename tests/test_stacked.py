@@ -392,31 +392,37 @@ class TestBatchedRun:
         return rhs
 
     def run(self, kind, spec, y0, cfg, counts):
-        kernels, rotations = {"euler": (_euler_kernels, ()),
-                              "symrep": (_symrep_kernels, ("Q", "P")),
-                              "euler-poisson": (_attitude_momentum_kernels, ("attitude",))}[kind]
+        kernels = {"euler": _euler_kernels, "symrep": _symrep_kernels,
+                   "euler-poisson": _attitude_momentum_kernels}[kind]
 
         def counted(spec, mm):
             field, velocity, act = kernels(spec, mm)
             return self.counted(field, counts), self.counted(velocity, counts), act
 
-        return _run(spec, y0, cfg, counted, rotations=rotations)
+        return _run(spec, y0, cfg, counted)
 
-    def members(self, kind, n, picks=(0, 1, 2)):
+    def members(self, kind, n, picks=(0, 1, 2), off_group=False):
+        # Off the group, an attitude is a rotation stretched along its
+        # columns, and a phase point is [q0; q0 pi0 / 2], whose momentum value
+        # is still pi0 but whose P block is no rotation.
         rng = np.random.default_rng(n)
         out = []
         for norm in self.NORMS:
             pi0 = scaled_skew(n, rng, min(norm, 1.5) if kind == "symrep" else norm)
             if kind == "euler":
                 out.append(pi0)
+                continue
+            q0 = random_rotation(n, rng)
+            if kind == "symrep":
+                out.append(np.vstack([q0, 0.5 * q0 @ pi0]) if off_group else solve_lift(q0, pi0))
             else:
-                q0 = random_rotation(n, rng)
-                out.append(solve_lift(q0, pi0) if kind == "symrep" else np.vstack([q0, pi0]))
+                stretch = np.linspace(0.8, 1.25, n) if off_group else 1.0
+                out.append(np.vstack([q0 * stretch, pi0]))
         return np.stack(out)[list(picks)]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 16])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("kind, project_attitude, picks", [
+    @pytest.mark.parametrize("kind, off_group, picks", [
         ("euler-poisson", False, (0, 1, 2)), ("euler-poisson", True, (0, 1, 2)),
         ("euler", False, (0, 1, 2)),
         # A batch of one, and two identical members, which finish on the
@@ -425,13 +431,18 @@ class TestBatchedRun:
         ("symrep", False, (0, 1, 2)), ("symrep", True, (0, 1, 2)),
     ], ids=["euler-poisson-False", "euler-poisson-True", "euler-False",
             "euler-poisson-True-one", "euler-poisson-True-twins", "symrep-False", "symrep-True"])
-    def test_members_are_their_single_runs(self, kind, project_attitude, picks, scheme, n):
+    def test_members_are_their_single_runs(self, kind, off_group, picks, scheme, n):
         # A batch stores its first member's states: the batch is run once
         # with each member first, and that member's states and every
-        # member's last state must equal their single runs.
+        # member's last state must equal their single runs.  Rotation
+        # blocks are stepped as they are, so members off the group batch
+        # like members on it.
         spec = InertiaSpec(np.linspace(0.5, 2.0, n))
-        cfg = IntegratorConfig(scheme, 0.025, 0.025 * self.STEPS, project_attitude=project_attitude)
-        y0 = self.members(kind, n, picks)
+        cfg = IntegratorConfig(scheme, 0.025, 0.025 * self.STEPS)
+        y0 = self.members(kind, n, picks, off_group)
+        if off_group:
+            assert (orthogonality_defect(y0[:, -n:] if kind == "symrep" else y0[:, :n])
+                    > 0.1).all()
         singles, single_counts = [], []
         for b in range(len(y0)):
             counts = []
@@ -461,23 +472,6 @@ class TestBatchedRun:
             assert single_counts == [4 * self.STEPS] * len(y0)
         elif len(set(picks)) == len(picks):
             assert len(set(single_counts)) == len(single_counts), single_counts
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_start_check_covers_every_member(self, scheme):
-        # Member 2's attitude is 2I: projection needs a rotation there, so
-        # the batch is refused before its first step evaluates any field.
-        spec = InertiaSpec(np.linspace(0.5, 2.0, 3))
-        cfg = IntegratorConfig(scheme, 0.025, 0.025 * self.STEPS, project_attitude=True)
-        y0 = self.members("euler-poisson", 3)
-        y0[2, :3] = 2.0 * np.eye(3)
-        counts = []
-        with pytest.raises(ValueError, match="project_attitude needs rotation blocks; "
-                                             "attitude: matrix is not a rotation"):
-            self.run("euler-poisson", spec, y0, cfg, counts)
-        assert counts == []
-        # without projection the same batch steps
-        unprojected = IntegratorConfig(scheme, cfg.step, cfg.t_final)
-        assert self.run("euler-poisson", spec, y0, unprojected, counts)[3] is None
 
     def test_batch_holds_one_runs_history(self):
         # n = 8 and 28 probes, as `shoot` batches them, over 1000 steps: the
@@ -529,22 +523,20 @@ class TestBatchedRun:
             np.testing.assert_array_equal(last[b], one[-1])
 
     # Under rkmk4, member 1 overflows at step 1 with norm 1e4 and at step 11
-    # with norm 3e3; projected, its attitude at step 8 has no nearby rotation.
-    @pytest.mark.parametrize("scheme, failing, project_attitude, expected", [
-        ("rk4", 1000.0, False, DivergenceError),
-        ("rkmk4", 1e4, False, DivergenceError),
-        ("rkmk4", 3e3, False, DivergenceError),
-        ("rkmk4", 3e3, True, DivergenceError),
-        ("midpoint", 300.0, False, ConvergenceError),
+    # with norm 3e3.
+    @pytest.mark.parametrize("scheme, failing, expected", [
+        ("rk4", 1000.0, DivergenceError),
+        ("rkmk4", 1e4, DivergenceError),
+        ("rkmk4", 3e3, DivergenceError),
+        ("midpoint", 300.0, ConvergenceError),
     ], ids=["rk4-1000.0-DivergenceError", "rkmk4-10000.0-DivergenceError",
-            "rkmk4-3000.0-DivergenceError", "rkmk4-3000.0-projected-DivergenceError",
-            "midpoint-300.0-ConvergenceError"])
-    def test_batch_stops_at_first_failing_step(self, scheme, failing, project_attitude, expected):
+            "rkmk4-3000.0-DivergenceError", "midpoint-300.0-ConvergenceError"])
+    def test_batch_stops_at_first_failing_step(self, scheme, failing, expected):
         # Member 1 fails; the batch stops at the step at which that member's
         # own run fails, with that run's exception, and holds what member 0
         # and every member reached before it.
         spec = InertiaSpec([1.0, 2.0, 3.0])
-        cfg = IntegratorConfig(scheme, 0.05, 2.0, project_attitude=project_attitude)
+        cfg = IntegratorConfig(scheme, 0.05, 2.0)
         rng = np.random.default_rng(0)
         q0 = random_rotation(3, rng)
         y0 = np.stack([np.vstack([q0, scaled_skew(3, rng, norm)])

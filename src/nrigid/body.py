@@ -61,7 +61,7 @@ class InertiaSpec:
         sums.flags.writeable = False
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "_pair_sums", sums)
-        object.__setattr__(self, "n", lam.shape[-1])  # read in every step: set once, not a property
+        object.__setattr__(self, "n", lam.shape[-1])  # not a property: shape checks read it
 
 
 def _check_n_by_n(spec: InertiaSpec, m) -> np.ndarray:

@@ -36,8 +36,8 @@ import numpy as np
 from .body import InertiaSpec
 from .errors import ConvergenceError, DimensionError
 from .integrate import IntegratorConfig, Trajectory, _one_body
-from .integrate import _euler_poisson, _euler_poisson_trajectory
-from .matcore import require_rotation
+from .integrate import _euler_poisson, _euler_poisson_trajectory, _grid
+from .matcore import _require_integer, require_rotation
 
 __all__ = ["BvpProblem", "BvpSolution", "shoot", "trajectory_cost"]
 
@@ -170,9 +170,7 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
     if not (real and 0.0 < tol < np.inf):  # NaN fails every comparison
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    for name, value in (("max_iter", max_iter), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    max_iter, seed = _require_integer("max_iter", max_iter), _require_integer("seed", seed)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if seed < 0:
@@ -213,10 +211,10 @@ def shoot(problem: BvpProblem, tol=1e-6, max_iter=30, seed=0) -> BvpSolution:
     # The start x = 0 is at rest, where every stage velocity is 0 and each
     # scheme returns its state bit for bit, so it needs no run.
     x = np.zeros(d)
-    times = np.arange(cfg.steps + 1) * cfg.step
-    rest = np.vstack([problem.q0, np.zeros((n, n))])
+    times, states = _grid(cfg, (2 * n, n))
+    states[:, :n], states[:, n:] = problem.q0, 0.0
+    run = [times, states]
     r, fval, _ = mismatch(problem.q0, False)
-    run = [times, np.repeat(rest[None], len(times), axis=0)]
     jac = _rest_jacobian(problem, upper)
     best = (x.copy(), np.sqrt(fval), run)
     iterations = 0

@@ -107,6 +107,8 @@ class IntegratorConfig:
             object.__setattr__(self, name, float(value))  # float32 rounds the stage coefficients
         if self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
+        if self.t_final / self.step == np.inf:
+            raise ValueError("t_final / step overflows a float: too many states to store")
         k = round(self.t_final / self.step)
         if abs(k * self.step - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError(f"t_final {self.t_final} is not an integer multiple "
@@ -221,6 +223,17 @@ def _midpoint(field, h, norm):
     return step
 
 
+def _grid(cfg: IntegratorConfig, shape):
+    """The times of a run of ``cfg`` and empty storage for its states of ``shape``;
+    a horizon too long to store (numpy's ValueError or MemoryError) is refused,
+    before any step, by a ValueError that names the step count."""
+    try:
+        return np.arange(cfg.steps + 1) * cfg.step, np.empty((cfg.steps + 1,) + shape)
+    except (ValueError, MemoryError):
+        raise ValueError(f"t_final / step is {cfg.steps:.6g} steps, "
+                         "too many states to store") from None
+
+
 def _run(spec, y0, cfg: IntegratorConfig, kernels):
     """Step y0 by ``kernels(spec, mm)``: a field, a body velocity and its action ``act(y, g)``.
 
@@ -237,13 +250,12 @@ def _run(spec, y0, cfg: IntegratorConfig, kernels):
         raise ValueError("initial state has non-finite entries")
     lead, n = y.shape[:-2], y.shape[-1]
     first, steps, h = (0,) * len(lead), cfg.steps, cfg.step
+    times, states = _grid(cfg, y.shape[-2:])
+    states[0] = y[first]
     mm, norm = (np.matmul, _frobenius) if lead else (np.ndarray.dot, _matrix_frobenius)
     field, velocity, act = kernels(spec, mm)
     advance = {"rk4": lambda: _rk4(field, h), "midpoint": lambda: _midpoint(field, h, norm),
                "rkmk4": lambda: _rkmk4(velocity, act, h, _cayley(n, mm), mm)}[cfg.scheme]()
-    states = np.empty((steps + 1,) + y.shape[-2:])
-    states[0] = y[first]
-    times = np.arange(steps + 1) * h
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(1, steps + 1):
             try:
@@ -373,11 +385,9 @@ def _euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig):
 
 def _euler_poisson_trajectory(spec: InertiaSpec, times, states) -> Trajectory:
     n = spec.n
-    return Trajectory("euler-poisson", times, states, _audit(states, {
-        "hamiltonian": lambda b: reduced_hamiltonian(spec, b[:, n:]),
-        "casimir_spectrum": lambda b: casimir_spectrum(b[:, n:]),
-        "orthogonality_defect": lambda b: orthogonality_defect(b[:, :n]),
-    }))
+    channels = {name: lambda b, f=f: f(b[:, n:]) for name, f in _momentum_channels(spec).items()}
+    channels["orthogonality_defect"] = lambda b: orthogonality_defect(b[:, :n])
+    return Trajectory("euler-poisson", times, states, _audit(states, channels))
 
 
 def integrate_euler_poisson(spec: InertiaSpec, y0, cfg: IntegratorConfig) -> Trajectory:

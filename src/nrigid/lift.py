@@ -24,7 +24,7 @@ from .matcore import (
     skew_asinh,
 )
 from .moment import level_set_defect, on_momentum, sp_momentum
-from .symrep import is_full_rank, phase_point
+from .symrep import phase_point
 
 __all__ = ["solve_lift", "mu0_of", "verify_reduction"]
 
@@ -36,8 +36,11 @@ def solve_lift(q0, pi0) -> np.ndarray:
 
     P0 = Q0 exp(A) where A solves 2 sinh(A) = pi0 on the principal branch,
     which requires the spectral norm of pi0 to be below 2.  The returned
-    point is certified: P0 is a rotation to 1e-10, the momentum residual
-    is below 1e-10, and the point is full rank.
+    point is certified: P0 is a rotation to 1e-10 and the momentum residual
+    is below 1e-10.  It is full rank with no test of its own: Q0 and P0 are
+    both orthogonal to a defect of 1e-10, so Z0^T Z0 = Q0^T Q0 + P0^T P0 is
+    within 2e-10 of 2 I, and the smallest singular value of Z0 is at least
+    sqrt(2 - 2e-10), far above `FULL_RANK_TOL`.
     """
     q0 = require_rotation(np.asarray(q0, dtype=float))
     pi0 = np.asarray(pi0, dtype=float)
@@ -47,16 +50,14 @@ def solve_lift(q0, pi0) -> np.ndarray:
         )
     # skew_asinh validates pi0: finite, skew and below the lift bound.
     p0 = q0 @ expm(skew_asinh(pi0))
-    z0 = phase_point(q0, p0)
+    defect = rotation_defect(p0)
     residual = float(np.linalg.norm(q0.T @ p0 - p0.T @ q0 - pi0))
-    if rotation_defect(p0) > _LIFT_TOL or residual > _LIFT_TOL:
+    if defect > _LIFT_TOL or residual > _LIFT_TOL:
         raise CertificationError(
-            f"lift certification failed: rotation defect {rotation_defect(p0):.3g}, "
+            f"lift certification failed: rotation defect {defect:.3g}, "
             f"momentum residual {residual:.3g}"
         )
-    if not is_full_rank(z0):
-        raise CertificationError("lifted phase point is not full rank")
-    return z0
+    return phase_point(q0, p0)
 
 
 def mu0_of(z0) -> np.ndarray:

@@ -95,20 +95,13 @@ def inner(a, b):
     return 0.5 * _flat_dot(a, b)
 
 
-def _mm(a, b) -> np.ndarray:
-    """``a @ b``, through ``ndarray.dot`` when both are matrices: the same BLAS
-    call, bit for bit, without matmul's gufunc dispatch (about half the cost
-    of a 3 x 3 ``@``); a stack keeps matmul, which broadcasts."""
-    return a.dot(b) if a.ndim == b.ndim == 2 else a @ b
-
-
 def commutator(a, b) -> np.ndarray:
     """Matrix commutator ab - ba, member by member for two stacks ``(..., n, n)`` of equal shape."""
     a = _as_square(a, stacked=True)
     b = _as_square(b, stacked=True)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _mm(a, b) - _mm(b, a)
+    return a @ b - b @ a
 
 
 @lru_cache(maxsize=None)
@@ -282,6 +275,13 @@ def _require_finite(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries (NaN or infinity)")
     return m
+
+
+def _require_integer(name, value) -> int:
+    # A Python or numpy integer, as an int; bool is an int, and a float is refused even if integral.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_skew(m) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared construction helpers and independent oracles for the tests."""
 
+import math
+
 import numpy as np
 
 from nrigid import InertiaSpec, hat
@@ -33,6 +35,24 @@ from nrigid.symrep import hamiltonian, one_form
 # A trial count of the invariant battery whose last block holds one trial,
 # so that two of that block's n groups are empty.
 BLOCK_CROSSING = _BATTERY_BLOCK + 1
+
+
+# Horizons at step 1e-3, with their step counts as errors name them: one
+# too long for numpy to index, and one that it can index but no host can
+# store, whose tests run under `refuse_large_allocations` (the flag).
+HUGE_HORIZONS = [(1e300, "1e+303", False), (1e9, "1e+12", True)]
+
+
+def refuse_large_allocations(monkeypatch, limit=10**8):
+    """Make ``np.arange`` and ``np.empty`` raise MemoryError, as numpy does
+    when an allocation fails, for more than ``limit`` elements, so that a
+    test reaches that path without allocating."""
+    for name in ("arange", "empty"):
+        def allocate(size, *args, _real=getattr(np, name), **kwargs):
+            if (math.prod(size) if isinstance(size, tuple) else size) > limit:
+                raise MemoryError(f"Unable to allocate an array of {size} elements")
+            return _real(size, *args, **kwargs)
+        monkeypatch.setattr(np, name, allocate)
 
 
 def rodrigues(axis, angle):

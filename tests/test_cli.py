@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import BLOCK_CROSSING, invariant_battery_reference
+from helpers import (
+    BLOCK_CROSSING,
+    HUGE_HORIZONS,
+    invariant_battery_reference,
+    refuse_large_allocations,
+)
 from nrigid import cli, csvtext
 from nrigid.cli import load_config, load_trajectory_csv, main, write_trajectory_csv
 from nrigid.errors import CertificationError
@@ -327,6 +332,30 @@ class TestFailureExits:
         assert main(with_out(command, tmp_path) + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config must provide") and f"'{drop}'" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("t_final, count, patched", HUGE_HORIZONS)
+    @pytest.mark.parametrize("command", [
+        ["simulate", "euler"], ["simulate", "symrep"], ["simulate", "euler-poisson"],
+        ["verify-reduction"], ["solve-bvp"],
+    ])
+    def test_unstorable_horizon_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                       t_final, count, patched):
+        if patched:
+            refuse_large_allocations(monkeypatch)
+        cfg = write_config(tmp_path / "cfg.json", bvp={"q_target": "identity"},
+                           integrator={"scheme": "rk4", "step": 1e-3, "t_final": t_final})
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: t_final / step is {count} steps, "
+                                           "too many states to store\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_step_count_beyond_float_range_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           integrator={"scheme": "rk4", "step": 1e-3, "t_final": 1e308})
+        assert main(["simulate", "euler", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: t_final / step overflows a float: too many states to store\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("kind", ["euler", "euler-poisson"])

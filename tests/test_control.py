@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import scaled_skew, shoot_reference, standard_pi0, standard_spec
+from helpers import (
+    HUGE_HORIZONS,
+    refuse_large_allocations,
+    scaled_skew,
+    shoot_reference,
+    standard_pi0,
+    standard_spec,
+)
 from nrigid import control, integrate
 from nrigid.body import InertiaSpec, hat, inertia_inverse, reduced_hamiltonian
 from nrigid.control import BvpProblem, BvpSolution, shoot, trajectory_cost
@@ -887,6 +894,19 @@ class TestStartAtRest:
         assert sol.terminal_error <= 1e-14
         np.testing.assert_array_equal(sol.trajectory.states, np.repeat(
             np.vstack([q0, np.zeros((3, 3))])[None], 101, axis=0))
+
+    @pytest.mark.parametrize("t_final, count, patched", HUGE_HORIZONS)
+    def test_unstorable_horizon_refused_before_any_run(self, monkeypatch, t_final, count,
+                                                       patched):
+        spy = RunSpy(monkeypatch)
+        if patched:
+            refuse_large_allocations(monkeypatch)
+        cfg = IntegratorConfig("rk4", 1e-3, t_final)
+        problem = BvpProblem(standard_spec(), np.eye(3), random_rotation(3, 5), t_final, cfg)
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_final / step is {count} steps, too many states to store")):
+            shoot(problem)
+        assert spy.runs == []
 
     def test_identity_target_at_the_identity_is_exact(self):
         # polar(I) is I bit for bit, so steering from I to I reads 0

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    HUGE_HORIZONS,
     field_kernels,
     fields_reference,
     midpoint_step_reference,
     random_phase,
+    refuse_large_allocations,
     rk4_step_reference,
     rkmk4_step_reference,
     scaled_skew,
@@ -497,6 +499,35 @@ class TestNonFiniteInitialState:
         y0[4, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             integrate_euler_poisson(standard_spec(), y0, IntegratorConfig("rk4", 0.01, 0.1))
+
+
+class TestUnstorableHorizon:
+    """A horizon too long to store is refused before any step, by a
+    ValueError that names the step count."""
+
+    @pytest.mark.parametrize("t_final, count, patched", HUGE_HORIZONS)
+    @pytest.mark.parametrize("kind", ["euler", "symrep", "euler-poisson"])
+    def test_integrators_refuse(self, monkeypatch, kind, t_final, count, patched):
+        if patched:
+            refuse_large_allocations(monkeypatch)
+        pi0 = standard_pi0()
+        y0 = {"euler": pi0, "symrep": solve_lift(np.eye(3), pi0),
+              "euler-poisson": np.vstack([np.eye(3), pi0])}[kind]
+        cfg = IntegratorConfig("rk4", 1e-3, t_final)
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_final / step is {count} steps, too many states to store")):
+            final_state(kind, standard_spec(), y0, cfg)
+
+    def test_step_count_beyond_float_range(self):
+        with pytest.raises(ValueError, match="^t_final / step overflows a float: too many states"):
+            IntegratorConfig("rk4", 1e-3, 1e308)
+
+    def test_refused_before_the_kernels_bind(self):
+        def kernels(spec, mm):
+            raise AssertionError("the kernels were bound")
+        cfg = IntegratorConfig("rk4", 1e-3, 1e300)
+        with pytest.raises(ValueError, match="1e[+]303 steps"):
+            _run(standard_spec(), standard_pi0(), cfg, kernels)
 
 
 class TestStartsWithoutRotationBlocks:

@@ -23,7 +23,7 @@ from nrigid.integrate import IntegratorConfig, integrate_symrep
 from nrigid.lift import mu0_of, solve_lift, verify_reduction
 from nrigid.matcore import random_rotation, rotation_defect
 from nrigid.moment import level_set_defect, on_momentum, sp_momentum
-from nrigid.symrep import FULL_RANK_TOL, is_full_rank, phase_point
+from nrigid.symrep import FULL_RANK_TOL, is_full_rank, min_singular_value, phase_point
 
 E3 = hat([0, 0, 1])
 
@@ -49,6 +49,17 @@ class TestSolveLift:
             assert rotation_defect(p0) <= 1e-10
             assert np.linalg.norm(q0.T @ p0 - p0.T @ q0 - pi0) <= 1e-10
             assert is_full_rank(z0)
+
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    def test_point_is_full_rank_by_construction(self, n):
+        # solve_lift tests no rank: Q0 and P0 are orthogonal to a defect of
+        # 1e-10, so sigma_min(Z0) >= sqrt(2 - 2e-10) for every pi0 below the
+        # bound, also for an attitude shrunk to the edge of require_rotation.
+        rng = np.random.default_rng(n)
+        for norm in [0.0, 0.5, 1.0, 1.5, 1.9, 1.99, 1.999]:
+            for shrink in [1.0, 1.0 - 5e-12]:
+                z0 = solve_lift(shrink * random_rotation(n, rng), scaled_skew(n, rng, norm))
+                assert min_singular_value(z0) >= np.sqrt(2.0) * (1.0 - 1e-9)
 
     def test_refusal_above_bound(self):
         pi0 = scaled_skew(3, np.random.default_rng(2), 2.1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from nrigid.matcore import (
 )
 from nrigid.moment import (
     _BATTERY_BLOCK,
-    _battery_residuals,
+    _battery_group,
     ad_star,
     casimir_spectrum,
     infinitesimal_generator,
@@ -331,12 +333,23 @@ class TestInvariantBattery:
     @pytest.mark.parametrize("trials", [1, 2, 3, 7, BLOCK_CROSSING])
     @pytest.mark.parametrize("seed", [0, 42])
     def test_residuals_match_per_trial_loop_bitwise(self, seed, trials):
+        # The battery's blocks of `_BATTERY_BLOCK` trials, each split by n,
+        # group by group against the reference's residuals of those trials.
         counts, residuals = invariant_battery_reference(seed, trials)
-        got = _battery_residuals(seed, trials)
-        assert list(got) == list(residuals)
-        for name, values in residuals.items():
-            assert got[name].shape == values.shape
-            np.testing.assert_array_equal(got[name], values, err_msg=name)
+        covered = []
+        for start in range(0, trials, _BATTERY_BLOCK):
+            block = np.arange(start, min(start + _BATTERY_BLOCK, trials))
+            for n in (3, 4, 5):
+                group = block[block % 3 == n - 3]
+                if not group.size:
+                    continue
+                got = _battery_group(seed, group, n)
+                assert list(got) == list(residuals)
+                for name, values in residuals.items():
+                    assert got[name].shape == values[group].shape
+                    np.testing.assert_array_equal(got[name], values[group], err_msg=name)
+                covered.extend(group.tolist())
+        assert sorted(covered) == list(range(trials))
         assert invariant_battery(seed, trials) == counts
 
     def test_block_crossing_count_leaves_groups_empty(self):
@@ -348,3 +361,25 @@ class TestInvariantBattery:
             invariant_battery(0, 0)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             invariant_battery(-1, 5)
+
+    @pytest.mark.parametrize("seed, trials, name", [
+        (0, 2.5, "trials"),
+        (0, 3.0, "trials"),
+        (0, True, "trials"),
+        (0, "3", "trials"),
+        (1.5, 3, "seed"),
+        (None, 3, "seed"),
+        (False, 3, "seed"),
+        (np.float64(2.0), 3, "seed"),
+    ])
+    def test_non_integer_arguments_rejected(self, seed, trials, name):
+        value = {"seed": seed, "trials": trials}[name]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            invariant_battery(seed, trials)
+
+    def test_numpy_integers_accepted(self):
+        want = invariant_battery(7, 4)
+        assert invariant_battery(np.int64(7), np.int32(4)) == want
+        assert invariant_battery(np.uint8(7), np.int64(4)) == want
+        # seed + t is taken in Python ints, so a small numpy seed cannot overflow
+        assert invariant_battery(np.uint8(250), 12) == invariant_battery(250, 12)

@@ -34,7 +34,6 @@ from nrigid.lift import mu0_of, solve_lift, verify_reduction
 from nrigid.matcore import (
     _expm,
     _expm_stack,
-    _mm,
     commutator,
     expm,
     inner,
@@ -342,13 +341,13 @@ class TestStackedCayley:
         a = scales * np.stack([random_skew(n, rng) for _ in scales])
         omega = np.stack([random_skew(n, rng) for _ in scales])
         g, p, m = _cayley(n, np.matmul)(a)
-        pulled = _mm(_mm(p, omega), m)
+        pulled = np.matmul(np.matmul(p, omega), m)
         eye, chart = np.eye(n), _cayley(n, np.ndarray.dot)
         for k in range(len(a)):
             one, one_p, one_m = chart(a[k])
             np.testing.assert_array_equal(g[k], one)
             np.testing.assert_array_equal(g[k], (eye + a[k]) @ np.linalg.inv(eye - a[k]))
-            np.testing.assert_array_equal(pulled[k], _mm(_mm(one_p, omega[k]), one_m))
+            np.testing.assert_array_equal(pulled[k], one_p.dot(omega[k]).dot(one_m))
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_failing_members_only(self, n):
